@@ -32,6 +32,16 @@ def test_huffman_throughput(benchmark, save_result):
     assert data.size / benchmark.stats["mean"] > 2e6
 
 
+def test_huffman_encode_throughput(benchmark, save_result):
+    rng = np.random.default_rng(0)
+    data = rng.geometric(0.25, size=1 << 20) - 1  # 1M symbols
+
+    payload, bits, code = benchmark(huffman_encode, data)
+    assert np.array_equal(code.decode(payload, data.size, bits), data)
+    # code build + encode must sustain > 2M symbols/s on any machine
+    assert data.size / benchmark.stats["mean"] > 2e6
+
+
 def test_rans_throughput(benchmark, save_result):
     rng = np.random.default_rng(1)
     data = rng.geometric(0.25, size=1 << 20) - 1

@@ -1,10 +1,13 @@
 """Vectorized variable-length bit packing and a small sequential bit I/O.
 
 The hot path is :func:`pack_codes`: given per-symbol (code, length)
-pairs it produces the concatenated MSB-first bit stream.  Following the
-HPC-Python guides, the only Python-level loop is over *bit positions
-within a code* (bounded by the maximum code length, <= 32), never over
-symbols; each iteration is a full-array NumPy operation.
+pairs it produces the concatenated MSB-first bit stream.  It works on
+64-bit words rather than bits: the exclusive prefix sum of the lengths
+gives every code's bit offset, each code is shifted into place inside
+the word it starts in, one ``bitwise_or.reduceat`` per word merges the
+codes that start there, and the few codes that cross a word boundary
+are OR-ed into the next word.  The cost is a constant number of
+whole-array passes, with no Python loop over symbols or bit positions.
 
 :class:`BitWriter` / :class:`BitReader` are deliberately simple
 sequential implementations used for small headers and as an oracle in
@@ -48,21 +51,27 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> Tuple[bytes, int]:
     if lengths.min() < 1 or lengths.max() > 57:
         raise ParameterError("code lengths must be in [1, 57]")
 
-    total_bits = int(lengths.sum())
-    offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    bits = np.zeros(total_bits, dtype=np.uint8)
-    max_len = int(lengths.max())
-    # Loop over bit positions inside a code (<= max_len iterations);
-    # each iteration scatters one bit of every sufficiently long code.
-    for j in range(max_len):
-        mask = lengths > j
-        if not mask.any():
-            break
-        shift = (lengths[mask] - 1 - j).astype(np.uint64)
-        bits[offsets[mask] + j] = ((codes[mask] >> shift) & np.uint64(1)).astype(
-            np.uint8
-        )
-    return np.packbits(bits).tobytes(), total_bits
+    ends = np.cumsum(lengths)
+    total_bits = int(ends[-1])
+    offsets = ends - lengths
+    bit = (offsets & 63).view(np.uint64)
+    # Left-align each code in a 64-bit word (dropping bits above its
+    # length), then move it to its bit offset inside the word it starts
+    # in.  A code is shorter than a word, so every word up to the last
+    # code's holds the start of at least one code: ``first[k]`` is the
+    # first code starting in word k, and one OR-reduction over each run
+    # of codes (which occupy disjoint bits) assembles word k.
+    aligned = codes << (np.uint64(64) - lengths.view(np.uint64))
+    first = np.searchsorted(offsets, np.arange(0, int(offsets[-1]) + 1, 64))
+    words = np.zeros((total_bits + 63) >> 6, dtype=np.uint64)
+    words[: first.size] = np.bitwise_or.reduceat(aligned >> bit, first)
+    # Only the last code of word k can spill into word k + 1, and then
+    # its bit offset is >= 8, so the shift below stays in [1, 56].
+    last = np.append(first[1:], codes.size) - 1
+    k = np.flatnonzero(ends[last] > np.arange(1, first.size + 1) * 64)
+    spill = last[k]
+    words[k + 1] |= aligned[spill] << (np.uint64(64) - bit[spill])
+    return words.astype(">u8").tobytes()[: (total_bits + 7) >> 3], total_bits
 
 
 def unpack_bits(payload: bytes, total_bits: int) -> np.ndarray:

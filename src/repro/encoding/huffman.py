@@ -8,15 +8,23 @@ codes (paper Section II-A).  This module implements it from scratch:
   collector) algorithm, so that decode tables stay small;
 * canonical code assignment (codes are recoverable from lengths alone,
   so the serialized table is just ``(symbol, length)`` pairs);
-* vectorized encoding: table lookup + :func:`repro.encoding.bitio.pack_codes`;
+* vectorized encoding: a code lookup per symbol, then the word-level
+  packer :func:`repro.encoding.bitio.pack_codes`.  The lookup gathers
+  from dense value -> (code, length) tables when the alphabet's span
+  is no larger than the input (quantization codes lie within a small
+  radius, so this is the usual case), and binary-searches the sorted
+  alphabet otherwise (any int64 alphabet is allowed);
 * vectorized decoding: *speculative decode + pointer-doubling list
   ranking*.  A symbol is decoded at **every** bit offset with one table
   gather, giving a successor array ``nxt[pos] = pos + len(symbol at
   pos)``; the true symbol boundaries are the chain of ``nxt`` starting
   at bit 0, which is materialised in ``O(log n)`` vectorized passes by
-  pointer doubling (``A_{k+1} = A_k ++ nxt^{|A_k|}[A_k]``).  This turns
-  an inherently sequential decoder into whole-array NumPy work, per the
-  HPC-Python guidance to keep Python loops out of per-element paths.
+  pointer doubling (``A_{k+1} = A_k ++ nxt^{|A_k|}[A_k]``).  The
+  ``max_length``-bit window at every offset comes from one big-endian
+  32-bit read per payload byte, shifted by the offset within the byte.
+  This turns an inherently sequential decoder into whole-array NumPy
+  work, per the HPC-Python guidance to keep Python loops out of
+  per-element paths; pointer doubling is its dominant cost.
 
 A literal sequential decoder (:meth:`CanonicalHuffman.decode_sequential`)
 is kept both as a fallback for pathological alphabets whose codes cannot
@@ -61,9 +69,11 @@ def optimal_code_lengths(counts: np.ndarray) -> np.ndarray:
     if n == 1:
         return np.array([1], dtype=np.int64)
     # Heap of (weight, tiebreak, node-id); internal nodes get ids >= n.
-    heap = [(int(c), i, i) for i, c in enumerate(counts)]
+    # Plain Python ints throughout: these loops run once per symbol of
+    # the alphabet, where NumPy scalar indexing costs more than the work.
+    heap = [(c, i, i) for i, c in enumerate(counts.tolist())]
     heapq.heapify(heap)
-    parent = np.full(2 * n - 1, -1, dtype=np.int64)
+    parent = [-1] * (2 * n - 1)
     next_id = n
     while len(heap) > 1:
         w1, _, a = heapq.heappop(heap)
@@ -74,10 +84,10 @@ def optimal_code_lengths(counts: np.ndarray) -> np.ndarray:
         next_id += 1
     # Depth of each leaf = code length; compute top-down over node ids
     # (a child always has a smaller id than its parent).
-    depth = np.zeros(2 * n - 1, dtype=np.int64)
+    depth = [0] * (2 * n - 1)
     for node in range(2 * n - 3, -1, -1):
         depth[node] = depth[parent[node]] + 1
-    return depth[:n]
+    return np.array(depth[:n], dtype=np.int64)
 
 
 def package_merge_lengths(counts: np.ndarray, max_length: int) -> np.ndarray:
@@ -132,15 +142,15 @@ def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     order = np.lexsort((np.arange(lengths.size), lengths))
-    codes = np.zeros(lengths.size, dtype=np.uint64)
-    code = 0
+    by_rank = []
+    code = -1
     prev_len = int(lengths[order[0]])
-    for rank, idx in enumerate(order):
-        ln = int(lengths[idx])
-        if rank:
-            code = (code + 1) << (ln - prev_len)
-        codes[idx] = code
+    for ln in lengths[order].tolist():
+        code = (code + 1) << (ln - prev_len)
+        by_rank.append(code)
         prev_len = ln
+    codes = np.zeros(lengths.size, dtype=np.uint64)
+    codes[order] = by_rank
     return codes
 
 
@@ -229,13 +239,32 @@ class CanonicalHuffman:
             flat = np.asarray(data, dtype=np.int64).ravel()
             if flat.size == 0:
                 return b"", 0
-            idx = np.searchsorted(self.symbols, flat)
-            bad = (idx >= self.symbols.size) | (self.symbols[
-                np.minimum(idx, self.symbols.size - 1)
-            ] != flat)
-            if bad.any():
-                raise ParameterError("data contains symbols outside the alphabet")
-            payload, total_bits = pack_codes(self.codes[idx], self.lengths[idx])
+            lo = int(self.symbols[0])
+            span = int(self.symbols[-1]) - lo + 1
+            if span <= flat.size:
+                # Dense value -> (code, length) tables over the alphabet's
+                # span, no larger than the input, so the lookup stays
+                # O(n).  Length 0 marks a value missing from the alphabet.
+                if int(flat.min()) < lo or int(flat.max()) >= lo + span:
+                    raise ParameterError("data contains symbols outside the alphabet")
+                code_of = np.zeros(span, dtype=np.uint64)
+                length_of = np.zeros(span, dtype=np.int64)
+                code_of[self.symbols - lo] = self.codes
+                length_of[self.symbols - lo] = self.lengths
+                rel = flat - lo
+                codes, lengths = code_of[rel], length_of[rel]
+                if lengths.min() == 0:
+                    raise ParameterError("data contains symbols outside the alphabet")
+            else:
+                # Wide alphabets (any int64 values): binary search.
+                idx = np.searchsorted(self.symbols, flat)
+                bad = (idx >= self.symbols.size) | (self.symbols[
+                    np.minimum(idx, self.symbols.size - 1)
+                ] != flat)
+                if bad.any():
+                    raise ParameterError("data contains symbols outside the alphabet")
+                codes, lengths = self.codes[idx], self.lengths[idx]
+            payload, total_bits = pack_codes(codes, lengths)
             if trace.enabled:
                 sp.count("n_symbols", int(flat.size))
                 sp.count("total_bits", int(total_bits))
@@ -262,10 +291,10 @@ class CanonicalHuffman:
             np.concatenate(([0], np.cumsum(fill)[:-1])), fill
         )
         positions = run_starts + offs
-        table_sym = np.zeros(size, dtype=np.int64)
+        table_sym = np.zeros(size, dtype=np.int32)
         # Unused entries (incomplete code) get length 1 so the successor
         # array stays monotonic; valid streams never reach them.
-        table_len = np.ones(size, dtype=np.int64)
+        table_len = np.ones(size, dtype=np.uint8)
         table_sym[positions] = reps_idx
         table_len[positions] = self.lengths[reps_idx]
         self._table_sym = table_sym
@@ -276,12 +305,21 @@ class CanonicalHuffman:
 
         Uses the vectorized speculative/pointer-doubling decoder when
         the maximum code length permits a flat table, else the
-        sequential decoder.
+        sequential decoder.  The declared sizes are checked against the
+        payload before either decoder allocates anything: every code is
+        at least one bit long, so ``n_symbols <= total_bits <=
+        8 * len(payload)`` holds for every valid stream.
         """
         if n_symbols == 0:
             return np.zeros(0, dtype=np.int64)
         if n_symbols < 0 or total_bits < 0:
             raise ParameterError("negative sizes")
+        if total_bits > 8 * len(payload):
+            raise DecompressionError("Huffman payload shorter than declared")
+        if n_symbols > total_bits:
+            raise DecompressionError(
+                f"{n_symbols} symbols cannot fit in {total_bits} bits"
+            )
         if self.max_length > MAX_TABLE_BITS:
             return self.decode_sequential(payload, n_symbols, total_bits)
         return self._decode_vectorized(payload, n_symbols, total_bits)
@@ -289,27 +327,30 @@ class CanonicalHuffman:
     def _decode_vectorized(
         self, payload: bytes, n_symbols: int, total_bits: int
     ) -> np.ndarray:
-        buf = np.frombuffer(payload, dtype=np.uint8)
-        if buf.size * 8 < total_bits:
-            raise DecompressionError("Huffman payload shorter than declared")
         self._build_table()
-        bits = np.unpackbits(buf)[:total_bits]
         L = self.max_length
-        # Window value at every bit offset: w[p] = bits[p : p+L] as int.
-        padded = np.concatenate([bits, np.zeros(L, dtype=np.uint8)]).astype(
-            np.int64
-        )
-        w = np.zeros(total_bits, dtype=np.int64)
-        for j in range(L):
-            w = (w << 1) | padded[j : j + total_bits]
+        # Bits past total_bits read as zero, whatever the payload holds.
+        n_bytes = (total_bits + 7) >> 3
+        buf = np.zeros(n_bytes + 3, dtype=np.uint32)
+        buf[:n_bytes] = np.frombuffer(payload, dtype=np.uint8, count=n_bytes)
+        if total_bits & 7:
+            buf[n_bytes - 1] &= (0xFF << (8 - (total_bits & 7))) & 0xFF
+        # Window value at every bit offset, w[p] = the L bits from p on:
+        # a big-endian uint32 starting at byte p >> 3 holds them all
+        # (L <= 18 and p & 7 <= 7), shifted right by 32 - L - (p & 7).
+        u32 = (buf[:-3] << 24) | (buf[1:-2] << 16) | (buf[2:-1] << 8) | buf[3:]
+        shifts = (32 - L - np.arange(8)).astype(np.uint32)
+        mask = np.uint32((1 << L) - 1)
+        w = ((u32[:, None] >> shifts) & mask).ravel()[:total_bits]
         # Speculative decode at every offset -> successor array with a
         # self-looping sentinel at index total_bits.
-        step = self._table_len[w]
-        nxt = np.minimum(np.arange(total_bits, dtype=np.int64) + step, total_bits)
-        nxt = np.concatenate([nxt, [total_bits]])
+        index = np.int32 if total_bits + L < 2**31 else np.int64
+        nxt = np.arange(total_bits + 1, dtype=index)
+        nxt[:-1] += self._table_len[w]
+        np.minimum(nxt, total_bits, out=nxt)
         # Pointer-doubling list ranking: materialise the first
         # n_symbols positions of the chain starting at 0.
-        positions = np.empty(n_symbols, dtype=np.int64)
+        positions = np.empty(n_symbols, dtype=index)
         positions[0] = 0
         filled = 1
         jump = nxt  # jumps exactly `filled` symbols when applied

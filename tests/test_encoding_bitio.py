@@ -36,10 +36,12 @@ class TestPackCodes:
             pack_codes(np.array([1]), np.array([58]))
 
     def test_matches_sequential_writer(self, rng):
-        lengths = rng.integers(1, 33, size=200)
+        lengths = rng.integers(1, 58, size=400)
         codes = np.array(
             [int(rng.integers(0, 1 << int(ln))) for ln in lengths], dtype=np.uint64
         )
+        offsets = np.cumsum(lengths) - lengths
+        assert ((offsets % 64) + lengths > 64).sum() > 10  # word-straddling codes
         payload, bits = pack_codes(codes, lengths)
         w = BitWriter()
         for c, ln in zip(codes, lengths):
@@ -102,11 +104,16 @@ def _codes_and_lengths(draw):
 @settings(max_examples=60, deadline=None)
 @given(_codes_and_lengths())
 def test_pack_unpack_roundtrip_property(args):
-    """Packing then unpacking reproduces every code bit-exactly."""
+    """Packing then unpacking reproduces every code bit-exactly, and the
+    packed bytes equal the sequential writer's."""
     lengths, codes = args
+    w = BitWriter()
+    for c, ln in zip(codes, lengths):
+        w.write(c, ln)
     lengths = np.asarray(lengths, dtype=np.int64)
     codes = np.asarray(codes, dtype=np.uint64)
     payload, total = pack_codes(codes, lengths)
+    assert payload == w.getvalue() and total == w.bit_length
     bits = unpack_bits(payload, total)
     pos = 0
     for c, ln in zip(codes, lengths):

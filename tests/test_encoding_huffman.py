@@ -1,10 +1,13 @@
 """Unit and property tests for repro.encoding.huffman."""
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.encoding.bitio import unpack_bits
 from repro.encoding.huffman import (
     MAX_TABLE_BITS,
     CanonicalHuffman,
@@ -115,6 +118,7 @@ class TestCanonicalHuffman:
         payload, bits, code = huffman_encode(data)
         assert bits == 977  # one bit per symbol
         assert np.array_equal(code.decode(payload, 977, bits), data)
+        assert np.array_equal(code.decode_sequential(payload, 977, bits), data)
 
     def test_negative_symbols(self):
         data = np.array([-(2**40), 0, 2**40, 0, -(2**40)])
@@ -132,6 +136,37 @@ class TestCanonicalHuffman:
         _, _, code = huffman_encode(np.array([1, 2, 3]))
         with pytest.raises(ParameterError):
             code.encode(np.array([99]))
+
+    @pytest.mark.parametrize("bad", [-1, 3, 6])
+    def test_out_of_alphabet_raises_on_dense_route(self, bad):
+        # Ten symbols over an alphabet spanning six values: the dense
+        # lookup route, below, inside (a gap) and above the alphabet.
+        code = CanonicalHuffman.from_data(np.array([0, 2, 5]))
+        with pytest.raises(ParameterError):
+            code.encode(np.array([0, 2, 5, 0, 2, 5, 0, 2, 5, bad]))
+
+    def test_dense_and_search_routes_agree(self):
+        """Encode looks codes up in a dense table when the alphabet's
+        span is at most the input size, else by binary search; both
+        routes emit the same bits for the same symbols."""
+        code = CanonicalHuffman.from_data(np.arange(-300, 301))
+        short = np.array([-300, 7, 300, 0, 7])  # 5 symbols < span 601
+        p_short, b_short = code.encode(short)
+        p_long, b_long = code.encode(np.tile(short, 200))  # 1000 >= 601
+        assert b_long == 200 * b_short
+        assert np.array_equal(
+            unpack_bits(p_long, b_long), np.tile(unpack_bits(p_short, b_short), 200)
+        )
+
+    @pytest.mark.parametrize("lengths", [[1, 1], [1, MAX_TABLE_BITS + 1]])
+    def test_symbol_count_beyond_bits_raises(self, lengths):
+        """Every code is at least one bit, so more symbols than bits is
+        rejected before either decoder (the flat-table one, or the
+        sequential one for codes longer than MAX_TABLE_BITS) allocates
+        for them."""
+        code = CanonicalHuffman(np.array([0, 1]), np.array(lengths))
+        with pytest.raises(DecompressionError):
+            code.decode(b"\x00", 2**40, 8)
 
     def test_truncated_payload_raises(self, rng):
         data = rng.integers(0, 50, size=1000)
@@ -177,10 +212,68 @@ class TestCanonicalHuffman:
         counts = np.maximum(1, (1e9 * 0.99 ** np.arange(n))).astype(np.int64)
         symbols = np.arange(n)
         code = CanonicalHuffman.from_counts(symbols, counts)
-        assert code.max_length <= MAX_TABLE_BITS
+        assert code.max_length == MAX_TABLE_BITS
         data = rng.choice(symbols, size=2000, p=counts / counts.sum())
         payload, bits = code.encode(data)
         assert np.array_equal(code.decode(payload, data.size, bits), data)
+        assert np.array_equal(code.decode_sequential(payload, data.size, bits), data)
+
+
+def _reference_code(data):
+    """(symbols, lengths, codes) for ``data`` from np.unique and literal
+    array-based heap, depth and canonical-rank loops."""
+    symbols, counts = np.unique(np.asarray(data, dtype=np.int64), return_counts=True)
+    n = counts.size
+    lengths = np.ones(1, dtype=np.int64)
+    if n > 1:
+        heap = [(int(c), i, i) for i, c in enumerate(counts)]
+        heapq.heapify(heap)
+        parent = np.full(2 * n - 1, -1, dtype=np.int64)
+        next_id = n
+        while len(heap) > 1:
+            w1, _, a = heapq.heappop(heap)
+            w2, _, b = heapq.heappop(heap)
+            parent[a] = parent[b] = next_id
+            heapq.heappush(heap, (w1 + w2, next_id, next_id))
+            next_id += 1
+        depth = np.zeros(2 * n - 1, dtype=np.int64)
+        for node in range(2 * n - 3, -1, -1):
+            depth[node] = depth[parent[node]] + 1
+        lengths = depth[:n]
+    if lengths.max() > MAX_TABLE_BITS:
+        lengths = package_merge_lengths(counts, MAX_TABLE_BITS)
+    order = np.lexsort((np.arange(n), lengths))
+    codes = np.zeros(n, dtype=np.uint64)
+    code = 0
+    for rank, idx in enumerate(order):
+        if rank:
+            code = (code + 1) << int(lengths[idx] - lengths[order[rank - 1]])
+        codes[idx] = code
+    return symbols, lengths, codes
+
+
+@pytest.mark.parametrize(
+    "kind", ["radius_bounded", "wide", "single_symbol", "uniform"]
+)
+def test_from_data_matches_reference(kind):
+    rng = np.random.default_rng(11)
+    if kind == "radius_bounded":
+        # Signed quantization codes within the default radius 32767,
+        # plus the escape symbol radius + 1.
+        data = rng.geometric(0.05, size=50000) * rng.choice([-1, 1], size=50000)
+        data = np.clip(data, -32767, 32767)
+        data[::997] = 32768
+    elif kind == "wide":
+        data = rng.choice(np.array([-(2**40), -7, 0, 2**40]), size=1000)
+    elif kind == "single_symbol":
+        data = np.full(50, 2**40)
+    else:
+        data = rng.integers(-2000, 2000, size=20000)
+    code = CanonicalHuffman.from_data(data)
+    symbols, lengths, codes = _reference_code(data)
+    assert np.array_equal(code.symbols, symbols)
+    assert np.array_equal(code.lengths, lengths)
+    assert np.array_equal(code.codes, codes)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,15 +2,19 @@
 
 Fuzz-style property tests over the container parser, the archive
 parser, and the generic decompressor: arbitrary bytes, random
-truncations and single-byte corruptions of valid containers.
+truncations and single-byte corruptions of valid containers, plus
+well-formed containers whose metadata declares hostile sizes.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ReproError
+from repro.core.fixed_psnr import FixedPSNRCompressor
+from repro.errors import DecompressionError, ReproError
 from repro.io.archive import read_archive_field, read_archive_index, write_archive
 from repro.io.container import Container
 from repro.sz.compressor import compress, decompress
@@ -58,6 +62,33 @@ def test_single_byte_corruption_detected_or_bounded(valid_blob, data):
         decompress(bytes(corrupted))
     except ReproError:
         pass
+
+
+@pytest.mark.parametrize(
+    "codec, hostile",
+    [
+        ("sz", {"shape": [2**40]}),
+        # Transform and hybrid take the symbol count from n_codes; a
+        # hostile shape alone fails later, when the blocks are merged.
+        ("transform", {"n_codes": 2**40}),
+        ("hybrid", {"n_codes": 2**40}),
+    ],
+)
+def test_hostile_symbol_count_fails_in_bounded_memory(codec, hostile):
+    """A well-formed container declaring 2**40 symbols over a payload of
+    a few kilobytes ends in DecompressionError before the Huffman
+    decoder allocates for them."""
+    x = np.cumsum(np.random.default_rng(3).normal(size=(32, 32)), axis=0)
+    c = Container.from_bytes(FixedPSNRCompressor(60.0, codec=codec).compress(x))
+    blob = Container(c.codec, {**c.meta, **hostile}, c.streams).to_bytes()
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecompressionError):
+            decompress(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 @settings(max_examples=60, deadline=None)
