@@ -7,8 +7,8 @@ implements the last two stages from scratch:
 * :mod:`repro.encoding.bitio` -- vectorized variable-length bit packing.
 * :mod:`repro.encoding.huffman` -- canonical Huffman coding with
   package-merge length limiting, a fully vectorized encoder, and a
-  vectorized decoder based on speculative decoding plus
-  pointer-doubling list ranking.
+  segment-parallel decoder whose lock-step walks rely on Huffman
+  codes resynchronising after a few symbols.
 * :mod:`repro.encoding.lossless` -- the trailing lossless stage (zlib /
   DEFLATE, i.e. what GZIP uses, per the paper).
 """

@@ -1,6 +1,7 @@
 """Unit and property tests for repro.encoding.huffman."""
 
 import heapq
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.encoding.bitio import unpack_bits
 from repro.encoding.huffman import (
     MAX_TABLE_BITS,
     CanonicalHuffman,
+    _segment_bits,
     huffman_decode,
     huffman_encode,
     optimal_code_lengths,
@@ -276,15 +278,183 @@ def test_from_data_matches_reference(kind):
     assert np.array_equal(code.codes, codes)
 
 
-@settings(max_examples=40, deadline=None)
+def _property_stream(values, shape):
+    """(data, code): one shape of valid stream for the round-trip property."""
+    values = np.asarray(values, dtype=np.int64)
+    if shape == "fixed_length":
+        # 2**k codes of k bits: a walk that starts off a code boundary
+        # never resynchronises.
+        k = 1 + int(abs(values[0])) % 5
+        return values % (1 << k), CanonicalHuffman(
+            np.arange(1 << k), np.full(1 << k, k)
+        )
+    if shape == "table_bits":
+        # Lengths 1, 2, ..., 18, 18: a complete code as long as the table.
+        lengths = np.append(np.arange(1, MAX_TABLE_BITS + 1), MAX_TABLE_BITS)
+        return values % lengths.size, CanonicalHuffman(
+            np.arange(lengths.size), lengths
+        )
+    if shape == "single_symbol":
+        values = np.full(values.size, values[0])
+    return values, CanonicalHuffman.from_data(values)
+
+
+def _end_at_segment_edge(code, payload, n_symbols, total_bits, edge):
+    """Zero-pad the stream so that it ends ``edge`` bits past a segment
+    boundary of the decoder (-1: one bit short of a full segment)."""
+    padded = payload + bytes(1100)  # 8800 bits: two of the largest segments
+    for bits in range(total_bits, 8 * len(padded)):
+        seg = _segment_bits(n_symbols, bits, code.max_length)
+        if bits % seg == edge % seg:
+            return padded, bits
+    raise AssertionError("no segment edge within the padding")
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(-1000, 1000), min_size=1, max_size=2000),
+    st.sampled_from(["data", "fixed_length", "single_symbol", "table_bits"]),
+    st.sampled_from([None, -1, 0, 1]),
+    st.integers(1, 2000),
 )
-def test_huffman_roundtrip_property(values):
-    """Any int64 data round-trips bit-exactly through encode/decode."""
-    data = np.asarray(values, dtype=np.int64)
+def test_huffman_roundtrip_property(values, shape, edge, n_decode):
+    """Valid streams decode to their data and to what the sequential
+    decoder reads: any int64 data, non-synchronising fixed-length
+    codes, one-symbol alphabets, codes as long as the table, streams
+    ending one bit short of, on, or one bit past a segment boundary
+    (a stream shorter than one segment among them), and requests for
+    fewer symbols than were encoded."""
+    data, code = _property_stream(values, shape)
+    payload, bits = code.encode(data)
+    n = min(n_decode, data.size)
+    if edge is not None:
+        payload, bits = _end_at_segment_edge(code, payload, n, bits, edge)
+    out = code.decode(payload, n, bits)
+    assert np.array_equal(out, data[:n])
+    assert np.array_equal(out, code.decode_sequential(payload, n, bits))
+
+
+def _pointer_doubling_decode(code, payload, n_symbols, total_bits):
+    """The speculative-decode + pointer-doubling decoder that the
+    segment-parallel one replaced, kept literally (size checks and
+    table build included) as the reference on invalid input."""
+    if n_symbols == 0:
+        return np.zeros(0, dtype=np.int64)
+    if n_symbols < 0 or total_bits < 0:
+        raise ParameterError("negative sizes")
+    if total_bits > 8 * len(payload):
+        raise DecompressionError("Huffman payload shorter than declared")
+    if n_symbols > total_bits:
+        raise DecompressionError("symbols cannot fit in the bits")
+    L = code.max_length
+    size = 1 << L
+    fill = (1 << (L - code.lengths)).astype(np.int64)
+    starts = (code.codes << (L - code.lengths).astype(np.uint64)).astype(np.int64)
+    total = int(fill.sum())
+    reps_idx = np.repeat(np.arange(code.symbols.size), fill)
+    run_starts = np.repeat(starts, fill)
+    offs = np.arange(total) - np.repeat(
+        np.concatenate(([0], np.cumsum(fill)[:-1])), fill
+    )
+    positions = run_starts + offs
+    table_sym = np.zeros(size, dtype=np.int32)
+    table_len = np.ones(size, dtype=np.uint8)
+    table_sym[positions] = reps_idx
+    table_len[positions] = code.lengths[reps_idx]
+    n_bytes = (total_bits + 7) >> 3
+    buf = np.zeros(n_bytes + 3, dtype=np.uint32)
+    buf[:n_bytes] = np.frombuffer(payload, dtype=np.uint8, count=n_bytes)
+    if total_bits & 7:
+        buf[n_bytes - 1] &= (0xFF << (8 - (total_bits & 7))) & 0xFF
+    u32 = (buf[:-3] << 24) | (buf[1:-2] << 16) | (buf[2:-1] << 8) | buf[3:]
+    shifts = (32 - L - np.arange(8)).astype(np.uint32)
+    mask = np.uint32((1 << L) - 1)
+    w = ((u32[:, None] >> shifts) & mask).ravel()[:total_bits]
+    index = np.int32 if total_bits + L < 2**31 else np.int64
+    nxt = np.arange(total_bits + 1, dtype=index)
+    nxt[:-1] += table_len[w]
+    np.minimum(nxt, total_bits, out=nxt)
+    positions = np.empty(n_symbols, dtype=index)
+    positions[0] = 0
+    filled = 1
+    jump = nxt
+    while filled < n_symbols:
+        take = min(filled, n_symbols - filled)
+        positions[filled : filled + take] = jump[positions[:take]]
+        filled += take
+        if filled < n_symbols:
+            jump = jump[jump]
+    if positions[-1] >= total_bits:
+        raise DecompressionError("Huffman stream exhausted before n_symbols")
+    sym_idx = table_sym[w[positions]]
+    end = int(positions[-1] + code.lengths[sym_idx[-1]])
+    if end > total_bits:
+        raise DecompressionError("Huffman stream overruns declared bit count")
+    return code.symbols[sym_idx]
+
+
+def _outcome(decode, *args):
+    try:
+        return decode(*args)
+    except (DecompressionError, ParameterError) as exc:
+        return type(exc)
+
+
+def _invalid_streams(rng, count):
+    """``count`` corrupted (code, payload, n_symbols, total_bits)
+    cases, multi-segment streams among them."""
+    for _ in range(count):
+        n = int(rng.choice([1, 7, 300, 5000, 40000]))
+        data = rng.geometric(rng.uniform(0.05, 0.9), n) * rng.choice([-1, 1], n)
+        payload, bits, code = huffman_encode(data)
+        kind = rng.integers(5)
+        if kind == 0:  # bit flips
+            buf = bytearray(payload)
+            for pos in rng.integers(0, bits, size=rng.integers(1, 6)):
+                buf[pos >> 3] ^= 0x80 >> (pos & 7)
+            yield code, bytes(buf), n, bits
+        elif kind == 1:  # total_bits shorter than the stream
+            yield code, payload, n, int(rng.integers(n, bits)) if n < bits else n
+        elif kind == 2:  # more symbols than were encoded
+            yield code, payload, min(bits, n + int(rng.integers(1, 50))), bits
+        elif kind == 3 and code.symbols.size > 1:  # incomplete table
+            keep = np.arange(code.symbols.size) != rng.integers(code.symbols.size)
+            yield CanonicalHuffman(code.symbols[keep], code.lengths[keep]), payload, n, bits
+        else:  # random payload
+            junk = rng.integers(0, 256, size=len(payload), dtype=np.uint8).tobytes()
+            yield code, junk, int(rng.integers(1, 8 * len(junk) + 1)), 8 * len(junk)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_invalid_streams_match_pointer_doubling(seed):
+    """On corrupt input the decoder returns the same symbols, or raises
+    the same exception type, as the pointer-doubling decoder."""
+    rng = np.random.default_rng(seed)
+    for code, payload, n, bits in _invalid_streams(rng, 60):
+        want = _outcome(_pointer_doubling_decode, code, payload, n, bits)
+        got = _outcome(code.decode, payload, n, bits)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+        else:
+            assert got is want
+
+
+def test_decode_peak_memory_per_payload_bit():
+    """Decode state is one byte per payload bit plus per-symbol arrays:
+    on a 1M-symbol stream of ~6 bits per symbol the tracemalloc peak
+    stays under 8 bytes per payload bit (the pointer-doubling decoder
+    peaked at ~17.7)."""
+    data = np.round(np.random.default_rng(0).laplace(0, 12, 2**20)).astype(np.int64)
     payload, bits, code = huffman_encode(data)
-    assert np.array_equal(code.decode(payload, data.size, bits), data)
+    assert bits >= 6 * data.size
+    tracemalloc.start()
+    try:
+        out = code.decode(payload, data.size, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, data)
+    assert peak < 8 * bits
 
 
 @settings(max_examples=30, deadline=None)

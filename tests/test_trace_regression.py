@@ -9,7 +9,9 @@ Checked here, all against the golden field:
 * the stage-name tree for each codec is stable (a rename or a dropped
   stage is a breaking change for trace consumers);
 * golden comparisons use ``deterministic_dict()`` only -- timings are
-  explicitly excluded and never part of the contract.
+  explicitly excluded and never part of the contract;
+* every Huffman codec's decompress records a ``huffman.decode`` span
+  with exact, repeatable counters.
 """
 
 from pathlib import Path
@@ -146,6 +148,58 @@ class TestByteAccountingAllCodecs:
     def test_constant_field_path_accounts_too(self, codec):
         const = np.full((32, 32), 3.25, dtype=np.float32)
         self._check(_codec_factories()[codec](), const)
+
+
+def _huffman_round_trips():
+    """``(compress, decompress)`` for each codec that ends in Huffman."""
+    from repro.sz.hybrid import HybridCompressor
+    from repro.sz.interp import InterpolationCompressor
+    from repro.sz.legacy import Sz11Compressor
+    from repro.sz.regression import RegressionCompressor
+    from repro.sz.temporal import TemporalCompressor, TemporalDecompressor
+
+    return {
+        "sz": (SZCompressor(1e-3, mode="abs").compress, SZCompressor.decompress),
+        "transform": (
+            TransformCompressor(1e-4, mode="rel").compress,
+            TransformCompressor.decompress,
+        ),
+        "legacy": (Sz11Compressor(1e-3, mode="abs").compress, Sz11Compressor.decompress),
+        "temporal": (
+            TemporalCompressor(error_bound=1e-3).push,
+            lambda blob: TemporalDecompressor().push(blob),
+        ),
+        "regression": (
+            RegressionCompressor(1e-3, mode="abs").compress,
+            RegressionCompressor.decompress,
+        ),
+        "interp": (
+            InterpolationCompressor(1e-3, mode="abs").compress,
+            InterpolationCompressor.decompress,
+        ),
+        "hybrid": (HybridCompressor(1e-3, mode="abs").compress, HybridCompressor.decompress),
+    }
+
+
+@pytest.mark.parametrize("codec", sorted(_huffman_round_trips()))
+def test_huffman_decode_span(field, codec):
+    """Decompress records ``huffman.decode`` with the stream's sizes and
+    the decoder's walk counts, identical run to run."""
+    compress, decompress = _huffman_round_trips()[codec]
+    blob = compress(field)
+    runs = []
+    for _ in range(2):
+        tr, _ = _traced(decompress, blob)
+        spans = [r for r in tr.records if r.path[-1] == "huffman.decode"]
+        assert spans, [r.path for r in tr.records]
+        runs.append([(r.path, r.counters) for r in spans])
+    assert runs[0] == runs[1]
+    for _, counters in runs[0]:
+        assert set(counters) == {
+            "n_symbols", "total_bits", "segments", "entry_walker_steps"
+        }
+        assert 1 <= counters["n_symbols"] <= counters["total_bits"]
+        assert counters["segments"] >= 1
 
 
 class TestStageNameStability:
