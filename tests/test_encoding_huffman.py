@@ -419,7 +419,8 @@ def _invalid_streams(rng, count):
             yield code, payload, min(bits, n + int(rng.integers(1, 50))), bits
         elif kind == 3 and code.symbols.size > 1:  # incomplete table
             keep = np.arange(code.symbols.size) != rng.integers(code.symbols.size)
-            yield CanonicalHuffman(code.symbols[keep], code.lengths[keep]), payload, n, bits
+            partial = CanonicalHuffman(code.symbols[keep], code.lengths[keep])
+            yield partial, payload, n, bits
         else:  # random payload
             junk = rng.integers(0, 256, size=len(payload), dtype=np.uint8).tobytes()
             yield code, junk, int(rng.integers(1, 8 * len(junk) + 1)), 8 * len(junk)

@@ -164,7 +164,10 @@ def _huffman_round_trips():
             TransformCompressor(1e-4, mode="rel").compress,
             TransformCompressor.decompress,
         ),
-        "legacy": (Sz11Compressor(1e-3, mode="abs").compress, Sz11Compressor.decompress),
+        "legacy": (
+            Sz11Compressor(1e-3, mode="abs").compress,
+            Sz11Compressor.decompress,
+        ),
         "temporal": (
             TemporalCompressor(error_bound=1e-3).push,
             lambda blob: TemporalDecompressor().push(blob),
@@ -177,7 +180,10 @@ def _huffman_round_trips():
             InterpolationCompressor(1e-3, mode="abs").compress,
             InterpolationCompressor.decompress,
         ),
-        "hybrid": (HybridCompressor(1e-3, mode="abs").compress, HybridCompressor.decompress),
+        "hybrid": (
+            HybridCompressor(1e-3, mode="abs").compress,
+            HybridCompressor.decompress,
+        ),
     }
 
 
