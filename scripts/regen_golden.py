@@ -14,8 +14,10 @@ Usage::
 The field is a double cumulative sum of seeded Gaussian noise -- smooth
 enough that every predictor family has something to predict, and offset
 away from zero so the pointwise-relative codec never divides by tiny
-values.  The codec settings below must stay in sync with the assertions
-in ``tests/test_format_stability.py``.
+values.  ``tests/test_format_stability.py`` re-encodes the field with
+the settings in :data:`FIXTURES` and requires every fixture back byte
+for byte, so a setting changed here fails that test until the fixture
+is regenerated.
 """
 
 from __future__ import annotations
@@ -40,6 +42,24 @@ from repro.transform.embedded import EmbeddedTransformCompressor  # noqa: E402
 
 GOLDEN = REPO / "tests" / "golden"
 
+#: How each fixture is made from the golden field.
+FIXTURES = {
+    "sz_abs": lambda f: SZCompressor(1e-3, mode="abs").compress(f),
+    "sz_rel_rans": lambda f: SZCompressor(
+        1e-4, mode="rel", entropy="rans"
+    ).compress(f),
+    "sz_pw_rel": lambda f: SZCompressor(1e-2, mode="pw_rel").compress(f),
+    "regression": lambda f: RegressionCompressor(1e-3, mode="abs").compress(f),
+    "hybrid": lambda f: HybridCompressor(1e-3, mode="abs").compress(f),
+    "interp": lambda f: InterpolationCompressor(1e-3, mode="abs").compress(f),
+    "legacy": lambda f: Sz11Compressor(1e-3, mode="abs").compress(f),
+    "chunked": lambda f: compress_chunked(f, 1e-3, mode="abs", n_chunks=3),
+    "transform": lambda f: TransformCompressor(1e-4, mode="rel").compress(f),
+    "embedded": lambda f: EmbeddedTransformCompressor(
+        mode="fixed_psnr", rate=70.0
+    ).compress(f),
+}
+
 
 def make_field() -> np.ndarray:
     """The golden field: seeded, smooth, strictly positive, float32."""
@@ -58,24 +78,8 @@ def main() -> int:
     field = make_field()
     np.save(GOLDEN / "field.npy", field)
 
-    fixtures = {
-        "sz_abs": SZCompressor(1e-3, mode="abs").compress(field),
-        "sz_rel_rans": SZCompressor(
-            1e-4, mode="rel", entropy="rans"
-        ).compress(field),
-        "sz_pw_rel": SZCompressor(1e-2, mode="pw_rel").compress(field),
-        "regression": RegressionCompressor(1e-3, mode="abs").compress(field),
-        "hybrid": HybridCompressor(1e-3, mode="abs").compress(field),
-        "interp": InterpolationCompressor(1e-3, mode="abs").compress(field),
-        "legacy": Sz11Compressor(1e-3, mode="abs").compress(field),
-        "chunked": compress_chunked(field, 1e-3, mode="abs", n_chunks=3),
-        "transform": TransformCompressor(1e-4, mode="rel").compress(field),
-        "embedded": EmbeddedTransformCompressor(
-            mode="fixed_psnr", rate=70.0
-        ).compress(field),
-    }
-
-    for name, blob in fixtures.items():
+    for name, make in FIXTURES.items():
+        blob = make(field)
         (GOLDEN / f"{name}.fpz").write_bytes(blob)
         recon = decompress(blob)  # every fixture must round-trip
         print(

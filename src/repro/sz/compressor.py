@@ -16,6 +16,9 @@ Compression (paper Section II-A):
 4. **GZIP** (zlib/DEFLATE) the encoded streams
    (:mod:`repro.encoding.lossless`).
 
+Stages 2-4, and their inverses, are :mod:`repro.encoding.codes`, the
+stage every quantization codec of this package shares.
+
 Decompression inverts each stage; the predictor inverse is a cumsum, so
 neither direction has a per-element Python loop.
 """
@@ -32,12 +35,18 @@ from repro.telemetry.registry import (
     RATIO_BUCKETS,
     metrics as _metrics,
 )
-from repro.encoding.huffman import CanonicalHuffman
+from repro.encoding.codes import (
+    DEFAULT_RADIUS,
+    ENTROPY_CODERS,
+    decode_codes,
+    encode_codes,
+    read_header,
+    validate_input,
+)
 from repro.encoding.lossless import (
     lossless_compress,
     lossless_decompress,
     method_id,
-    method_name,
 )
 from repro.errors import (
     CompressionError,
@@ -67,13 +76,6 @@ from repro.sz.quantizer import LatticeQuantizer
 
 __all__ = ["SZCompressor", "compress", "decompress"]
 
-#: Default quantization-bin index radius; SZ 1.4 defaults to 65536
-#: intervals, i.e. indices in [-32768, 32767].  Codes outside are escaped.
-DEFAULT_RADIUS = 32767
-
-#: Supported input dtypes (the paper evaluates single-precision data).
-_SUPPORTED_DTYPES = (np.float32, np.float64)
-
 
 class SZCompressor:
     """Error-bounded lossy compressor with SZ semantics.
@@ -101,12 +103,10 @@ class SZCompressor:
     quantization_radius:
         Codes with ``|q| > radius`` take the escape path.
     entropy:
-        Third-stage entropy coder: ``"huffman"`` (the paper's SZ 1.4),
-        ``"rans"`` (interleaved range-ANS; see
-        :mod:`repro.encoding.rans`), or ``"rans_rle"`` (run-length
-        split + rANS -- factors out the run structure that dominates
-        low-PSNR code streams; see :mod:`repro.encoding.rle`).  The two
-        rANS variants fall back to Huffman on pathological alphabets.
+        Third-stage entropy coder: ``"huffman"`` (the paper's SZ 1.4)
+        or ``"rans"`` (interleaved range-ANS; see
+        :mod:`repro.encoding.rans`), which falls back to Huffman on
+        pathological alphabets.
     fill_value:
         Sentinel marking missing points (production climate data uses
         values like 1e20/1e35 over land; ``np.nan`` is accepted too).
@@ -116,9 +116,6 @@ class SZCompressor:
         are replaced by the valid mean and the bit mask travels in its
         own stream.
     """
-
-    #: entropy-stage ids stored in the container
-    ENTROPY_CODERS = {"huffman": 0, "rans": 1, "rans_rle": 2}
 
     def __init__(
         self,
@@ -149,10 +146,10 @@ class SZCompressor:
         self.lossless_id = method_id(lossless)
         self.lossless_level = int(lossless_level)
         self.radius = int(quantization_radius)
-        if entropy not in self.ENTROPY_CODERS:
+        if entropy not in ENTROPY_CODERS:
             raise ParameterError(
                 f"unknown entropy coder {entropy!r}; "
-                f"choose from {sorted(self.ENTROPY_CODERS)}"
+                f"choose from {sorted(ENTROPY_CODERS)}"
             )
         self.entropy = entropy
         if fill_value is not None and np.isinf(fill_value):
@@ -162,22 +159,6 @@ class SZCompressor:
         self.target_psnr: Optional[float] = None
 
     # -- helpers --------------------------------------------------------
-
-    @staticmethod
-    def _validate(data) -> np.ndarray:
-        arr = np.asarray(data)
-        if arr.dtype not in _SUPPORTED_DTYPES:
-            raise ParameterError(
-                f"dtype {arr.dtype} unsupported; use float32 or float64"
-            )
-        if arr.ndim == 0 or arr.size == 0:
-            raise ParameterError("data must be a non-empty array")
-        if not np.all(np.isfinite(arr)):
-            raise CompressionError(
-                "data contains NaN/Inf; error-bounded compression of "
-                "non-finite values is undefined"
-            )
-        return arr
 
     def resolve_error_bound(self, data: np.ndarray) -> float:
         """Return the absolute bound the quantizer will use under
@@ -212,121 +193,34 @@ class SZCompressor:
                 sp.count("n_points", int(q.size))
                 sp.set("bin_size", 2.0 * eb_abs)
 
-        escape_symbol = self.radius + 1
-        with trace.span("escape") as sp:
-            esc_mask = np.abs(q) > self.radius
-            n_escapes = int(esc_mask.sum())
-            reg = _metrics()
-            reg.histogram(
-                "sz.quantization.hit_ratio", RATIO_BUCKETS
-            ).observe(1.0 - n_escapes / q.size)
-            reg.histogram(
-                "sz.quantization.outlier_rate", RATIO_BUCKETS
-            ).observe(n_escapes / q.size)
-            if trace.enabled:
-                sp.count("n_outliers", n_escapes)
-                sp.set("hit_ratio", 1.0 - n_escapes / q.size)
-            if n_escapes:
-                escaped_values = q[esc_mask].astype(np.int64)
-                q = q.copy()
-                q[esc_mask] = escape_symbol
-                streams.append(
-                    (
-                        "escapes",
-                        lossless_compress(
-                            escaped_values.tobytes(),
-                            self.lossless,
-                            self.lossless_level,
-                        ),
-                    )
-                )
-        meta["n_escapes"] = n_escapes
-        meta["escape_symbol"] = escape_symbol
-        meta["entropy"] = self.ENTROPY_CODERS[self.entropy]
-
-        with trace.span("entropy") as sp:
-            if trace.enabled:
-                sp.count("n_symbols", int(q.size))
-                sp.set("coder_id", self.ENTROPY_CODERS[self.entropy])
-            if self.entropy == "rans_rle":
-                from repro.encoding.rle import encode_rle_rans
-
-                try:
-                    streams.insert(0, ("payload", encode_rle_rans(q)))
-                    return
-                except ParameterError:
-                    meta["entropy"] = self.ENTROPY_CODERS["huffman"]
-                    if trace.enabled:
-                        sp.set("coder_id", self.ENTROPY_CODERS["huffman"])
-            elif self.entropy == "rans":
-                from repro.encoding.rans import RansCoder
-
-                try:
-                    coder = RansCoder.from_data(q)
-                except ParameterError:
-                    meta["entropy"] = self.ENTROPY_CODERS["huffman"]
-                    if trace.enabled:
-                        sp.set("coder_id", self.ENTROPY_CODERS["huffman"])
-                else:
-                    # rANS output is already near-incompressible; only the
-                    # model table goes through the lossless stage.
-                    streams.insert(0, ("payload", coder.encode(q)))
-                    streams.insert(
-                        0,
-                        (
-                            "table",
-                            lossless_compress(
-                                coder.table_bytes(),
-                                self.lossless,
-                                self.lossless_level,
-                            ),
-                        ),
-                    )
-                    return
-
-            code = CanonicalHuffman.from_data(q)
-            payload, total_bits = code.encode(q)
-            meta["total_bits"] = total_bits
-            _metrics().histogram(
-                "sz.entropy.bits_per_symbol", BITS_BUCKETS
-            ).observe(total_bits / q.size)
-            if trace.enabled:
-                sp.count("total_bits", int(total_bits))
-            streams.insert(
-                0,
-                (
-                    "payload",
-                    lossless_compress(payload, self.lossless, self.lossless_level),
-                ),
-            )
-            streams.insert(
-                0,
-                (
-                    "table",
-                    lossless_compress(
-                        code.table_bytes(), self.lossless, self.lossless_level
-                    ),
-                ),
+        n_escapes, total_bits, coder_id = encode_codes(
+            q,
+            meta,
+            streams,
+            self.radius,
+            self.lossless,
+            self.lossless_level,
+            self.entropy,
+        )
+        meta["entropy"] = coder_id
+        reg = _metrics()
+        reg.histogram("sz.quantization.hit_ratio", RATIO_BUCKETS).observe(
+            1.0 - n_escapes / q.size
+        )
+        reg.histogram("sz.quantization.outlier_rate", RATIO_BUCKETS).observe(
+            n_escapes / q.size
+        )
+        if total_bits is not None:
+            reg.histogram("sz.entropy.bits_per_symbol", BITS_BUCKETS).observe(
+                total_bits / q.size
             )
 
     def _split_fill(self, data):
         """Separate the fill mask from the data; returns
-        ``(float64 array with fill replaced, mask or None)``."""
-        arr = np.asarray(data)
-        if arr.dtype not in _SUPPORTED_DTYPES:
-            raise ParameterError(
-                f"dtype {arr.dtype} unsupported; use float32 or float64"
-            )
-        if arr.ndim == 0 or arr.size == 0:
-            raise ParameterError("data must be a non-empty array")
+        ``(input array, float64 array with fill replaced, mask or None)``."""
+        arr = validate_input(data, finite=self.fill_value is None)
         x = arr.astype(np.float64, copy=False)
         if self.fill_value is None:
-            if not np.all(np.isfinite(x)):
-                raise CompressionError(
-                    "data contains NaN/Inf; error-bounded compression of "
-                    "non-finite values is undefined (set fill_value to "
-                    "treat a sentinel as missing data)"
-                )
             return arr, x, None
         if np.isnan(self.fill_value):
             mask = np.isnan(x)
@@ -423,27 +317,17 @@ class SZCompressor:
     @staticmethod
     def decompress(blob: bytes) -> np.ndarray:
         """Decompress a container produced by :meth:`compress`."""
-        container = Container.from_bytes(blob)
-        if container.codec != CODEC_SZ:
-            raise FormatError("container was not produced by the SZ codec")
+        container, dtype, shape, lossless, constant = read_header(
+            blob, CODEC_SZ, "SZ"
+        )
         meta = container.meta
-        try:
-            dtype = np.dtype(meta["dtype"])
-            shape = tuple(int(s) for s in meta["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad container metadata: {exc}") from exc
-
-        try:
-            lossless = method_name(int(meta["lossless"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad container metadata: {exc}") from exc
-
+        n = int(np.prod(shape))
         pointwise = meta.get("mode") == "pw_rel"
         signs = None
         if pointwise:
             sign_blob = lossless_decompress(container.stream("signs"), lossless)
             signs = np.frombuffer(sign_blob, dtype=np.int8)
-            if signs.size != int(np.prod(shape)):
+            if signs.size != n:
                 raise DecompressionError("sign stream length mismatch")
             signs = signs.reshape(shape)
 
@@ -453,10 +337,9 @@ class SZCompressor:
             fill_value = unpack_exact_float(meta["fill_value"])
             mask_blob = lossless_decompress(container.stream("fillmask"), lossless)
             bits = np.unpackbits(np.frombuffer(mask_blob, dtype=np.uint8))
-            n_points = int(np.prod(shape))
-            if bits.size < n_points:
+            if bits.size < n:
                 raise DecompressionError("fill mask shorter than the array")
-            fill_mask = bits[:n_points].astype(bool).reshape(shape)
+            fill_mask = bits[:n].astype(bool).reshape(shape)
 
         def _restore_fill(values: np.ndarray) -> np.ndarray:
             if fill_mask is not None:
@@ -464,52 +347,24 @@ class SZCompressor:
                 values[fill_mask] = fill_value
             return values
 
-        if "constant" in meta:
-            value = unpack_exact_float(meta["constant"])
+        if constant is not None:
+            out = np.full(shape, constant, dtype=np.float64)
             if pointwise:
-                y = np.full(shape, value, dtype=np.float64)
-                out = inverse_log_transform(signs, y)
-            else:
-                out = np.full(shape, value, dtype=np.float64)
+                out = inverse_log_transform(signs, out)
             return _restore_fill(out).astype(dtype)
 
         try:
             eb_abs = unpack_exact_float(meta["eb_abs"])
             anchor = unpack_exact_float(meta["anchor"])
             predictor_id = int(meta["predictor"])
-            total_bits = int(meta.get("total_bits", 0))
             entropy_id = int(meta.get("entropy", 0))
-            n_escapes = int(meta["n_escapes"])
-            escape_symbol = int(meta["escape_symbol"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad container metadata: {exc}") from exc
 
-        n = int(np.prod(shape))
         _, _, reconstruct = predictor_by_id(predictor_id)
+        q = decode_codes(container, lossless, n, entropy_id).reshape(shape)
 
         trace = observe.current_trace()
-        with trace.span("sz.decode") as sp:
-            if trace.enabled:
-                sp.count("n_points", n)
-                sp.set("coder_id", entropy_id)
-            q = SZCompressor._decode_codes(
-                container, lossless, entropy_id, n, total_bits, shape
-            )
-
-        if n_escapes:
-            esc_blob = lossless_decompress(container.stream("escapes"), lossless)
-            escaped_values = np.frombuffer(esc_blob, dtype=np.int64)
-            if escaped_values.size != n_escapes:
-                raise DecompressionError(
-                    f"escape stream has {escaped_values.size} values, "
-                    f"expected {n_escapes}"
-                )
-            esc_mask = q == escape_symbol
-            if int(esc_mask.sum()) != n_escapes:
-                raise DecompressionError("escape marker count mismatch")
-            q = q.copy()
-            q[esc_mask] = escaped_values
-
         with trace.span("sz.reconstruct"):
             k = reconstruct(q)
             quantizer = LatticeQuantizer(eb_abs, anchor)
@@ -517,34 +372,6 @@ class SZCompressor:
             if pointwise:
                 values = inverse_log_transform(signs, values)
         return _restore_fill(values).astype(dtype)
-
-    @staticmethod
-    def _decode_codes(container, lossless, entropy_id, n, total_bits, shape):
-        """Entropy-decode the quantization codes of one container."""
-        if entropy_id == 2:
-            from repro.encoding.rle import decode_rle_rans
-
-            q = decode_rle_rans(container.stream("payload"))
-            if q.size != n:
-                raise DecompressionError("RLE symbol count mismatch")
-            q = q.reshape(shape)
-        elif entropy_id == 1:
-            from repro.encoding.rans import RansCoder
-
-            table_blob = lossless_decompress(container.stream("table"), lossless)
-            coder = RansCoder.from_table_bytes(table_blob)
-            q = coder.decode(container.stream("payload"))
-            if q.size != n:
-                raise DecompressionError("rANS symbol count mismatch")
-            q = q.reshape(shape)
-        elif entropy_id == 0:
-            table_blob = lossless_decompress(container.stream("table"), lossless)
-            code = CanonicalHuffman.from_table_bytes(table_blob)
-            payload = lossless_decompress(container.stream("payload"), lossless)
-            q = code.decode(payload, n, total_bits).reshape(shape)
-        else:
-            raise FormatError(f"unknown entropy coder id {entropy_id}")
-        return q
 
 
 def compress(
@@ -589,7 +416,8 @@ def decompress(
     container = Container.from_bytes(blob)
     if container.codec == CODEC_SZ:
         return SZCompressor.decompress(blob)
-    # Deferred imports: these codecs depend on this module's helpers.
+    # Deferred imports: repro.parallel.chunking imports this module, and
+    # a decode needs only its own codec.
     if container.codec == CODEC_CHUNKED:
         from repro.parallel.chunking import decompress_chunked
 

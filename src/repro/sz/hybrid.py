@@ -30,12 +30,17 @@ import numpy as np
 
 import repro.observe as observe
 
-from repro.encoding.huffman import CanonicalHuffman
+from repro.encoding.codes import (
+    DEFAULT_RADIUS,
+    decode_codes,
+    encode_codes,
+    read_header,
+    validate_input,
+)
 from repro.encoding.lossless import (
     lossless_compress,
     lossless_decompress,
     method_id,
-    method_name,
 )
 from repro.errors import (
     CompressionError,
@@ -49,7 +54,6 @@ from repro.io.container import (
     pack_exact_float,
     unpack_exact_float,
 )
-from repro.sz.compressor import DEFAULT_RADIUS, _SUPPORTED_DTYPES
 from repro.sz.quantizer import MAX_LATTICE_COORD
 from repro.sz.regression import design_matrix, fit_block_planes
 from repro.transform.blocking import merge_blocks, split_blocks
@@ -113,22 +117,9 @@ class HybridCompressor:
         self.radius = int(quantization_radius)
         self.target_psnr = None
 
-    @staticmethod
-    def _validate(data) -> np.ndarray:
-        arr = np.asarray(data)
-        if arr.dtype not in _SUPPORTED_DTYPES:
-            raise ParameterError(
-                f"dtype {arr.dtype} unsupported; use float32 or float64"
-            )
-        if arr.ndim == 0 or arr.size == 0:
-            raise ParameterError("data must be a non-empty array")
-        if not np.all(np.isfinite(arr)):
-            raise CompressionError("data contains NaN/Inf")
-        return arr
-
     def compress(self, data) -> bytes:
         """Compress ``data``; returns a serialized container."""
-        arr = self._validate(data)
+        arr = validate_input(data)
         x = arr.astype(np.float64, copy=False)
         vr = float(x.max() - x.min())
         meta = {
@@ -205,71 +196,29 @@ class HybridCompressor:
                     ),
                 )
             )
-
-        escape_symbol = self.radius + 1
-        esc_mask = np.abs(q) > self.radius
-        n_escapes = int(esc_mask.sum())
-        if n_escapes:
-            escaped = q[esc_mask].astype(np.int64)
-            q = q.copy()
-            q[esc_mask] = escape_symbol
-            streams.append(
-                (
-                    "escapes",
-                    lossless_compress(
-                        escaped.tobytes(), self.lossless, self.lossless_level
-                    ),
-                )
-            )
-        meta["n_escapes"] = n_escapes
-        meta["escape_symbol"] = escape_symbol
-
-        code = CanonicalHuffman.from_data(q)
-        payload, total_bits = code.encode(q)
-        meta["total_bits"] = total_bits
         meta["n_codes"] = int(q.size)
-        streams.insert(
-            0,
-            ("payload", lossless_compress(payload, self.lossless, self.lossless_level)),
-        )
-        streams.insert(
-            0,
-            (
-                "table",
-                lossless_compress(
-                    code.table_bytes(), self.lossless, self.lossless_level
-                ),
-            ),
+        encode_codes(
+            q, meta, streams, self.radius, self.lossless, self.lossless_level
         )
         return observe.traced_pack(Container(CODEC_HYBRID, meta, streams))
 
     @staticmethod
     def decompress(blob: bytes) -> np.ndarray:
         """Decompress a container produced by :meth:`compress`."""
-        container = Container.from_bytes(blob)
-        if container.codec != CODEC_HYBRID:
-            raise FormatError("container was not produced by the hybrid codec")
+        container, dtype, shape, lossless, constant = read_header(
+            blob, CODEC_HYBRID, "hybrid"
+        )
+        if constant is not None:
+            return np.full(shape, constant, dtype=dtype)
+
         meta = container.meta
-        try:
-            dtype = np.dtype(meta["dtype"])
-            shape = tuple(int(s) for s in meta["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad container metadata: {exc}") from exc
-
-        if "constant" in meta:
-            return np.full(shape, unpack_exact_float(meta["constant"]), dtype=dtype)
-
         try:
             eb_abs = unpack_exact_float(meta["eb_abs"])
             anchor = unpack_exact_float(meta["anchor"])
             m = int(meta["block_size"])
-            lossless = method_name(int(meta["lossless"]))
-            total_bits = int(meta["total_bits"])
             n_codes = int(meta["n_codes"])
             n_blocks = int(meta["n_blocks"])
             n_regression = int(meta["n_regression"])
-            n_escapes = int(meta["n_escapes"])
-            escape_symbol = int(meta["escape_symbol"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad container metadata: {exc}") from exc
 
@@ -284,22 +233,7 @@ class HybridCompressor:
         if int(use_reg.sum()) != n_regression:
             raise DecompressionError("selector/regression count mismatch")
 
-        table_blob = lossless_decompress(container.stream("table"), lossless)
-        code = CanonicalHuffman.from_table_bytes(table_blob)
-        payload = lossless_decompress(container.stream("payload"), lossless)
-        q = code.decode(payload, n_codes, total_bits)
-
-        if n_escapes:
-            esc_blob = lossless_decompress(container.stream("escapes"), lossless)
-            escaped = np.frombuffer(esc_blob, dtype=np.int64)
-            if escaped.size != n_escapes:
-                raise DecompressionError("escape stream length mismatch")
-            mask = q == escape_symbol
-            if int(mask.sum()) != n_escapes:
-                raise DecompressionError("escape marker count mismatch")
-            q = q.copy()
-            q[mask] = escaped
-
+        q = decode_codes(container, lossless, n_codes)
         q = q.reshape((n_blocks,) + (m,) * d)
         recon = np.empty(q.shape, dtype=np.float64)
 

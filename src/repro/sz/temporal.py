@@ -32,13 +32,14 @@ import numpy as np
 
 import repro.observe as observe
 
-from repro.encoding.huffman import CanonicalHuffman
-from repro.encoding.lossless import (
-    lossless_compress,
-    lossless_decompress,
-    method_id,
-    method_name,
+from repro.encoding.codes import (
+    DEFAULT_RADIUS,
+    decode_codes,
+    encode_codes,
+    read_header,
+    validate_input,
 )
+from repro.encoding.lossless import method_id
 from repro.errors import (
     DecompressionError,
     FormatError,
@@ -50,7 +51,6 @@ from repro.io.container import (
     pack_exact_float,
     unpack_exact_float,
 )
-from repro.sz.compressor import DEFAULT_RADIUS, SZCompressor
 from repro.sz.predictors import lorenzo_difference, lorenzo_reconstruct
 from repro.sz.quantizer import LatticeQuantizer
 
@@ -155,7 +155,7 @@ class TemporalCompressor:
 
     def push(self, snapshot) -> bytes:
         """Compress the next snapshot; returns a self-describing blob."""
-        arr = SZCompressor._validate(snapshot)
+        arr = validate_input(snapshot)
         keyframe = (
             self._quantizer is None or self._step % self.keyframe_interval == 0
         )
@@ -211,39 +211,8 @@ class TemporalCompressor:
         self._step += 1
 
         streams = []
-        escape_symbol = self.radius + 1
-        esc_mask = np.abs(q) > self.radius
-        n_escapes = int(esc_mask.sum())
-        if n_escapes:
-            escaped = q[esc_mask].astype(np.int64)
-            q = q.copy()
-            q[esc_mask] = escape_symbol
-            streams.append(
-                (
-                    "escapes",
-                    lossless_compress(
-                        escaped.tobytes(), self.lossless, self.lossless_level
-                    ),
-                )
-            )
-        meta["n_escapes"] = n_escapes
-        meta["escape_symbol"] = escape_symbol
-
-        code = CanonicalHuffman.from_data(q)
-        payload, total_bits = code.encode(q)
-        meta["total_bits"] = total_bits
-        streams.insert(
-            0,
-            ("payload", lossless_compress(payload, self.lossless, self.lossless_level)),
-        )
-        streams.insert(
-            0,
-            (
-                "table",
-                lossless_compress(
-                    code.table_bytes(), self.lossless, self.lossless_level
-                ),
-            ),
+        encode_codes(
+            q, meta, streams, self.radius, self.lossless, self.lossless_level
         )
         return observe.traced_pack(Container(CODEC_SZ, meta, streams))
 
@@ -261,22 +230,18 @@ class TemporalDecompressor:
 
     def push(self, blob: bytes) -> np.ndarray:
         """Decompress the next snapshot in the stream."""
-        container = Container.from_bytes(blob)
-        if container.codec != CODEC_SZ or not container.meta.get("temporal"):
-            raise FormatError("not a temporal-stream container")
+        container, dtype, shape, lossless, _ = read_header(
+            blob, CODEC_SZ, "temporal-stream"
+        )
         meta = container.meta
+        if not meta.get("temporal"):
+            raise FormatError("not a temporal-stream container")
         try:
-            dtype = np.dtype(meta["dtype"])
-            shape = tuple(int(s) for s in meta["shape"])
             step = int(meta["step"])
             keyframe = bool(meta["keyframe"])
             order = int(meta.get("order", 0 if meta["keyframe"] else 1))
-            lossless = method_name(int(meta["lossless"]))
             eb_abs = unpack_exact_float(meta["eb_abs"])
             anchor = unpack_exact_float(meta["anchor"])
-            total_bits = int(meta["total_bits"])
-            n_escapes = int(meta["n_escapes"])
-            escape_symbol = int(meta["escape_symbol"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad temporal metadata: {exc}") from exc
         if order not in (0, 1, 2):
@@ -297,20 +262,7 @@ class TemporalDecompressor:
                 )
 
         n = int(np.prod(shape))
-        table_blob = lossless_decompress(container.stream("table"), lossless)
-        code = CanonicalHuffman.from_table_bytes(table_blob)
-        payload = lossless_decompress(container.stream("payload"), lossless)
-        q = code.decode(payload, n, total_bits).reshape(shape)
-        if n_escapes:
-            esc_blob = lossless_decompress(container.stream("escapes"), lossless)
-            escaped = np.frombuffer(esc_blob, dtype=np.int64)
-            if escaped.size != n_escapes:
-                raise DecompressionError("escape stream length mismatch")
-            mask = q == escape_symbol
-            if int(mask.sum()) != n_escapes:
-                raise DecompressionError("escape marker count mismatch")
-            q = q.copy()
-            q[mask] = escaped
+        q = decode_codes(container, lossless, n).reshape(shape)
 
         if order == 0:
             spatial = q

@@ -19,16 +19,16 @@ from __future__ import annotations
 import numpy as np
 
 import repro.observe as observe
-from repro.encoding.huffman import CanonicalHuffman
-from repro.encoding.lossless import (
-    lossless_compress,
-    lossless_decompress,
-    method_id,
-    method_name,
+from repro.encoding.codes import (
+    DEFAULT_RADIUS,
+    decode_codes,
+    encode_codes,
+    read_header,
+    validate_input,
 )
+from repro.encoding.lossless import method_id
 from repro.errors import (
     CompressionError,
-    DecompressionError,
     FormatError,
     ParameterError,
 )
@@ -38,7 +38,7 @@ from repro.io.container import (
     pack_exact_float,
     unpack_exact_float,
 )
-from repro.sz.compressor import DEFAULT_RADIUS, _SUPPORTED_DTYPES
+from repro.telemetry.registry import RATIO_BUCKETS, metrics as _metrics
 from repro.transform.blocking import merge_blocks, split_blocks
 from repro.transform.dct import block_inverse, block_transform, dct_matrix
 
@@ -117,23 +117,8 @@ class TransformCompressor:
             return haar_matrix(m)
         return dct_matrix(m)
 
-    @staticmethod
-    def _validate(data) -> np.ndarray:
-        arr = np.asarray(data)
-        if arr.dtype not in _SUPPORTED_DTYPES:
-            raise ParameterError(
-                f"dtype {arr.dtype} unsupported; use float32 or float64"
-            )
-        if arr.ndim == 0 or arr.size == 0:
-            raise ParameterError("data must be a non-empty array")
-        if not np.all(np.isfinite(arr)):
-            raise CompressionError("data contains NaN/Inf")
-        return arr
-
     def _pack(self, meta, streams) -> bytes:
         """Serialize the container with byte accounting when traced."""
-        from repro.telemetry.registry import metrics as _metrics
-
         blob = observe.traced_pack(Container(CODEC_TRANSFORM, meta, streams))
         _metrics().counter("pipeline.compressed_bytes_total").inc(len(blob))
         return blob
@@ -142,7 +127,7 @@ class TransformCompressor:
         """Compress ``data``; returns a serialized container."""
         trace = observe.current_trace()
         with trace.span("transform.compress") as root:
-            arr = self._validate(data)
+            arr = validate_input(data)
             if trace.enabled:
                 root.count("n_points", int(arr.size))
                 root.count("raw_bytes", int(arr.nbytes))
@@ -190,109 +175,36 @@ class TransformCompressor:
                     sp.count("n_points", int(q.size))
                     sp.set("bin_size", delta)
 
-            escape_symbol = self.radius + 1
-            with trace.span("escape") as sp:
-                esc_mask = np.abs(q) > self.radius
-                n_escapes = int(esc_mask.sum())
-                from repro.telemetry.registry import (
-                    RATIO_BUCKETS,
-                    metrics as _metrics,
-                )
-
-                _metrics().histogram(
-                    "transform.quantization.hit_ratio", RATIO_BUCKETS
-                ).observe(1.0 - n_escapes / q.size)
-                if trace.enabled:
-                    sp.count("n_outliers", n_escapes)
-                    sp.set("hit_ratio", 1.0 - n_escapes / q.size)
-                streams = []
-                if n_escapes:
-                    escaped = q[esc_mask].astype(np.int64)
-                    q = q.copy()
-                    q[esc_mask] = escape_symbol
-                    streams.append(
-                        (
-                            "escapes",
-                            lossless_compress(
-                                escaped.tobytes(), self.lossless, self.lossless_level
-                            ),
-                        )
-                    )
-            meta["n_escapes"] = n_escapes
-            meta["escape_symbol"] = escape_symbol
-
-            with trace.span("entropy") as sp:
-                code = CanonicalHuffman.from_data(q)
-                payload, total_bits = code.encode(q)
-                meta["total_bits"] = total_bits
-                meta["n_codes"] = int(q.size)
-                if trace.enabled:
-                    sp.count("n_symbols", int(q.size))
-                    sp.count("total_bits", int(total_bits))
-                streams.insert(
-                    0,
-                    (
-                        "payload",
-                        lossless_compress(
-                            payload, self.lossless, self.lossless_level
-                        ),
-                    ),
-                )
-                streams.insert(
-                    0,
-                    (
-                        "table",
-                        lossless_compress(
-                            code.table_bytes(), self.lossless, self.lossless_level
-                        ),
-                    ),
-                )
+            streams = []
+            meta["n_codes"] = int(q.size)
+            n_escapes, _, _ = encode_codes(
+                q, meta, streams, self.radius, self.lossless, self.lossless_level
+            )
+            _metrics().histogram(
+                "transform.quantization.hit_ratio", RATIO_BUCKETS
+            ).observe(1.0 - n_escapes / q.size)
             return self._pack(meta, streams)
 
     @staticmethod
     def decompress(blob: bytes) -> np.ndarray:
         """Decompress a container produced by :meth:`compress`."""
-        container = Container.from_bytes(blob)
-        if container.codec != CODEC_TRANSFORM:
-            raise FormatError("container was not produced by the transform codec")
+        container, dtype, shape, lossless, constant = read_header(
+            blob, CODEC_TRANSFORM, "transform"
+        )
+        if constant is not None:
+            return np.full(shape, constant, dtype=dtype)
+
         meta = container.meta
-        try:
-            dtype = np.dtype(meta["dtype"])
-            shape = tuple(int(s) for s in meta["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad container metadata: {exc}") from exc
-
-        if "constant" in meta:
-            return np.full(shape, unpack_exact_float(meta["constant"]), dtype=dtype)
-
         try:
             eb_abs = unpack_exact_float(meta["eb_abs"])
             center = unpack_exact_float(meta["center"])
             m = int(meta["block_size"])
-            lossless = method_name(int(meta["lossless"]))
-            total_bits = int(meta["total_bits"])
             n_codes = int(meta["n_codes"])
-            n_escapes = int(meta["n_escapes"])
-            escape_symbol = int(meta["escape_symbol"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad container metadata: {exc}") from exc
 
         delta = 2.0 * eb_abs
-        table_blob = lossless_decompress(container.stream("table"), lossless)
-        code = CanonicalHuffman.from_table_bytes(table_blob)
-        payload = lossless_decompress(container.stream("payload"), lossless)
-        q = code.decode(payload, n_codes, total_bits)
-
-        if n_escapes:
-            esc_blob = lossless_decompress(container.stream("escapes"), lossless)
-            escaped = np.frombuffer(esc_blob, dtype=np.int64)
-            if escaped.size != n_escapes:
-                raise DecompressionError("escape stream length mismatch")
-            esc_mask = q == escape_symbol
-            if int(esc_mask.sum()) != n_escapes:
-                raise DecompressionError("escape marker count mismatch")
-            q = q.copy()
-            q[esc_mask] = escaped
+        q = decode_codes(container, lossless, n_codes)
 
         d = len(shape)
         transform_id = int(meta.get("transform", 0))

@@ -27,14 +27,13 @@ import numpy as np
 
 import repro.observe as observe
 
+from repro.encoding.codes import read_header, validate_input
 from repro.encoding.lossless import (
     lossless_compress,
     lossless_decompress,
     method_id,
-    method_name,
 )
 from repro.errors import (
-    CompressionError,
     DecompressionError,
     FormatError,
     ParameterError,
@@ -45,7 +44,6 @@ from repro.io.container import (
     pack_exact_float,
     unpack_exact_float,
 )
-from repro.sz.compressor import _SUPPORTED_DTYPES
 from repro.transform.blocking import merge_blocks, split_blocks
 from repro.transform.dct import block_dct, block_idct
 
@@ -150,19 +148,6 @@ class EmbeddedTransformCompressor:
         self.lossless_id = method_id(lossless)
         self.lossless_level = int(lossless_level)
 
-    @staticmethod
-    def _validate(data) -> np.ndarray:
-        arr = np.asarray(data)
-        if arr.dtype not in _SUPPORTED_DTYPES:
-            raise ParameterError(
-                f"dtype {arr.dtype} unsupported; use float32 or float64"
-            )
-        if arr.ndim == 0 or arr.size == 0:
-            raise ParameterError("data must be a non-empty array")
-        if not np.all(np.isfinite(arr)):
-            raise CompressionError("data contains NaN/Inf")
-        return arr
-
     def _plane_budget(self, coeffs: np.ndarray, vr: float) -> int:
         """How many magnitude planes to aim for."""
         if self.mode == "fixed_rate":
@@ -180,7 +165,7 @@ class EmbeddedTransformCompressor:
 
     def compress(self, data) -> bytes:
         """Compress ``data``; returns a serialized container."""
-        arr = self._validate(data)
+        arr = validate_input(data)
         x = arr.astype(np.float64, copy=False)
         lo, hi = float(x.min()), float(x.max())
         vr = hi - lo
@@ -235,24 +220,17 @@ class EmbeddedTransformCompressor:
         touching the remaining bytes -- the defining capability of
         embedded coding.  ``None`` uses everything present.
         """
-        container = Container.from_bytes(blob)
-        if container.codec != CODEC_EMBEDDED:
-            raise FormatError("container was not produced by the embedded codec")
+        container, dtype, shape, lossless, constant = read_header(
+            blob, CODEC_EMBEDDED, "embedded"
+        )
+        if constant is not None:
+            return np.full(shape, constant, dtype=dtype)
+
         meta = container.meta
-        try:
-            dtype = np.dtype(meta["dtype"])
-            shape = tuple(int(s) for s in meta["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad container metadata: {exc}") from exc
-
-        if "constant" in meta:
-            return np.full(shape, unpack_exact_float(meta["constant"]), dtype=dtype)
-
         try:
             center = unpack_exact_float(meta["center"])
             scale = unpack_exact_float(meta["scale"])
             m = int(meta["block_size"])
-            lossless = method_name(int(meta["lossless"]))
             n_planes_total = int(meta["n_planes_total"])
             n_coeffs = int(meta["n_coeffs"])
             n_streams = int(meta["n_streams"])

@@ -51,7 +51,6 @@ class TestTopLevelExports:
         "repro.metrics.derived",
         "repro.baselines.decimation",
         "repro.sz.temporal",
-        "repro.encoding.rle",
         "repro.report",
         "repro.sz.pointwise",
         "repro.transform",
@@ -61,6 +60,7 @@ class TestTopLevelExports:
         "repro.transform.embedded",
         "repro.encoding",
         "repro.encoding.bitio",
+        "repro.encoding.codes",
         "repro.encoding.huffman",
         "repro.encoding.rans",
         "repro.encoding.lossless",
@@ -120,6 +120,7 @@ class TestPublicDocstrings:
             "repro.sz.compressor",
             "repro.sz.predictors",
             "repro.encoding.huffman",
+            "repro.encoding.codes",
             "repro.metrics.distortion",
         ):
             mod = importlib.import_module(module_name)

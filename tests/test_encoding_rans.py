@@ -146,6 +146,21 @@ class TestSZIntegration:
         with pytest.raises(ParameterError):
             SZCompressor(1e-3, entropy="arithmetic")
 
+    def test_removed_rle_coder_is_gone(self, smooth2d):
+        """The RLE+rANS coder (container entropy id 2) was removed: the
+        option is rejected and a container naming id 2 is a
+        FormatError."""
+        from repro.errors import FormatError
+        from repro.io.container import Container
+        from repro.sz.compressor import SZCompressor, decompress
+
+        with pytest.raises(ParameterError):
+            SZCompressor(1e-3, entropy="rans_rle")
+        c = Container.from_bytes(SZCompressor(1e-3).compress(smooth2d))
+        blob = Container(c.codec, {**c.meta, "entropy": 2}, c.streams).to_bytes()
+        with pytest.raises(FormatError):
+            decompress(blob)
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(-500, 500), min_size=1, max_size=3000))

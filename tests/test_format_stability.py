@@ -7,6 +7,7 @@ tests fails after a change, the on-disk format broke -- either fix the
 regression or bump the container VERSION and keep a legacy reader.
 """
 
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,18 @@ from repro.metrics.distortion import max_abs_error, psnr
 from repro.sz.compressor import decompress
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _load_regen():
+    """``scripts/regen_golden.py``, which holds each fixture's settings."""
+    path = Path(__file__).parent.parent / "scripts" / "regen_golden.py"
+    spec = importlib.util.spec_from_file_location("regen_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REGEN = _load_regen()
 
 
 @pytest.fixture(scope="module")
@@ -30,16 +43,7 @@ def _blob(name: str) -> bytes:
 class TestGoldenContainers:
     def test_fixtures_exist(self):
         names = {p.stem for p in GOLDEN.glob("*.fpz")}
-        assert names >= {
-            "sz_abs",
-            "sz_rel_rans",
-            "sz_pw_rel",
-            "regression",
-            "hybrid",
-            "transform",
-            "embedded",
-            "chunked",
-        }
+        assert names == set(REGEN.FIXTURES)
 
     def test_sz_abs(self, original):
         recon = decompress(_blob("sz_abs"))
@@ -77,10 +81,9 @@ class TestGoldenContainers:
     def test_embedded(self, original):
         assert psnr(original, decompress(_blob("embedded"))) > 55.0
 
-    def test_bitwise_reproducibility(self, original):
+    @pytest.mark.parametrize("name", sorted(REGEN.FIXTURES))
+    def test_bitwise_reproducibility(self, original, name):
         """Today's encoder still produces byte-identical output for the
-        golden settings (catches accidental nondeterminism)."""
-        from repro.sz.compressor import SZCompressor
-
-        fresh = SZCompressor(1e-3, mode="abs").compress(original)
-        assert fresh == _blob("sz_abs")
+        golden settings (catches accidental nondeterminism and any
+        change to the bytes a codec writes)."""
+        assert REGEN.FIXTURES[name](original) == _blob(name)

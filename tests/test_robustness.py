@@ -3,10 +3,12 @@
 Fuzz-style property tests over the container parser, the archive
 parser, and the generic decompressor: arbitrary bytes, random
 truncations and single-byte corruptions of valid containers, plus
-well-formed containers whose metadata declares hostile sizes.
+well-formed containers whose metadata declares hostile sizes, shapes
+or dtypes.
 """
 
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fixed_psnr import FixedPSNRCompressor
-from repro.errors import DecompressionError, ReproError
+from repro.errors import DecompressionError, ErrorCode, FormatError, ReproError
 from repro.io.archive import read_archive_field, read_archive_index, write_archive
 from repro.io.container import Container
 from repro.sz.compressor import compress, decompress
@@ -89,6 +91,92 @@ def test_hostile_symbol_count_fails_in_bounded_memory(codec, hostile):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def _header_codecs(radius=32767):
+    """``(compress, decompress)`` for every codec that reads the shared
+    container header; the quantization codecs escape codes outside
+    ``radius``."""
+    from repro.sz.hybrid import HybridCompressor
+    from repro.sz.interp import InterpolationCompressor
+    from repro.sz.legacy import Sz11Compressor
+    from repro.sz.regression import RegressionCompressor
+    from repro.sz.temporal import TemporalCompressor, TemporalDecompressor
+    from repro.transform.compressor import TransformCompressor
+    from repro.transform.embedded import EmbeddedTransformCompressor
+
+    r = {"quantization_radius": radius}
+    return {
+        "sz": (lambda x: compress(x, 1e-3, **r), decompress),
+        "transform": (
+            TransformCompressor(1e-4, mode="rel", **r).compress,
+            decompress,
+        ),
+        "regression": (RegressionCompressor(1e-3, **r).compress, decompress),
+        "hybrid": (HybridCompressor(1e-3, **r).compress, decompress),
+        "interp": (InterpolationCompressor(1e-3, **r).compress, decompress),
+        "legacy": (Sz11Compressor(1e-3, **r).compress, decompress),
+        "temporal": (
+            lambda x: TemporalCompressor(error_bound=1e-3, **r).push(x),
+            lambda blob: TemporalDecompressor().push(blob),
+        ),
+        "embedded": (EmbeddedTransformCompressor(rate=8.0).compress, decompress),
+    }
+
+
+@pytest.mark.parametrize(
+    "hostile",
+    [
+        {"shape": [-1]},
+        {"shape": [0]},
+        {"shape": [16.7, 16]},
+        {"shape": [True, 16]},
+        {"shape": []},
+        {"shape": "16x16"},
+        {"shape": [2**32, 2**32]},  # product overflows int64
+        {"dtype": "object"},
+        {"dtype": "int8"},
+    ],
+    ids=lambda h: repr(h).replace(" ", ""),
+)
+@pytest.mark.parametrize("constant", [False, True], ids=["field", "constant"])
+@pytest.mark.parametrize("codec", sorted(_header_codecs()))
+def test_hostile_header_metadata_is_a_format_error(codec, constant, hostile):
+    """A well-formed container whose header declares a shape or dtype
+    compression never writes ends in FormatError(BAD_META), for every
+    codec, constant-field containers included."""
+    compress_fn, decompress_fn = _header_codecs()[codec]
+    if constant:
+        x = np.full((16, 16), 2.5)
+    else:
+        x = np.cumsum(np.random.default_rng(4).normal(size=(16, 16)), axis=0)
+    c = Container.from_bytes(compress_fn(x))
+    blob = Container(c.codec, {**c.meta, **hostile}, c.streams).to_bytes()
+    with pytest.raises(FormatError) as info:
+        decompress_fn(blob)
+    assert info.value.code == ErrorCode.BAD_META
+
+
+@pytest.mark.parametrize("extra", [-1, 1, 8], ids=["short", "odd", "long"])
+@pytest.mark.parametrize(
+    "codec", sorted(set(_header_codecs()) - {"embedded"})
+)
+def test_escape_stream_of_wrong_length_is_a_decompression_error(codec, extra):
+    """An escape stream that does not hold exactly ``n_escapes`` int64
+    values ends in DecompressionError (a length that is not a multiple
+    of 8 bytes used to escape as a raw ValueError)."""
+    compress_fn, decompress_fn = _header_codecs(radius=3)[codec]
+    x = np.cumsum(np.random.default_rng(4).normal(size=(16, 16)), axis=0)
+    c = Container.from_bytes(compress_fn(x))
+    escapes = zlib.decompress(c.stream("escapes"))
+    resized = escapes[:extra] if extra < 0 else escapes + bytes(extra)
+    streams = [
+        (name, zlib.compress(resized) if name == "escapes" else payload)
+        for name, payload in c.streams
+    ]
+    blob = Container(c.codec, c.meta, streams).to_bytes()
+    with pytest.raises(DecompressionError):
+        decompress_fn(blob)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,7 +11,10 @@ Checked here, all against the golden field:
 * golden comparisons use ``deterministic_dict()`` only -- timings are
   explicitly excluded and never part of the contract;
 * every Huffman codec's decompress records a ``huffman.decode`` span
-  with exact, repeatable counters.
+  with exact, repeatable counters;
+* every Huffman codec records the shared entropy stage's span tree:
+  ``escape`` and ``entropy`` on compress, ``codes.decode`` on
+  decompress.
 """
 
 from pathlib import Path
@@ -206,6 +209,32 @@ def test_huffman_decode_span(field, codec):
         }
         assert 1 <= counters["n_symbols"] <= counters["total_bits"]
         assert counters["segments"] >= 1
+
+
+@pytest.mark.parametrize("codec", sorted(_huffman_round_trips()))
+def test_shared_entropy_stage_spans(field, codec):
+    """All seven Huffman codecs run one escape/entropy/lossless stage,
+    so each records the same span tree under its own span (or its
+    caller's, for codecs that open none)."""
+    compress, decompress = _huffman_round_trips()[codec]
+    tr, blob = _traced(compress, field)
+    paths = {r.path for r in tr.records}
+    entropy = [p for p in paths if p[-1] == "entropy"]
+    assert len(entropy) == 1, sorted(paths)
+    entropy = entropy[0]
+    assert paths >= {
+        entropy[:-1] + ("escape",),
+        entropy + ("huffman.build",),
+        entropy + ("huffman.encode",),
+        entropy + ("lossless",),
+    }
+
+    tr, _ = _traced(decompress, blob)
+    decode = [r for r in tr.records if r.path[-1] == "codes.decode"]
+    assert len(decode) == 1, [r.path for r in tr.records]
+    assert decode[0].counters["n_points"] >= field.size
+    assert decode[0].gauges["coder_id"] == 0
+    assert decode[0].path + ("huffman.decode",) in {r.path for r in tr.records}
 
 
 class TestStageNameStability:
