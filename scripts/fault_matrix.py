@@ -169,12 +169,7 @@ def run_salvage(case: str, seeds: int) -> int:
 _FAST_RETRY = dict(backoff_base=0.01, backoff_max=0.05, seed=0)
 
 
-def _sweep(
-    fault: WorkerFault,
-    retry: RetryPolicy,
-    n_workers: int = 0,
-    transport: str = "auto",
-):
+def _sweep(fault: WorkerFault, retry: RetryPolicy, n_workers: int = 0):
     return sweep_dataset(
         "NYX",
         targets=[TARGET_PSNR],
@@ -183,7 +178,6 @@ def _sweep(
         n_workers=n_workers,
         retry=retry,
         fault=fault,
-        transport=transport,
     )
 
 
@@ -243,63 +237,11 @@ def _scenario_poison() -> None:
     assert failed[0].error_code == ErrorCode.POISONED_RESULT, failed[0]
 
 
-def _assert_no_shm_orphans(before: set) -> None:
-    from repro.parallel.shm import shm_dir_entries
-
-    leaked = set(shm_dir_entries("fpz")) - before
-    assert not leaked, f"orphaned shared-memory segments: {sorted(leaked)}"
-
-
-def _scenario_shm_timeout() -> None:
-    """A hung worker on the shared-memory transport: the sweep must
-    degrade the field AND the arena must reclaim every segment even
-    though a worker may still be sitting on an attached mapping."""
-    from repro.parallel.shm import shm_dir_entries
-
-    before = set(shm_dir_entries("fpz"))
-    fault = WorkerFault(
-        "hang", fields=(FIELDS[0],), fail_attempts=99, hang_seconds=8.0
-    )
-    retry = RetryPolicy(max_retries=0, task_timeout=2.0, **_FAST_RETRY)
-    results = _sweep(
-        fault, retry, n_workers=len(FIELDS), transport="shm"
-    )
-    failed = [r for r in results if not r.ok]
-    assert [r.field for r in failed] == [FIELDS[0]], failed
-    assert failed[0].status == "failed", failed[0]
-    assert failed[0].error_code == ErrorCode.TASK_TIMEOUT, failed[0]
-    assert all(r.ok for r in results if r.field != FIELDS[0])
-    _assert_no_shm_orphans(before)
-
-
-def _scenario_shm_poison() -> None:
-    """Poisoned results over the shared-memory transport degrade the
-    field without orphaning segments, matching the pickle channel."""
-    from repro.parallel.shm import shm_dir_entries
-
-    before = set(shm_dir_entries("fpz"))
-    fault = WorkerFault("poison", fields=(FIELDS[0],), fail_attempts=99)
-    retry = RetryPolicy(max_retries=1, **_FAST_RETRY)
-    shm_run = _sweep(fault, retry, n_workers=2, transport="shm")
-    pickle_run = _sweep(fault, retry, n_workers=2, transport="pickle")
-    assert [
-        (r.field, r.status, r.error_code) for r in shm_run
-    ] == [
-        (r.field, r.status, r.error_code) for r in pickle_run
-    ]
-    failed = [r for r in shm_run if not r.ok]
-    assert [r.field for r in failed] == [FIELDS[0]], failed
-    assert failed[0].error_code == ErrorCode.POISONED_RESULT, failed[0]
-    _assert_no_shm_orphans(before)
-
-
 _SCENARIOS = {
     "recovery": _scenario_recovery,
     "exhaustion": _scenario_exhaustion,
     "timeout": _scenario_timeout,
     "poison": _scenario_poison,
-    "shm_timeout": _scenario_shm_timeout,
-    "shm_poison": _scenario_shm_poison,
 }
 
 

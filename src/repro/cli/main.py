@@ -451,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_s.add_argument("--fields", nargs="*", default=None, help="subset of fields")
     p_s.add_argument("--workers", type=int, default=0, help="worker processes")
-    _add_shm_flags(p_s)
     p_s.add_argument(
         "--refine", action="store_true", help="histogram-refined derivation"
     )
@@ -1606,7 +1605,6 @@ def _cmd_sweep(args) -> int:
                 collect_trace=True,
                 profile_mem=args.profile_mem,
                 retry=retry,
-                transport=_transport(args),
                 cache=cache,
             )
     else:
@@ -1617,7 +1615,6 @@ def _cmd_sweep(args) -> int:
             refine="histogram" if args.refine else None,
             n_workers=args.workers,
             retry=retry,
-            transport=_transport(args),
             cache=cache,
         )
     ok_results = [r for r in results if r.status == "ok"]
@@ -1729,12 +1726,19 @@ def _cmd_archive(args) -> int:
     unknown = set(names) - set(ds.field_names)
     if unknown:
         raise ParameterError(f"unknown fields: {sorted(unknown)}")
-    comp = FixedPSNRCompressor(args.psnr)
-    arc = Archive.build(((n, ds.field(n)) for n in names), comp)
+    raw = 0
+
+    def fields():
+        nonlocal raw
+        for n in names:
+            data = ds.field(n)
+            raw += data.nbytes
+            yield n, data
+
+    arc = Archive.build(fields(), FixedPSNRCompressor(args.psnr))
     blob = arc.to_bytes()
     with open(args.output, "wb") as fh:
         fh.write(blob)
-    raw = sum(ds.field(n).nbytes for n in names)
     print(
         f"{args.output}: {len(names)} fields, {raw} -> {len(blob)} bytes "
         f"(CR {raw / len(blob):.2f}) at {args.psnr:.1f} dB"

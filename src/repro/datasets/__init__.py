@@ -10,6 +10,10 @@ behaviour.
 
 Every generator is seeded by the field name, so data sets are
 reproducible across processes and sessions.
+
+Code that uses the same named field more than once in a process (sweep
+and service workers) loads it through :func:`load_field`, which
+generates it once and keeps it in a small per-process cache.
 """
 
 from repro.datasets.registry import (
@@ -19,6 +23,7 @@ from repro.datasets.registry import (
     DATASETS,
     table1_rows,
 )
+from repro.datasets.source import clear_field_cache, load_field
 from repro.datasets.spectral import gaussian_random_field
 
 __all__ = [
@@ -27,5 +32,7 @@ __all__ = [
     "get_dataset",
     "DATASETS",
     "table1_rows",
+    "load_field",
+    "clear_field_cache",
     "gaussian_random_field",
 ]

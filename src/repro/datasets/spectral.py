@@ -7,8 +7,11 @@ energy at large scales, i.e. smoother fields; climate-like scalar
 fields sit around slope 3-4, turbulent velocity components nearer 2,
 and nearly-white measurement-noise fields at 0-1.
 
-Everything is plain ``numpy.fft`` on float64 and fully vectorized; a
-256x512 field synthesises in a few milliseconds.
+Everything is plain ``numpy.fft`` on float64 and fully vectorized.  A
+256x512 field still takes about 25 ms to synthesise (a 180x360 ATM
+field 10-40 ms), longer than sz takes to compress it, which is why
+sweep and service workers load named fields through the per-process
+cache in :mod:`repro.datasets.source`.
 """
 
 from __future__ import annotations

@@ -205,6 +205,19 @@ def encode_codes(
     return n_escapes, total_bits, coder_id
 
 
+def _inflate_exact(
+    container: Container, name: str, lossless: str, size: int
+) -> bytes:
+    """Stream ``name`` inflated, which must come to exactly ``size``
+    bytes (and is never inflated much past it)."""
+    blob = lossless_decompress(container.stream(name), lossless, max_length=size)
+    if len(blob) != size:
+        raise DecompressionError(
+            f"{name} stream holds {len(blob)} bytes, expected {size}"
+        )
+    return blob
+
+
 def decode_codes(
     container: Container, lossless: str, n: int, entropy_id: int = 0
 ) -> np.ndarray:
@@ -225,10 +238,20 @@ def decode_codes(
             sp.set("coder_id", entropy_id)
         if entropy_id not in ENTROPY_CODERS.values():
             raise FormatError(f"unknown entropy coder id {entropy_id}")
-        table_blob = lossless_decompress(container.stream("table"), lossless)
+        # Inflation is bounded by the metadata, so a bomb fails early:
+        # the alphabet cannot outnumber the points (9 bytes per Huffman
+        # table entry, 10 per rANS), the packer writes exactly
+        # ceil(total_bits / 8) payload bytes, and an escape is 8 bytes.
+        table_blob = lossless_decompress(
+            container.stream("table"),
+            lossless,
+            max_length=8 + (9 if entropy_id == _HUFFMAN else 10) * n,
+        )
         if entropy_id == _HUFFMAN:
             code = CanonicalHuffman.from_table_bytes(table_blob)
-            payload = lossless_decompress(container.stream("payload"), lossless)
+            payload = _inflate_exact(
+                container, "payload", lossless, -(-total_bits // 8)
+            )
             q = code.decode(payload, n, total_bits)
         else:
             coder = RansCoder.from_table_bytes(table_blob)
@@ -237,12 +260,9 @@ def decode_codes(
                 raise DecompressionError("rANS symbol count mismatch")
 
         if n_escapes:
-            esc_blob = lossless_decompress(container.stream("escapes"), lossless)
-            if len(esc_blob) != 8 * n_escapes:
-                raise DecompressionError(
-                    f"escape stream holds {len(esc_blob)} bytes, "
-                    f"expected {n_escapes} int64 values"
-                )
+            esc_blob = _inflate_exact(
+                container, "escapes", lossless, 8 * n_escapes
+            )
             esc_mask = q == escape_symbol
             if int(esc_mask.sum()) != n_escapes:
                 raise DecompressionError("escape marker count mismatch")

@@ -9,6 +9,7 @@ lossless back-ends could be slotted in.
 from __future__ import annotations
 
 import zlib
+from typing import Optional
 
 import repro.observe as observe
 from repro.errors import DecompressionError, ParameterError
@@ -41,16 +42,35 @@ def lossless_compress(data: bytes, method: str = "zlib", level: int = 6) -> byte
     return out
 
 
-def lossless_decompress(data: bytes, method: str = "zlib") -> bytes:
-    """Inverse of :func:`lossless_compress`."""
+def lossless_decompress(
+    data: bytes, method: str = "zlib", max_length: Optional[int] = None
+) -> bytes:
+    """Inverse of :func:`lossless_compress`.
+
+    ``max_length`` bounds the output: a stream that would inflate past
+    it is a :class:`DecompressionError`, found after inflating at most
+    ``max_length + 1`` bytes, so a decompression bomb costs no more
+    memory than the bound.  A truncated stream is an error too.
+    """
     if method not in METHODS:
         raise ParameterError(f"unknown lossless method {method!r}")
     if method == "none":
-        return bytes(data)
-    try:
-        return zlib.decompress(bytes(data))
-    except zlib.error as exc:  # corrupt stream
-        raise DecompressionError(f"zlib stream corrupt: {exc}") from exc
+        out, complete = bytes(data), True
+    else:
+        inflater = zlib.decompressobj()
+        limit = 0 if max_length is None else max(max_length, 0) + 1
+        try:
+            out = inflater.decompress(bytes(data), limit)
+        except zlib.error as exc:  # corrupt stream
+            raise DecompressionError(f"zlib stream corrupt: {exc}") from exc
+        complete = inflater.eof
+    if max_length is not None and len(out) > max_length:
+        raise DecompressionError(
+            f"stream inflates past its bound of {max_length} bytes"
+        )
+    if not complete:
+        raise DecompressionError("zlib stream truncated")
+    return out
 
 
 def method_id(method: str) -> int:

@@ -5,16 +5,13 @@ The paper's motivating scenario is compressing 79+ fields per snapshot
 decompositions that workload needs:
 
 * :mod:`repro.parallel.executor` -- embarrassingly parallel *per-field*
-  sweeps (one field x one target per task), used by the Table II /
-  Figure 2 benchmarks;
+  sweeps (one field x one target per task, shipped by name), used by
+  the Table II / Figure 2 benchmarks;
 * :mod:`repro.parallel.chunking` -- *intra-field* slab decomposition so
   a single huge array compresses in parallel and streams;
-* :mod:`repro.parallel.comm` -- small scatter/gather/allreduce helpers
-  in the style of mpi4py collectives, implemented over
-  ``concurrent.futures`` (mpi4py itself is not a dependency);
 * :mod:`repro.parallel.shm` -- the zero-copy shared-memory data plane
-  the other three move array payloads over (with graceful fallback to
-  the pickle channel).
+  that chunked compression and the autotune probe fan-out move user
+  arrays over (with graceful fallback to the pickle channel).
 """
 
 from repro.parallel.executor import (
@@ -24,7 +21,6 @@ from repro.parallel.executor import (
     sweep_dataset,
 )
 from repro.parallel.chunking import compress_chunked, decompress_chunked
-from repro.parallel.comm import scatter_gather, allreduce
 from repro.parallel.shm import (
     ShmArena,
     ShmArrayRef,
@@ -40,8 +36,6 @@ __all__ = [
     "run_field_task",
     "compress_chunked",
     "decompress_chunked",
-    "scatter_gather",
-    "allreduce",
     "ShmArena",
     "ShmArrayRef",
     "open_payload",

@@ -1,10 +1,12 @@
 """Field-parallel fixed-PSNR sweeps.
 
 One task = (data set, field, target PSNR): compress, decompress,
-measure.  Tasks ship only *names* to the workers -- each worker
-regenerates its field from the deterministic data-set registry, so no
-multi-megabyte arrays cross process boundaries (the scatter pattern the
-mpi4py guide recommends: communicate work descriptions, not payloads).
+measure.  Tasks ship only *names* to the workers -- each worker loads
+its field through the per-process field source
+(:func:`repro.datasets.load_field`), so no array crosses a process
+boundary and a worker that runs several targets of one field generates
+it once (the scatter pattern the mpi4py guide recommends: communicate
+work descriptions, not payloads).
 
 ``n_workers=0`` runs inline, which is what the unit tests and small
 sweeps use; the benchmarks choose a worker count from ``os.cpu_count``.
@@ -74,7 +76,8 @@ class Executor:
     :func:`repro.autotune.autotune` and
     :func:`repro.parallel.chunking.compress_chunked` /
     ``decompress_chunked`` via their ``executor=`` keyword, so repeated
-    calls reuse warm workers and already-shared payloads::
+    calls reuse warm workers (and the fields those workers already
+    loaded)::
 
         with Executor(n_workers=4) as ex:
             ex.warm()                       # spawn + import up front
@@ -121,7 +124,6 @@ class Executor:
         self.start_method = start_method
         self._pool = None
         self._arena = None
-        self._cache: Dict = {}
         self._closed = False
 
     # -- state ----------------------------------------------------------
@@ -214,44 +216,6 @@ class Executor:
         ]
         return len({f.result() for f in futures})
 
-    # -- payload cache --------------------------------------------------
-
-    def share(self, key, supplier):
-        """Get-or-create a cached payload for ``key``.
-
-        ``supplier`` is a zero-argument callable producing the array;
-        it runs only on the first call for a given key.  Process
-        executors with an arena return a shared-memory ref (one copy
-        for the executor's lifetime); thread/inline executors return
-        the materialized array itself (zero-copy in-process); process
-        executors on the pickle transport also return the array (the
-        caller decides whether shipping it beats regenerating).
-        """
-        import numpy as np
-
-        self._check_open()
-        if key in self._cache:
-            return self._cache[key]
-        arena = self.arena
-        if arena is not None:
-            payload = arena.share(supplier())
-        else:
-            payload = np.asarray(supplier())
-        self._cache[key] = payload
-        return payload
-
-    def drop_cached(self, key) -> bool:
-        """Forget a cached payload (releasing its segment when it was
-        shared); returns True when the key existed."""
-        from repro.parallel.shm import ShmArrayRef
-
-        payload = self._cache.pop(key, None)
-        if payload is None:
-            return False
-        if isinstance(payload, ShmArrayRef) and self._arena is not None:
-            self._arena.release(payload)
-        return True
-
     # -- teardown -------------------------------------------------------
 
     def close(self, cancel_futures: bool = False) -> None:
@@ -260,7 +224,6 @@ class Executor:
         if self._closed:
             return
         self._closed = True
-        self._cache.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=cancel_futures)
             self._pool = None
@@ -408,13 +371,12 @@ def run_field_task(
     codec: str = "sz",
     collect_trace: bool = False,
     profile_mem: bool = False,
-    data_ref=None,
     cache=None,
     fault=None,
     attempt: int = 0,
 ) -> FieldResult:
-    """Execute one task: regenerate the field, run the fixed-PSNR
-    pipeline, measure the reconstruction.
+    """Execute one task: load the field, run the fixed-PSNR pipeline,
+    measure the reconstruction.
 
     Importable at module top level so it pickles for worker processes.
     With ``collect_trace=True`` the compression runs under a local
@@ -426,12 +388,8 @@ def run_field_task(
     record also carries its peak traced bytes -- the readings cross the
     process boundary inside the records like every other measurement.
 
-    ``data_ref`` is an optional shared-memory payload reference (see
-    :mod:`repro.parallel.shm`): when present the field data is read
-    from the parent's segment instead of being regenerated, so large
-    fields cross the process boundary exactly once.  The bytes are
-    identical either way (the registry is deterministic), which is what
-    the differential suite asserts.
+    The field comes from :func:`repro.datasets.load_field`, so a
+    process that runs several targets of one field generates it once.
 
     ``cache`` is an optional :class:`repro.cache.CacheStore` (it
     pickles into workers as just a path + bound): a prior run's blob
@@ -452,64 +410,12 @@ def run_field_task(
 
         if apply_worker_fault(fault, field, attempt) is not None:
             return POISON  # type: ignore[return-value]  (poisoned on purpose)
-    if data_ref is not None:
-        from repro.parallel.shm import open_payload
-
-        with open_payload(data_ref) as data:
-            return _execute_field_task(
-                dataset, field, target_psnr, data, refine, codec,
-                collect_trace, profile_mem, cache,
-            )
     # Imports inside the function keep worker start-up lean.
-    from repro.datasets.registry import get_dataset
-
-    ds = get_dataset(dataset, scale=scale)
-    return _execute_field_task(
-        dataset, field, target_psnr, ds.field(field), refine, codec,
-        collect_trace, profile_mem, cache,
-    )
-
-
-def _cached_field_result(
-    dataset: str, field: str, target_psnr: float, entry
-) -> Optional[FieldResult]:
-    """Rebuild a :class:`FieldResult` from a cache entry's recorded
-    measurements, or None when the metadata is unusable (the caller
-    then recompresses -- a malformed entry must never poison a sweep).
-    """
-    m = entry.meta.get("metrics") or {}
-    try:
-        actual = float(m["achieved_psnr"])
-        return FieldResult(
-            dataset=dataset,
-            field=field,
-            target_psnr=float(target_psnr),
-            actual_psnr=actual,
-            deviation=actual - float(target_psnr),
-            met=bool(actual >= target_psnr),
-            compression_ratio=float(m["ratio"]),
-            bit_rate=float(m["bit_rate"]),
-            eb_rel=float(m["eb_rel"]),
-            cache_hit=True,
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def _execute_field_task(
-    dataset: str,
-    field: str,
-    target_psnr: float,
-    data,
-    refine: Optional[str],
-    codec: str,
-    collect_trace: bool,
-    profile_mem: bool,
-    cache=None,
-) -> FieldResult:
     from repro.core.fixed_psnr import FixedPSNRCompressor
+    from repro.datasets.source import load_field
     from repro.metrics.distortion import psnr as measure_psnr
 
+    data = load_field(dataset, field, scale)
     cache_key = None
     if cache is not None:
         from repro.cache.store import blob_key, data_digest
@@ -584,6 +490,32 @@ def _execute_field_task(
             },
         )
     return result
+
+
+def _cached_field_result(
+    dataset: str, field: str, target_psnr: float, entry
+) -> Optional[FieldResult]:
+    """Rebuild a :class:`FieldResult` from a cache entry's recorded
+    measurements, or None when the metadata is unusable (the caller
+    then recompresses -- a malformed entry must never poison a sweep).
+    """
+    m = entry.meta.get("metrics") or {}
+    try:
+        actual = float(m["achieved_psnr"])
+        return FieldResult(
+            dataset=dataset,
+            field=field,
+            target_psnr=float(target_psnr),
+            actual_psnr=actual,
+            deviation=actual - float(target_psnr),
+            met=bool(actual >= target_psnr),
+            compression_ratio=float(m["ratio"]),
+            bit_rate=float(m["bit_rate"]),
+            eb_rel=float(m["eb_rel"]),
+            cache_hit=True,
+        )
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 def default_workers() -> int:
@@ -838,7 +770,6 @@ def sweep_dataset(
     profile_mem: bool = False,
     retry=None,
     fault=None,
-    transport: str = "auto",
     executor: Optional[Executor] = None,
     cache=None,
 ) -> List[FieldResult]:
@@ -853,6 +784,15 @@ def sweep_dataset(
     memory to every task's records (see
     :mod:`repro.telemetry.memory`).
 
+    The parent generates no field: tasks ship names and go out in
+    field-major order, and each worker loads its fields through the
+    per-process source (:func:`repro.datasets.load_field`).  With at
+    least as many fields as workers, all targets of one field go to
+    one worker, so each field is generated once per sweep; with fewer
+    fields than workers the targets spread over the workers, and each
+    worker that runs one generates the field once.  The serial path
+    also generates each field once.
+
     ``retry`` is an optional
     :class:`repro.resilience.retry.RetryPolicy`.  Without one, any
     task exception propagates (fail-fast, the historical behaviour).
@@ -863,19 +803,10 @@ def sweep_dataset(
     :class:`repro.resilience.inject.WorkerFault` into every task (the
     CI fault matrix's hook); it requires ``retry``.
 
-    ``transport`` selects how field payloads reach the workers:
-    ``"pickle"`` ships only names (each worker regenerates its field),
-    ``"shm"``/``"auto"`` materialize each field once in the parent and
-    share it through the zero-copy :mod:`repro.parallel.shm` plane --
-    profitable whenever a field serves more tasks than there are
-    workers.  The outputs are bit-identical in every mode; shm
-    silently degrades to pickle when unavailable.
-
     ``executor`` runs the sweep on a long-lived :class:`Executor`
-    instead of a per-call pool: ``n_workers``/``transport`` are taken
-    from the executor, field payloads go through its ``share`` cache
-    (so a second sweep over the same dataset re-uses the segments), and
-    nothing is torn down afterwards.
+    instead of a per-call pool: ``n_workers`` is taken from the
+    executor, its workers keep the fields they loaded for the next
+    sweep, and nothing is torn down afterwards.
 
     ``cache`` is an optional :class:`repro.cache.CacheStore`: every
     task consults and feeds the shared blob cache (see
@@ -884,7 +815,6 @@ def sweep_dataset(
     ones.
     """
     from repro.datasets.registry import get_dataset
-    from repro.parallel.shm import ShmArena, ShmArrayRef, resolve_transport
     from repro.telemetry.registry import metrics as _metrics
 
     if fault is not None and retry is None:
@@ -897,73 +827,47 @@ def sweep_dataset(
     unknown = set(names) - set(ds.field_names)
     if unknown:
         raise ParameterError(f"unknown fields for {dataset}: {sorted(unknown)}")
-    arena: Optional[ShmArena] = None
-    refs: Dict[str, Optional[object]] = {}
-    if executor is not None:
-        n_workers = 0 if executor.inline else executor.n_workers
-        if executor.kind == "thread":
-            # Same address space: hand workers the array itself.
-            for fname in names:
-                refs[fname] = executor.share(
-                    ("field", dataset, scale, fname),
-                    lambda f=fname: ds.field(f),
-                )
-        elif executor.arena is not None:
-            for fname in names:
-                payload = executor.share(
-                    ("field", dataset, scale, fname),
-                    lambda f=fname: ds.field(f),
-                )
-                # A guard fallback means the worker is better off
-                # regenerating the field than receiving it by pickle.
-                refs[fname] = (
-                    payload if isinstance(payload, ShmArrayRef) else None
-                )
-    elif resolve_transport(transport, n_workers):
-        arena = ShmArena()
-        for fname in names:
-            ref = arena.share(ds.field(fname))
-            # A guard fallback means the worker is better off
-            # regenerating the field than receiving it by pickle.
-            refs[fname] = ref if isinstance(ref, ShmArrayRef) else None
+    targets = [float(t) for t in targets]
     tasks: List[Tuple] = [
-        (dataset, fname, float(t), scale, refine, codec, collect_trace,
-         profile_mem, refs.get(fname), cache)
-        for t in targets
+        (dataset, fname, t, scale, refine, codec, collect_trace,
+         profile_mem, cache)
         for fname in names
+        for t in targets
     ]
     _metrics().counter("parallel.field_tasks_total").inc(len(tasks))
-    external_pool = (
-        executor.pool if executor is not None and not executor.inline else None
-    )
-    try:
-        if retry is None:
-            if n_workers <= 0:
-                results = [run_field_task(*t) for t in tasks]
-            elif external_pool is not None:
-                futures = [
-                    external_pool.submit(run_field_task, *t) for t in tasks
-                ]
-                results = [f.result() for f in futures]
-            else:
-                with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                    results = list(
-                        pool.map(run_field_task, *zip(*tasks), chunksize=1)
-                    )
+    external_pool = None
+    if executor is not None:
+        n_workers = 0 if executor.inline else executor.n_workers
+        external_pool = executor.pool
+    # One worker per field when the fields can keep every worker busy.
+    chunksize = max(1, len(targets)) if len(names) >= n_workers else 1
+    if retry is None:
+        if n_workers <= 0:
+            results = [run_field_task(*t) for t in tasks]
+        elif external_pool is not None:
+            results = list(external_pool.map(
+                run_field_task, *zip(*tasks), chunksize=chunksize
+            ))
         else:
-            counters = _resilience_counters()
-            if n_workers <= 0:
-                results = _sweep_inline_with_retry(
-                    tasks, retry, fault, counters
+            with ProcessPoolExecutor(max_workers=n_workers) as pool:
+                results = list(
+                    pool.map(run_field_task, *zip(*tasks), chunksize=chunksize)
                 )
-            else:
-                results = _sweep_pool_with_retry(
-                    tasks, retry, fault, counters, n_workers,
-                    external_pool=external_pool,
-                )
-    finally:
-        if arena is not None:
-            arena.close()
+    else:
+        counters = _resilience_counters()
+        if n_workers <= 0:
+            results = _sweep_inline_with_retry(tasks, retry, fault, counters)
+        else:
+            results = _sweep_pool_with_retry(
+                tasks, retry, fault, counters, n_workers,
+                external_pool=external_pool,
+            )
+    # Field-major task order back to (target, field) row order.
+    results = [
+        results[i * len(targets) + j]
+        for j in range(len(targets))
+        for i in range(len(names))
+    ]
     trace = observe.current_trace()
     if trace.enabled:
         for r in results:

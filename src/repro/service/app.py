@@ -624,12 +624,20 @@ class CompressionService:
 
     # -- dispatcher -----------------------------------------------------
 
+    def _take(self, job: Job) -> Job:
+        """Count ``job`` in flight from the moment it leaves the queue:
+        a drain waits on the queue and the in-flight count, so a job
+        held in the batch window must be in one of them."""
+        self._inflight += 1
+        self.metrics["inflight"].set(self._inflight)
+        self.metrics["depth"].set(len(self.queue))
+        return job
+
     async def _next_job(self) -> Optional[Job]:
         while True:
             job = self.queue.pop()
             if job is not None:
-                self.metrics["depth"].set(len(self.queue))
-                return job
+                return self._take(job)
             if self._draining:
                 return None
             self._wake.clear()
@@ -670,19 +678,16 @@ class CompressionService:
         while len(out) < self.config.batch_max - 1:
             nxt = self.queue.pop_matching(key)
             if nxt is not None:
-                out.append(nxt)
+                out.append(self._take(nxt))
                 continue
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
             await asyncio.sleep(min(0.001, remaining))
-        if out:
-            self.metrics["depth"].set(len(self.queue))
         return out
 
     async def _run_job(self, job: Job) -> None:
-        self._inflight += 1
-        self.metrics["inflight"].set(self._inflight)
+        """Run a job taken by :meth:`_take`, then retire it."""
         t0 = time.monotonic()
         try:
             await self._execute(job)

@@ -9,6 +9,10 @@ values, the compressed blob (when requested) and, when tracing is on,
 the picklable span records for the dispatcher to merge into the
 service trace.
 
+Named fields come from the worker's per-process field source
+(:func:`repro.datasets.load_field`): the first job for a field
+generates it, later jobs in the same worker reuse the read-only array.
+
 The compress path is deliberately the **same pipeline** the CLI runs
 (:class:`repro.core.fixed_psnr.FixedPSNRCompressor` for PSNR targets,
 :func:`repro.autotune.autotune` for ratio/NRMSE/MSE targets), so a
@@ -85,12 +89,11 @@ def run_compress_job(spec: Dict) -> Dict:
     poisoned = _maybe_poisoned(spec)
     if poisoned is not None:
         return poisoned
-    from repro.datasets.registry import get_dataset
+    from repro.datasets.source import load_field
     from repro.metrics.distortion import psnr as measure_psnr
 
     t0 = time.perf_counter()
-    ds = get_dataset(spec["dataset"], scale=spec.get("scale"))
-    data = ds.field(spec["field"])
+    data = load_field(spec["dataset"], spec["field"], spec.get("scale"))
     mode = spec.get("mode", "psnr")
     target = float(spec["target"])
     codec = spec.get("codec", "sz")
@@ -262,11 +265,10 @@ def run_autotune_job(spec: Dict, executor=None) -> Dict:
     if poisoned is not None:
         return poisoned
     from repro.autotune import autotune
-    from repro.datasets.registry import get_dataset
+    from repro.datasets.source import load_field
 
     t0 = time.perf_counter()
-    ds = get_dataset(spec["dataset"], scale=spec.get("scale"))
-    data = ds.field(spec["field"])
+    data = load_field(spec["dataset"], spec["field"], spec.get("scale"))
     result = autotune(
         data,
         spec.get("mode", "psnr"),

@@ -85,6 +85,16 @@ class ServiceThread:
                 self.service.serve_forever(install_signals=False)
             )
         finally:
+            # As asyncio.run does: let still-pending tasks (dispatchers
+            # cancelled mid-await, handlers of connections a killed
+            # service never answered) unwind before the loop closes,
+            # instead of destroying them pending.
+            pending = asyncio.all_tasks(loop)
+            for task in pending:
+                task.cancel()
+            loop.run_until_complete(
+                asyncio.gather(*pending, return_exceptions=True)
+            )
             loop.close()
 
     def stop(self, grace: Optional[float] = None) -> None:

@@ -47,8 +47,6 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "COMPRESS_CASES",
     "SWEEP_CASE",
-    "TRANSPORT_SWEEP_CASE",
-    "SHM_SPEEDUP_THRESHOLD",
     "AUTOTUNE_CASES",
     "SERVICE_CASES",
     "CACHE_CASE",
@@ -92,22 +90,6 @@ SWEEP_CASE = {
     "fields": ("CLDHGH", "FLDS"),
     "targets": (40.0, 80.0),
 }
-
-#: The transport corpus: the same sweep run twice on a small pool --
-#: once over the pickle channel, once over the shared-memory data
-#: plane (:mod:`repro.parallel.shm`).  Deterministically the two runs
-#: must be identical (``transports_match``); their relative wall time
-#: is recorded so the gate can warn when shm stops paying for itself.
-TRANSPORT_SWEEP_CASE = {
-    "dataset": "NYX",
-    "fields": ("temperature",),
-    "targets": (30.0, 40.0, 50.0, 60.0),
-    "n_workers": 4,
-}
-
-#: Warn when the shm sweep takes more than this fraction of the
-#: pickle sweep's wall time (the data plane should win, not tie).
-SHM_SPEEDUP_THRESHOLD = 0.8
 
 #: The autotune corpus: (dataset, field, codec, objective, target).
 #: Tracks the cost of the measurement-driven search (trial count,
@@ -218,52 +200,9 @@ def run_compress_bench() -> Dict:
     }
 
 
-def _run_transport_case() -> Tuple[Dict, Dict[str, float]]:
-    """Run the 4-worker sweep over both transports; returns the
-    synthetic deterministic row and the transport timing block."""
-    import time
-
-    from repro.parallel.executor import sweep_dataset
-
-    tc = TRANSPORT_SWEEP_CASE
-    kwargs = dict(
-        targets=list(tc["targets"]),
-        fields=list(tc["fields"]),
-        n_workers=int(tc["n_workers"]),
-    )
-    t0 = time.perf_counter()
-    res_pickle = sweep_dataset(tc["dataset"], transport="pickle", **kwargs)
-    pickle_wall = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    res_shm = sweep_dataset(tc["dataset"], transport="shm", **kwargs)
-    shm_wall = time.perf_counter() - t0
-    # The data plane's correctness contract, asserted on the real
-    # corpus: transports may only change *when* bytes move, never
-    # *which* bytes come out.
-    match = [r.as_dict() for r in res_pickle] == [r.as_dict() for r in res_shm]
-    row = {
-        "id": (
-            f"{tc['dataset']}/{'+'.join(tc['fields'])}/transport-differential"
-            f"/{tc['n_workers']}workers"
-        ),
-        "deterministic": {
-            "transports_match": bool(match),
-            "n_tasks": len(res_pickle),
-        },
-    }
-    timing = {
-        "pickle_wall_s": pickle_wall,
-        "shm_wall_s": shm_wall,
-        "shm_over_pickle": (
-            round(shm_wall / pickle_wall, 4) if pickle_wall > 0 else 0.0
-        ),
-    }
-    return row, timing
-
-
 def run_sweep_bench() -> Dict:
-    """Run the mini sweep under a trace, plus the shm-vs-pickle
-    transport case; returns the ``BENCH_sweep.json`` document."""
+    """Run the mini sweep under a trace; returns the
+    ``BENCH_sweep.json`` document."""
     from repro.parallel.executor import sweep_dataset
 
     tr = observe.Trace()
@@ -287,15 +226,11 @@ def run_sweep_bench() -> Dict:
         }
         for r in results
     ]
-    transport_row, transport_timing = _run_transport_case()
-    per_field.append(transport_row)
     wall = sum(
         agg["duration_s"]
         for path, agg in tr.aggregate().items()
         if len(path) == 1
     )
-    timing = {"wall_s": wall}
-    timing.update(transport_timing)
     return {
         "schema": BENCH_SCHEMA_VERSION,
         "kind": "sweep",
@@ -305,7 +240,7 @@ def run_sweep_bench() -> Dict:
             "fields": list(SWEEP_CASE["fields"]),
             "targets": list(SWEEP_CASE["targets"]),
             "results": per_field,
-            "timing": timing,
+            "timing": {"wall_s": wall},
         },
     }
 
@@ -598,13 +533,6 @@ def _check_timing(
     time_factor: float,
     warnings: List[str],
 ) -> None:
-    ratio = fresh.get("shm_over_pickle")
-    if ratio is not None and float(ratio) > SHM_SPEEDUP_THRESHOLD:
-        warnings.append(
-            f"{prefix}: shm sweep took {float(ratio):.2f}x the pickle "
-            f"sweep (target <= {SHM_SPEEDUP_THRESHOLD:g}x -- the "
-            "shared-memory transport should be winning here)"
-        )
     warm = fresh.get("warm_over_cold")
     if warm is not None and float(warm) > CACHE_WARM_THRESHOLD:
         warnings.append(

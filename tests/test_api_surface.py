@@ -68,6 +68,7 @@ class TestTopLevelExports:
         "repro.datasets.spectral",
         "repro.datasets.temporal",
         "repro.datasets.registry",
+        "repro.datasets.source",
         "repro.baselines",
         "repro.baselines.decimation",
         "repro.baselines.lossless",
@@ -84,7 +85,6 @@ class TestTopLevelExports:
         "repro.parallel",
         "repro.parallel.executor",
         "repro.parallel.chunking",
-        "repro.parallel.comm",
         "repro.cli",
         "repro.cli.main",
         "repro.core.codecs",

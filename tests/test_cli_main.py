@@ -188,6 +188,26 @@ class TestArchive:
         )
         assert code == 2
 
+    def test_archive_generates_each_field_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.datasets.registry import Dataset, get_dataset
+
+        calls = []
+        generate = Dataset.field
+
+        def counting(self, name):
+            calls.append(name)
+            return generate(self, name)
+
+        monkeypatch.setattr(Dataset, "field", counting)
+        fields = ["temperature", "velocity_z"]
+        arc = tmp_path / "snap.fpza"
+        assert main(["archive", "NYX", "-o", str(arc), "--fields", *fields]) == 0
+        assert calls == fields
+        raw = 2 * get_dataset("NYX").field("temperature").nbytes
+        assert f"{raw} -> " in capsys.readouterr().out
+
 
 class TestGenVerify:
     def test_gen_field(self, tmp_path, capsys):
@@ -499,15 +519,14 @@ class TestTransportFlags:
         assert code == 2
         assert "chunks" in capsys.readouterr().err
 
-    def test_sweep_accepts_shm_flag(self, capsys):
-        code = main(
-            [
-                "sweep", "NYX", "--targets", "60", "--fields",
-                "temperature", "--workers", "2", "--shm",
-            ]
-        )
-        assert code == 0
-        assert "temperature" in capsys.readouterr().out
+    @pytest.mark.parametrize("flag", ["--shm", "--no-shm"])
+    def test_sweep_rejects_removed_shm_flags(self, flag):
+        # Sweep workers load their fields by name; there is no payload
+        # transport left to choose.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["sweep", "NYX", "--targets", "60", "--workers", "2", flag]
+            )
 
 
 class TestLedgerJson:

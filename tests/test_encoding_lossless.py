@@ -51,6 +51,20 @@ class TestErrors:
         with pytest.raises(DecompressionError):
             lossless_decompress(blob[:-3] + b"\x00\x00\x00", "zlib")
 
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_output_bound(self, method):
+        data = bytes(range(256)) * 4
+        blob = lossless_compress(data, method)
+        assert lossless_decompress(blob, method, max_length=len(data)) == data
+        with pytest.raises(DecompressionError, match="bound"):
+            lossless_decompress(blob, method, max_length=len(data) - 1)
+
+    def test_truncated_stream_raises_with_and_without_bound(self):
+        blob = lossless_compress(b"payload" * 50, "zlib")
+        for bound in (None, 10_000):
+            with pytest.raises(DecompressionError, match="truncated"):
+                lossless_decompress(blob[:-4], "zlib", max_length=bound)
+
 
 class TestIds:
     def test_roundtrip_ids(self):

@@ -114,21 +114,6 @@ class TestExecutor:
         assert [r.as_dict() for r in inline] == [r.as_dict() for r in first]
         assert [r.as_dict() for r in first] == [r.as_dict() for r in second]
 
-    def test_share_cache_runs_supplier_once(self):
-        calls = []
-
-        def supplier():
-            calls.append(1)
-            return np.arange(8.0)
-
-        with Executor(n_workers=2, kind="thread") as ex:
-            a = ex.share("k", supplier)
-            b = ex.share("k", supplier)
-            assert a is b
-            assert len(calls) == 1
-            assert ex.drop_cached("k")
-            assert not ex.drop_cached("k")
-
     def test_map_tasks_uses_executor(self):
         with Executor(n_workers=2, kind="thread") as ex:
             assert map_tasks(_double, [(3,), (4,)], executor=ex) == [6, 8]

@@ -1,11 +1,14 @@
 """The differential wall around the shared-memory data plane.
 
-Transport is an implementation detail: every parallel entry point must
-produce **bit-identical** output whether payloads move inline, over
-the pickle channel, or through :mod:`repro.parallel.shm` -- across
-codecs, dtypes and awkward shapes.  These tests pin that contract
-(container bytes and per-stream CRCs, not just reconstructions), plus
-the arena lifecycle, the fallback guards, and fault-time cleanup.
+Transport is an implementation detail: every entry point that moves a
+user array to workers (chunked compress/decompress, the autotune probe
+fan-out) must produce **bit-identical** output whether payloads move
+inline, over the pickle channel, or through :mod:`repro.parallel.shm`
+-- across codecs, dtypes and awkward shapes.  These tests pin that
+contract (container bytes and per-stream CRCs, not just
+reconstructions), plus the arena lifecycle, the fallback guards, and
+fault-time cleanup.  (Sweeps ship field names only; their
+differential suite is ``tests/test_field_source.py``.)
 
 ``FPZC_TEST_WORKERS`` sets the pool width (CI's ``parallel-matrix``
 job runs this module at 1, 2 and 4 workers); the default is 2.
@@ -20,8 +23,7 @@ import repro.parallel.shm as shm
 from repro.errors import ErrorCode, ParameterError, TransportError
 from repro.io.container import Container
 from repro.parallel.chunking import compress_chunked, decompress_chunked
-from repro.parallel.comm import scatter_gather
-from repro.parallel.executor import run_field_task, sweep_dataset
+from repro.parallel.executor import sweep_dataset
 from repro.parallel.shm import (
     InlineArrayRef,
     ShmArena,
@@ -236,55 +238,6 @@ class TestFallbackGuards:
 # ---------------------------------------------------------------------------
 
 
-class TestSweepDifferential:
-    KW = dict(targets=[40.0, 80.0], fields=["temperature", "velocity_x"])
-
-    def test_all_transports_match_serial(self):
-        serial = sweep_dataset("NYX", **self.KW)
-        pickled = sweep_dataset(
-            "NYX", n_workers=WORKERS, transport="pickle", **self.KW
-        )
-        shared = sweep_dataset(
-            "NYX", n_workers=WORKERS, transport="shm", **self.KW
-        )
-        auto = sweep_dataset(
-            "NYX", n_workers=WORKERS, transport="auto", **self.KW
-        )
-        want = [r.as_dict() for r in serial]
-        assert [r.as_dict() for r in pickled] == want
-        assert [r.as_dict() for r in shared] == want
-        assert [r.as_dict() for r in auto] == want
-
-    @pytest.mark.parametrize("codec", ["sz", "transform"])
-    def test_transports_match_across_codecs(self, codec):
-        kw = dict(targets=[60.0], fields=["CLDHGH"], codec=codec)
-        serial = sweep_dataset("ATM", **kw)
-        shared = sweep_dataset(
-            "ATM", n_workers=WORKERS, transport="shm", **kw
-        )
-        assert [r.as_dict() for r in serial] == [r.as_dict() for r in shared]
-
-    def test_bad_transport_rejected(self):
-        with pytest.raises(ParameterError):
-            sweep_dataset(
-                "NYX", targets=[60.0], fields=["temperature"],
-                n_workers=2, transport="quantum",
-            )
-
-    @needs_shm
-    def test_run_field_task_accepts_shared_ref(self):
-        from repro.datasets.registry import get_dataset
-
-        data = get_dataset("NYX").field("temperature")
-        with ShmArena() as arena:
-            ref = arena.share(data)
-            via_ref = run_field_task(
-                "NYX", "temperature", 60.0, data_ref=ref
-            )
-        regenerated = run_field_task("NYX", "temperature", 60.0)
-        assert via_ref.as_dict() == regenerated.as_dict()
-
-
 class TestChunkedDifferential:
     SHAPES = [
         ((97, 53), np.float32),   # prime-sized rows, uneven slabs
@@ -365,25 +318,6 @@ class TestChunkedDifferential:
         )
 
 
-class TestScatterGatherDifferential:
-    def test_ndarray_items_match_across_transports(self):
-        items = [_field((80, 80), np.float64, seed=i) for i in range(5)]
-        inline = scatter_gather(np.sum, items, n_workers=0)
-        pickled = scatter_gather(
-            np.sum, items, n_workers=WORKERS, transport="pickle"
-        )
-        shared = scatter_gather(
-            np.sum, items, n_workers=WORKERS, transport="shm"
-        )
-        assert inline == pickled == shared
-
-    def test_non_array_items_pass_through(self):
-        got = scatter_gather(
-            len, [b"xy", b"abc"], n_workers=WORKERS, transport="shm"
-        )
-        assert got == [2, 3]
-
-
 class TestAutotuneDifferential:
     def test_probe_fanout_matches_across_transports(self):
         from repro.autotune.driver import autotune
@@ -406,7 +340,8 @@ class TestAutotuneDifferential:
 
 
 # ---------------------------------------------------------------------------
-# resilience: faults in shm-transport workers must not orphan segments
+# resilience: faults in pool workers degrade per task and leave no
+# segment behind
 # ---------------------------------------------------------------------------
 
 
@@ -429,7 +364,6 @@ class TestShmFaultCleanup:
         results = sweep_dataset(
             "NYX",
             n_workers=WORKERS,
-            transport="shm",
             retry=self._retry(max_retries=1),
             fault=fault,
             **self.KW,
@@ -453,7 +387,6 @@ class TestShmFaultCleanup:
         results = sweep_dataset(
             "NYX",
             n_workers=len(self.KW["fields"]),
-            transport="shm",
             retry=self._retry(max_retries=0, task_timeout=2.0),
             fault=fault,
             **self.KW,
@@ -462,8 +395,6 @@ class TestShmFaultCleanup:
         assert by_field["temperature"].status == "failed"
         assert by_field["temperature"].error_code == ErrorCode.TASK_TIMEOUT
         assert by_field["baryon_density"].ok
-        # The hung worker may still hold a mapping, but the parent's
-        # arena.close() must already have unlinked every segment name.
         assert not shm_dir_entries("fpz")
 
     def test_poison_degrades_and_cleans_up(self):
@@ -475,7 +406,6 @@ class TestShmFaultCleanup:
         results = sweep_dataset(
             "NYX",
             n_workers=WORKERS,
-            transport="shm",
             retry=self._retry(max_retries=0),
             fault=fault,
             **self.KW,
@@ -483,27 +413,6 @@ class TestShmFaultCleanup:
         failed = [r for r in results if not r.ok]
         assert len(failed) == 1
         assert failed[0].error_code == ErrorCode.POISONED_RESULT
-
-    def test_shm_matches_pickle_under_faults(self):
-        from repro.resilience.inject import WorkerFault
-
-        fault = WorkerFault(
-            "exception", fields=("temperature",), fail_attempts=99
-        )
-        kwargs = dict(
-            retry=self._retry(max_retries=1), fault=fault, **self.KW
-        )
-        shm_run = sweep_dataset(
-            "NYX", n_workers=WORKERS, transport="shm", **kwargs
-        )
-        pickle_run = sweep_dataset(
-            "NYX", n_workers=WORKERS, transport="pickle", **kwargs
-        )
-        assert [
-            (r.field, r.status, r.error_code, r.attempts) for r in shm_run
-        ] == [
-            (r.field, r.status, r.error_code, r.attempts) for r in pickle_run
-        ]
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,54 @@ def test_escape_stream_of_wrong_length_is_a_decompression_error(codec, extra):
         decompress_fn(blob)
 
 
+@pytest.fixture(scope="module")
+def zlib_bomb():
+    """A ~64 KB zlib stream of 64 MiB of zeros, deflated 1 MiB at a
+    time so that making it needs no 64 MiB buffer."""
+    deflater = zlib.compressobj(9)
+    chunk = bytes(1 << 20)
+    return b"".join([deflater.compress(chunk) for _ in range(64)]
+                    + [deflater.flush()])
+
+
+@pytest.mark.parametrize("stream", ["table", "payload", "escapes"])
+def test_zlib_bomb_is_a_bounded_decompression_error(zlib_bomb, stream):
+    """A bomb in any Huffman-tail stream of a well-formed container
+    ends in DecompressionError without being inflated (all 64 MiB used
+    to be, and a payload bomb even decoded: the bytes past
+    ``total_bits`` were ignored)."""
+    compress_fn, _ = _header_codecs(radius=3)["sz"]
+    x = np.cumsum(np.random.default_rng(4).normal(size=(16, 16)), axis=0)
+    c = Container.from_bytes(compress_fn(x))
+    assert c.meta["n_escapes"] > 0
+    streams = [
+        (name, zlib_bomb if name == stream else payload)
+        for name, payload in c.streams
+    ]
+    blob = Container(c.codec, c.meta, streams).to_bytes()
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecompressionError):
+            decompress(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("cut", [1, 8])
+def test_truncated_zlib_stream_is_a_decompression_error(cut):
+    x = np.cumsum(np.random.default_rng(4).normal(size=(16, 16)), axis=0)
+    c = Container.from_bytes(compress(x, 1e-3))
+    streams = [
+        (name, payload[:-cut] if name == "payload" else payload)
+        for name, payload in c.streams
+    ]
+    blob = Container(c.codec, c.meta, streams).to_bytes()
+    with pytest.raises(DecompressionError):
+        decompress(blob)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.binary(max_size=300))
 def test_container_parser_never_crashes(blob):

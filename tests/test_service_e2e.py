@@ -385,6 +385,24 @@ class TestDrain:
         states = {jid: st.service.jobs[jid].state for jid in jobs}
         assert set(states.values()) == {"done"}, states
 
+    def test_drain_finishes_job_held_in_batch_window(self):
+        """A job the dispatcher has popped into its micro-batch window
+        is neither queued nor running yet; a drain that starts then
+        must still run it (it used to see an idle service and leave
+        the job ``queued`` forever)."""
+        st = ServiceThread(no_ledger=True, batch_window_s=0.5).start()
+        try:
+            job = st.client().submit_compress(DATASET, FIELD, target=TARGET)
+            deadline = time.monotonic() + 5.0
+            while len(st.service.queue) and time.monotonic() < deadline:
+                time.sleep(0.002)
+            assert not len(st.service.queue), "job never left the queue"
+            # Popped but still in the 0.5 s window: not yet running.
+            assert st.service.jobs[job].state == "queued"
+        finally:
+            st.stop(grace=60.0)
+        assert st.service.jobs[job].state == "done"
+
     def test_draining_service_refuses_submissions(self):
         st = ServiceThread(no_ledger=True).start()
         client = st.client()
