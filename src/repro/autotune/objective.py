@@ -2,8 +2,10 @@
 
 An *objective* turns one ``(data, eb_rel)`` pair into a measured
 :class:`Trial` by actually running a codec from the error-bounded
-family (:mod:`repro.core.codecs`), decompressing, and reading off the
-quantity being tuned.  The searcher (:mod:`repro.autotune.search`)
+family (:mod:`repro.core.codecs`), taking the reconstruction
+(:func:`repro.sz.compressor.reconstruction`: the lattice snap for sz,
+a decode for the other codecs), and reading off the quantity being
+tuned.  The searcher (:mod:`repro.autotune.search`)
 only ever sees the scalar ``Trial.value``; everything else rides along
 for reporting and warm starts.
 
@@ -38,6 +40,7 @@ import repro.observe as observe
 from repro.core.codecs import make_compressor
 from repro.errors import ParameterError
 from repro.metrics.distortion import distortion_report, ssim as _ssim
+from repro.sz.compressor import reconstruction
 
 __all__ = [
     "Trial",
@@ -148,9 +151,7 @@ class Objective:
                 self.codec, eb_rel, mode="rel", **self.codec_options
             )
             blob = comp.compress(data)
-            from repro.sz.compressor import decompress
-
-            recon = decompress(blob)
+            recon = reconstruction(data, blob)
             rep = distortion_report(data, recon)
             value = float(self.measure(data, recon, blob, rep))
             if trace.enabled:

@@ -12,16 +12,17 @@ pinned to one node.
 Failover follows the ring's preference order (owner, then distinct
 successors) under :class:`~repro.resilience.retry.RetryPolicy`
 semantics: at most ``total_attempts()`` nodes are tried, with the
-policy's seeded-jitter delay between hops, and only on
-:class:`~repro.errors.TransportError` (dead/unreachable node) --
-HTTP-level errors are the member's verdict on the job and are never
-re-executed elsewhere.  The route key doubles as the in-flight dedupe
-key and travels with the job (``payload["cluster"]``), so a member
-that already holds or is computing the same fingerprint answers from
-its cache/in-flight table instead of recompressing: a failed-over job
-is re-*submitted* but never double-*executed* into the ledger -- the
-member that died never recorded it, and the member that finishes
-records it exactly once.
+policy's seeded-jitter delay between hops, and only when a node cannot
+take the job: a :class:`~repro.errors.TransportError` (dead or
+unreachable node) or a 503 (a draining member refusing new work; it has
+not ruled on the job).  Every other HTTP-level error is the member's
+verdict on the job and is never re-executed elsewhere.  The route key
+doubles as the in-flight dedupe key and travels with the job
+(``payload["cluster"]``), so a member that already holds or is
+computing the same fingerprint answers from its cache/in-flight table
+instead of recompressing: a failed-over job is re-*submitted* but never
+double-*executed* into the ledger -- the member that died never
+recorded it, and the member that finishes records it exactly once.
 
 ``sweep`` is the scatter-gather path: one compress job per
 ``(target, field)`` task in the exact serial order of
@@ -43,6 +44,7 @@ from repro.cluster.ring import HashRing, ring_point
 from repro.errors import ErrorCode, TransportError
 from repro.parallel.executor import FieldResult, failed_field_result
 from repro.resilience.retry import RetryPolicy
+from repro.service.client import ServiceError
 
 __all__ = ["ClusterRouter", "node_lane"]
 
@@ -57,6 +59,13 @@ def node_lane(url: str) -> int:
     per member node.  Offset past real pids' usual range to avoid
     colliding with the coordinator's own lane."""
     return 100000 + ring_point(f"lane:{url}") % 100000
+
+
+def _cannot_take(exc: Exception) -> bool:
+    """Whether a submit error means the node cannot take the job (so
+    the next candidate should), rather than a verdict on the job: the
+    node is unreachable, or it is draining and answered 503."""
+    return isinstance(exc, TransportError) or exc.status == 503
 
 
 def _cluster_metrics():
@@ -274,7 +283,9 @@ class ClusterRouter:
                     # the minimal acknowledgement; the status document
                     # carries the replayed result.
                     doc = client.status(str(doc["id"]))
-            except TransportError as exc:
+            except (TransportError, ServiceError) as exc:
+                if not _cannot_take(exc):
+                    raise
                 last_error = str(exc)
                 self.membership.report_failure(node, last_error)
                 continue
@@ -402,7 +413,9 @@ class ClusterRouter:
                 doc = self._client(node).submit_doc(
                     "compress", body, headers={FORWARDED_HEADER: self.name}
                 )
-            except TransportError as exc:
+            except (TransportError, ServiceError) as exc:
+                if not _cannot_take(exc):
+                    raise
                 self.membership.report_failure(node, str(exc))
                 continue
             self.membership.report_success(node)

@@ -33,6 +33,7 @@ import numpy as np
 from repro.core.fixed_psnr import psnr_to_relative_bound
 from repro.core.psnr_model import psnr_to_mse
 from repro.errors import ParameterError
+from repro.metrics.distortion import fill_mask
 
 __all__ = [
     "empirical_quantization_mse",
@@ -84,14 +85,13 @@ def _subsample(x: np.ndarray, limit: int, seed: int = 0) -> np.ndarray:
     return flat[rng.choice(flat.size, size=limit, replace=False)]
 
 
-def _drop_fill(x: np.ndarray, fill_value) -> np.ndarray:
-    """Remove sentinel/fill points before analysing the distribution."""
+def _drop_fill(data, fill_value) -> np.ndarray:
+    """``data`` as float64, without its sentinel/fill points (matched
+    in the input's own dtype, see :func:`repro.metrics.fill_mask`)."""
+    x = np.asarray(data, dtype=np.float64)
     if fill_value is None:
         return x
-    flat = np.asarray(x, dtype=np.float64).ravel()
-    if np.isnan(fill_value):
-        return flat[~np.isnan(flat)]
-    return flat[flat != fill_value]
+    return x[~fill_mask(data, fill_value)]
 
 
 def refined_absolute_bound(
@@ -110,7 +110,7 @@ def refined_absolute_bound(
     noisy-monotone below saturation), then bisect geometrically.  Falls
     back to the closed form when the target is beyond saturation.
     """
-    x = _drop_fill(np.asarray(data, dtype=np.float64), fill_value)
+    x = _drop_fill(data, fill_value)
     if x.size == 0:
         raise ParameterError("data must be non-empty (after fill removal)")
     vr = float(x.max() - x.min())
@@ -160,7 +160,7 @@ def refined_relative_bound(
     fill_value=None,
 ) -> float:
     """Value-range-relative version of :func:`refined_absolute_bound`."""
-    x = _drop_fill(np.asarray(data, dtype=np.float64), fill_value)
+    x = _drop_fill(data, fill_value)
     if x.size == 0:
         raise ParameterError("data must be non-empty (after fill removal)")
     vr = float(x.max() - x.min())

@@ -25,7 +25,7 @@ streams in the order it appended them, then ``escapes``.  Metadata:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -96,9 +96,10 @@ def _bad_meta(message: str) -> FormatError:
 
 
 def read_header(
-    blob: bytes, codec: int, name: str
+    blob: Union[bytes, Container], codec: int, name: str
 ) -> Tuple[Container, np.dtype, Tuple[int, ...], str, Optional[float]]:
-    """Parse a codec's container and the header fields every codec has.
+    """Parse a codec's container (or take an already parsed one) and
+    the header fields every codec has.
 
     Returns ``(container, dtype, shape, lossless method, constant)``,
     where ``constant`` is the stored value of a constant field (None
@@ -107,7 +108,9 @@ def read_header(
     JSON integers whose product fits in int64; anything else raises
     :class:`FormatError` with code ``BAD_META``.
     """
-    container = Container.from_bytes(blob)
+    container = (
+        blob if isinstance(blob, Container) else Container.from_bytes(blob)
+    )
     if container.codec != codec:
         raise FormatError(f"container was not produced by the {name} codec")
     meta = container.meta

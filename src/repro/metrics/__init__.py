@@ -10,6 +10,7 @@ from repro.metrics.distortion import (
     value_range,
     DistortionReport,
     distortion_report,
+    fill_mask,
     masked_distortion_report,
 )
 from repro.metrics.ratio import compression_ratio, bit_rate, RateReport, rate_report
@@ -51,6 +52,7 @@ __all__ = [
     "value_range",
     "DistortionReport",
     "distortion_report",
+    "fill_mask",
     "masked_distortion_report",
     "compression_ratio",
     "bit_rate",

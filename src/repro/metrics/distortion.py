@@ -37,6 +37,7 @@ __all__ = [
     "ssim",
     "DistortionReport",
     "distortion_report",
+    "fill_mask",
     "masked_distortion_report",
 ]
 
@@ -194,6 +195,27 @@ class DistortionReport:
         return asdict(self)
 
 
+def fill_mask(data, fill_value: float) -> np.ndarray:
+    """Boolean mask of the points of ``data`` that equal ``fill_value``
+    (NaN matches NaN).
+
+    Floating-point data is compared in its own dtype: a float32 field
+    stores CESM's ``1e20`` fill as ``float32(1e20)``, which the float64
+    ``1e20`` does not equal.  A sentinel the dtype cannot represent
+    matches no point.
+    """
+    arr = np.asarray(data)
+    if np.isnan(fill_value):
+        return np.isnan(arr)
+    if arr.dtype.kind == "f":
+        with np.errstate(over="ignore"):
+            sentinel = arr.dtype.type(fill_value)
+        if np.isinf(sentinel):
+            return np.zeros(arr.shape, dtype=bool)
+        return arr == sentinel
+    return arr == fill_value
+
+
 def masked_distortion_report(
     original, reconstructed, fill_value: float
 ) -> DistortionReport:
@@ -206,11 +228,7 @@ def masked_distortion_report(
     the value range.
     """
     x, y = _as_float_arrays(original, reconstructed)
-    if np.isnan(fill_value):
-        mask = np.isnan(x)
-    else:
-        mask = x == fill_value
-    valid = ~mask
+    valid = ~fill_mask(original, fill_value)
     if not valid.any():
         raise ParameterError("no valid points: everything is fill")
     return distortion_report(x[valid], y[valid])

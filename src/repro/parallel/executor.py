@@ -1,12 +1,13 @@
 """Field-parallel fixed-PSNR sweeps.
 
-One task = (data set, field, target PSNR): compress, decompress,
-measure.  Tasks ship only *names* to the workers -- each worker loads
-its field through the per-process field source
-(:func:`repro.datasets.load_field`), so no array crosses a process
-boundary and a worker that runs several targets of one field generates
-it once (the scatter pattern the mpi4py guide recommends: communicate
-work descriptions, not payloads).
+One task = (data set, field, target PSNR): compress, then measure the
+reconstruction (:func:`repro.sz.compressor.reconstruction`, which
+decodes nothing for the sz codec).  Tasks ship only *names* to the
+workers -- each worker loads its field through the per-process field
+source (:func:`repro.datasets.load_field`), so no array crosses a
+process boundary and a worker that runs several targets of one field
+generates it once (the scatter pattern the mpi4py guide recommends:
+communicate work descriptions, not payloads).
 
 ``n_workers=0`` runs inline, which is what the unit tests and small
 sweeps use; the benchmarks choose a worker count from ``os.cpu_count``.
@@ -413,7 +414,9 @@ def run_field_task(
     # Imports inside the function keep worker start-up lean.
     from repro.core.fixed_psnr import FixedPSNRCompressor
     from repro.datasets.source import load_field
+    from repro.io.container import Container
     from repro.metrics.distortion import psnr as measure_psnr
+    from repro.sz.compressor import reconstruction
 
     data = load_field(dataset, field, scale)
     cache_key = None
@@ -436,7 +439,6 @@ def run_field_task(
             if hit is not None:
                 return hit
     comp = FixedPSNRCompressor(target_psnr, refine=refine, codec=codec)
-    eb_rel = comp.derive_bound(data)
     metrics = None
     if collect_trace or profile_mem:
         local = observe.Trace()
@@ -454,8 +456,10 @@ def run_field_task(
         }
     else:
         blob = comp.compress(data)
-    recon = comp.decompress(blob)
-    actual = measure_psnr(data, recon)
+    # The bound compress derived, read back from the header, and the
+    # reconstruction without a decode (see repro.sz.compressor).
+    eb_rel = Container.from_bytes(blob).meta["bound"]
+    actual = measure_psnr(data, reconstruction(data, blob))
     result = FieldResult(
         dataset=dataset,
         field=field,

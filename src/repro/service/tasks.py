@@ -84,13 +84,16 @@ def run_compress_job(spec: Dict) -> Dict:
     ratio/NRMSE/MSE targets run a bounded autotune search and return
     its converged blob.  The result dict always carries
     ``achieved_psnr`` (measured on the reconstruction) so conformance
-    tracking works for every mode.
+    tracking works for every mode.  The reconstruction comes from
+    :func:`repro.sz.compressor.reconstruction`, so an sz blob is never
+    decoded here; ``eb_rel`` is the bound the blob's header records.
     """
     poisoned = _maybe_poisoned(spec)
     if poisoned is not None:
         return poisoned
     from repro.datasets.source import load_field
     from repro.metrics.distortion import psnr as measure_psnr
+    from repro.sz.compressor import reconstruction
 
     t0 = time.perf_counter()
     data = load_field(spec["dataset"], spec["field"], spec.get("scale"))
@@ -139,13 +142,14 @@ def run_compress_job(spec: Dict) -> Dict:
                         }
                     except (KeyError, TypeError, ValueError):
                         pass  # malformed meta: recompress (and re-store)
+            from repro.io.container import Container
+
             comp = FixedPSNRCompressor(
                 target, refine=spec.get("refine"), codec=codec
             )
-            eb_rel = float(comp.derive_bound(data))
             blob = comp.compress(data)
-            recon = comp.decompress(blob)
-            achieved = float(measure_psnr(data, recon))
+            eb_rel = float(Container.from_bytes(blob).meta["bound"])
+            achieved = float(measure_psnr(data, reconstruction(data, blob)))
             if cache is not None:
                 cache.put(
                     cache_key,
@@ -175,7 +179,6 @@ def run_compress_job(spec: Dict) -> Dict:
                 "converged": True,
             }
         from repro.autotune import autotune
-        from repro.core.fixed_psnr import FixedPSNRCompressor
 
         result = autotune(
             data,
@@ -186,7 +189,7 @@ def run_compress_job(spec: Dict) -> Dict:
             max_trials=int(spec.get("max_trials", 12)),
             keep_blob=True,
         )
-        recon = FixedPSNRCompressor.decompress(result.blob)
+        recon = reconstruction(data, result.blob)
         return {
             "blob": result.blob,
             "eb_rel": float(result.eb_rel),

@@ -21,6 +21,13 @@ stage every quantization codec of this package shares.
 
 Decompression inverts each stage; the predictor inverse is a cumsum, so
 neither direction has a per-element Python loop.
+
+Measuring a blob just written needs no decompression at all: by the
+paper's Theorem 1 the decompressed data carry exactly the quantization
+stage's error, and for this codec the reconstruction is the lattice
+snap of the input (:mod:`repro.sz.quantizer`).  :func:`reconstruction`
+recomputes it from the input and the container's header; both it and
+:meth:`SZCompressor.decompress` end in the same :func:`_finish`.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ from repro.io.container import (
     pack_exact_float,
     unpack_exact_float,
 )
+from repro.metrics.distortion import fill_mask as _fill_mask
 from repro.sz.pointwise import (
     forward_log_transform,
     inverse_log_transform,
@@ -74,7 +82,7 @@ from repro.sz.pointwise import (
 from repro.sz.predictors import predictor_by_id, predictor_by_name
 from repro.sz.quantizer import LatticeQuantizer
 
-__all__ = ["SZCompressor", "compress", "decompress"]
+__all__ = ["SZCompressor", "compress", "decompress", "reconstruction"]
 
 
 class SZCompressor:
@@ -163,7 +171,7 @@ class SZCompressor:
     def resolve_error_bound(self, data: np.ndarray) -> float:
         """Return the absolute bound the quantizer will use under
         ``mode`` (for ``"pw_rel"`` it is the bound in the log domain)."""
-        _, x, _ = self._split_fill(data)
+        _, x, _ = _split_fill(data, self.fill_value)
         if self.mode == "abs":
             return self.error_bound
         if self.mode == "pw_rel":
@@ -215,29 +223,6 @@ class SZCompressor:
                 total_bits / q.size
             )
 
-    def _split_fill(self, data):
-        """Separate the fill mask from the data; returns
-        ``(input array, float64 array with fill replaced, mask or None)``."""
-        arr = validate_input(data, finite=self.fill_value is None)
-        x = arr.astype(np.float64, copy=False)
-        if self.fill_value is None:
-            return arr, x, None
-        if np.isnan(self.fill_value):
-            mask = np.isnan(x)
-        else:
-            mask = x == self.fill_value
-        valid = x[~mask]
-        if valid.size and not np.all(np.isfinite(valid)):
-            raise CompressionError("non-fill data contains NaN/Inf")
-        if not mask.any():
-            return arr, x, None
-        # Replace fill by the valid mean: prediction stays well-behaved
-        # and the value range reflects only real data.
-        replacement = float(valid.mean()) if valid.size else 0.0
-        x = x.copy()
-        x[mask] = replacement
-        return arr, x, mask
-
     def _pack(self, meta, streams) -> bytes:
         """Serialize the container, with exact byte accounting when a
         trace is active (see :mod:`repro.observe`)."""
@@ -249,7 +234,7 @@ class SZCompressor:
         """Compress ``data`` and return the serialized container."""
         trace = observe.current_trace()
         with trace.span("sz.compress") as root:
-            arr, x, fill_mask = self._split_fill(data)
+            arr, x, fill_mask = _split_fill(data, self.fill_value)
             reg = _metrics()
             reg.counter("pipeline.compress_calls").inc()
             reg.counter("pipeline.raw_bytes_total").inc(int(arr.nbytes))
@@ -322,9 +307,8 @@ class SZCompressor:
         )
         meta = container.meta
         n = int(np.prod(shape))
-        pointwise = meta.get("mode") == "pw_rel"
         signs = None
-        if pointwise:
+        if meta.get("mode") == "pw_rel":
             sign_blob = lossless_decompress(container.stream("signs"), lossless)
             signs = np.frombuffer(sign_blob, dtype=np.int8)
             if signs.size != n:
@@ -341,17 +325,9 @@ class SZCompressor:
                 raise DecompressionError("fill mask shorter than the array")
             fill_mask = bits[:n].astype(bool).reshape(shape)
 
-        def _restore_fill(values: np.ndarray) -> np.ndarray:
-            if fill_mask is not None:
-                values = values.copy()
-                values[fill_mask] = fill_value
-            return values
-
         if constant is not None:
-            out = np.full(shape, constant, dtype=np.float64)
-            if pointwise:
-                out = inverse_log_transform(signs, out)
-            return _restore_fill(out).astype(dtype)
+            values = np.full(shape, constant, dtype=np.float64)
+            return _finish(values, signs, fill_mask, fill_value, dtype)
 
         try:
             eb_abs = unpack_exact_float(meta["eb_abs"])
@@ -367,11 +343,41 @@ class SZCompressor:
         trace = observe.current_trace()
         with trace.span("sz.reconstruct"):
             k = reconstruct(q)
-            quantizer = LatticeQuantizer(eb_abs, anchor)
-            values = quantizer.dequantize(k)
-            if pointwise:
-                values = inverse_log_transform(signs, values)
-        return _restore_fill(values).astype(dtype)
+            values = LatticeQuantizer(eb_abs, anchor).dequantize(k)
+            return _finish(values, signs, fill_mask, fill_value, dtype)
+
+
+def _split_fill(data, fill_value: Optional[float]):
+    """Separate the fill mask from the data; returns ``(input array,
+    float64 array with fill replaced, mask or None)``."""
+    arr = validate_input(data, finite=fill_value is None)
+    x = arr.astype(np.float64, copy=False)
+    if fill_value is None:
+        return arr, x, None
+    mask = _fill_mask(arr, fill_value)
+    valid = x[~mask]
+    if valid.size and not np.all(np.isfinite(valid)):
+        raise CompressionError("non-fill data contains NaN/Inf")
+    if not mask.any():
+        return arr, x, None
+    # Replace fill by the valid mean: prediction stays well-behaved
+    # and the value range reflects only real data.
+    replacement = float(valid.mean()) if valid.size else 0.0
+    x = x.copy()
+    x[mask] = replacement
+    return arr, x, mask
+
+
+def _finish(values, signs, fill_mask, fill_value, dtype) -> np.ndarray:
+    """The end of both read paths: float64 values (lattice points, or a
+    constant field's value) -> inverse log transform (``pw_rel``) ->
+    fill restore -> a C-ordered array of the container's dtype.
+    ``values`` is a fresh array; the fill restore writes into it."""
+    if signs is not None:
+        values = inverse_log_transform(signs, values)
+    if fill_mask is not None:
+        values[fill_mask] = fill_value
+    return values.astype(dtype, order="C")
 
 
 def compress(
@@ -445,3 +451,69 @@ def decompress(
     from repro.transform.compressor import TransformCompressor
 
     return TransformCompressor.decompress(blob)
+
+
+def reconstruction(data, blob: bytes) -> np.ndarray:
+    """Return exactly what ``decompress(blob)`` returns -- the same
+    values, dtype and shape -- for a ``blob`` just compressed from
+    ``data``, which is how achieved PSNR is measured right after
+    compressing.
+
+    For an sz container nothing is decoded.  The paper's Theorem 1 puts
+    all of the decompressed data's error in the quantization stage, and
+    every point this codec reconstructs is the lattice snap of its input
+    (:mod:`repro.sz.quantizer`), whatever the predictor, radius, escapes
+    or entropy coder.  So ``data`` is snapped onto the lattice the
+    header records, and no table, payload, escape, sign or fill-mask
+    stream is touched.  Any other container (temporal frames included)
+    is decoded.
+
+    ``data`` must be the array ``blob`` was compressed from.  Against an
+    sz header, a different shape or dtype, a first value (after fill
+    replacement and, for ``pw_rel``, the log transform) other than the
+    stored anchor, or fill points where the header has none (or none
+    where it has some) raise :class:`~repro.errors.ParameterError`.
+    """
+    container = Container.from_bytes(blob)
+    if container.codec != CODEC_SZ or container.meta.get("temporal"):
+        return decompress(blob)
+    _, dtype, shape, _, constant = read_header(container, CODEC_SZ, "SZ")
+    meta = container.meta
+    arr = np.asarray(data)
+    if arr.shape != shape or arr.dtype != dtype:
+        raise ParameterError(
+            f"data is {arr.dtype} {arr.shape}; the container holds "
+            f"{dtype} {shape}"
+        )
+    try:
+        fill_value = None
+        if "fill_value" in meta:
+            fill_value = unpack_exact_float(meta["fill_value"])
+        # The first (fill-replaced, log) value the encoder stored: a
+        # constant field's value, else the lattice anchor.
+        anchor = constant
+        if constant is None:
+            eb_abs = unpack_exact_float(meta["eb_abs"])
+            anchor = unpack_exact_float(meta["anchor"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad container metadata: {exc}") from exc
+
+    _, y, fill_mask = _split_fill(arr, fill_value)
+    signs = None
+    if meta.get("mode") == "pw_rel":
+        signs, y = forward_log_transform(y)
+    has_fill = fill_mask is not None
+    if float(y.flat[0]) != anchor or has_fill != (fill_value is not None):
+        raise ParameterError(
+            "data does not match the container: its first value or its "
+            "fill points differ from the header's"
+        )
+    if constant is not None:
+        values = np.full(shape, constant, dtype=np.float64)
+        return _finish(values, signs, fill_mask, fill_value, dtype)
+
+    trace = observe.current_trace()
+    with trace.span("sz.reconstruct"):
+        quantizer = LatticeQuantizer(eb_abs, anchor)
+        values = quantizer.dequantize(quantizer.quantize(y))
+        return _finish(values, signs, fill_mask, fill_value, dtype)

@@ -11,6 +11,8 @@ cluster's contractual claims:
   failover with measurement rows bit-identical to a serial sweep and
   **no duplicated** conformance records across the members' ledgers
   (exactly-once);
+* a member that starts draining answers submits with 503, and the
+  sweep fails over past it instead of failing;
 * ``/cluster/metrics`` merges member snapshots; ``/cluster/ring`` and
   ``/cluster/nodes`` report ownership and health;
 * client-level satellites: 429 + ``Retry-After`` honored with bounded
@@ -83,6 +85,18 @@ def kill_member(st: ServiceThread) -> None:
     import asyncio
 
     asyncio.run_coroutine_threadsafe(_die(), st.loop).result(timeout=30)
+
+
+def stop_admitting(st: ServiceThread) -> None:
+    """The first step of a graceful drain: the member answers submits
+    with 503 while its socket, queue and workers stay up."""
+
+    async def _stop():
+        st.service._accepting = False  # noqa: SLF001
+
+    import asyncio
+
+    asyncio.run_coroutine_threadsafe(_stop(), st.loop).result(timeout=30)
 
 
 @pytest.fixture(scope="module")
@@ -328,6 +342,38 @@ class TestFailoverMidSweep:
             for task, owner in task_owner.items():
                 if owner != victim_url:
                     assert conf_counts.get(task) == 1, (task, conf_counts)
+
+
+class TestDrainingMember:
+    def test_sweep_fails_over_past_a_draining_owner(self, tmp_path):
+        from repro.parallel.executor import sweep_dataset
+
+        targets = [40.0, TARGET]
+        fields = [FIELD, "CLDLOW"]
+        with member(tmp_path, "a") as a, member(tmp_path, "b") as b:
+            # No health probe during the test: the drained member stays
+            # on the ring, so its submits really meet the 503.
+            with CoordinatorThread(
+                peers=(a.url, b.url), probe_interval_s=600.0
+            ) as co:
+                router = co.router
+                first = router.route_key("compress", {
+                    "dataset": DATASET, "field": FIELD, "mode": "psnr",
+                    "target": targets[0], "codec": "sz",
+                    "keep_blob": False,
+                })
+                owner = router.ring.owner(first)
+                stop_admitting({a.url: a, b.url: b}[owner])
+                failovers = router.metrics["failovers"]
+                base = failovers.value  # cluster.failovers_total
+
+                rows = router.sweep(DATASET, targets=targets, fields=fields)
+
+                assert [r.status for r in rows] == ["ok"] * len(rows)
+                assert rows == sweep_dataset(
+                    DATASET, targets=targets, fields=fields
+                )
+                assert failovers.value >= base + 1
 
 
 class TestClientSatellites:

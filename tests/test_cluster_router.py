@@ -5,9 +5,9 @@ The router's contracts, each pinned here without sockets:
 * the route key of a cacheable fixed-PSNR compress job IS the blob
   fingerprint (cache-owner affinity with the single-node tier);
 * failover walks the ring preference order, only on
-  :class:`TransportError`, at most ``total_attempts()`` hops, and an
-  HTTP-level :class:`ServiceError` is the member's verdict -- never
-  re-routed;
+  :class:`TransportError` or a draining member's 503, at most
+  ``total_attempts()`` hops, and any other HTTP-level
+  :class:`ServiceError` is the member's verdict -- never re-routed;
 * the dedupe key travels in ``payload["cluster"]`` with the forwarded
   header stamped;
 * exhaustion raises ``node_unavailable``; sweep degrades it to a
@@ -43,10 +43,11 @@ RESULT = {
 class FakeClient:
     """Scripted member: records every request, fails on demand."""
 
-    def __init__(self, url, dead=False, reject=False):
+    def __init__(self, url, dead=False, reject=False, draining=False):
         self.url = url
         self.dead = dead
         self.reject = reject
+        self.draining = draining
         self.submits = []
         self.status_calls = 0
 
@@ -58,6 +59,8 @@ class FakeClient:
             )
         if self.reject:
             raise ServiceError(400, "bad spec")
+        if self.draining:
+            raise ServiceError(503, "service is draining", retry_after=1.0)
         return {
             "id": "j000001",
             "state": "done",
@@ -196,6 +199,20 @@ class TestRouting:
         assert len(clients[prefs[1]].submits) == 0
         assert router.membership.routable(prefs[0])
 
+    def test_draining_owner_is_failed_over(self, clients):
+        """A 503 means the member is draining: it has not ruled on the
+        job, so the next candidate takes it."""
+        router = make_router(clients)
+        base = router.metrics["failovers"].value
+        key = router.route_key("compress", payload())
+        prefs = router.ring.preference(key)
+        clients[prefs[0]].draining = True
+        doc = router.submit_and_wait("compress", payload())
+        assert doc["cluster"]["node"] == prefs[1]
+        assert doc["cluster"]["failovers"] == 1
+        assert len(clients[prefs[0]].submits) == 1
+        assert router.metrics["failovers"].value == base + 1
+
     def test_exhaustion_raises_node_unavailable(self, clients):
         for c in clients.values():
             c.dead = True
@@ -273,6 +290,16 @@ class TestSweep:
         assert rows[0].status == "failed"
         assert rows[0].error_code == ErrorCode.NODE_UNAVAILABLE
         assert router.metrics["exhausted"].value >= base + 1
+
+    def test_draining_owner_is_failed_over_at_scatter(self, clients):
+        router = make_router(clients)
+        p = dict(payload(), keep_blob=False)
+        prefs = router.ring.preference(router.route_key("compress", p))
+        clients[prefs[0]].draining = True
+        rows = router.sweep(DATASET, targets=[60.0], fields=[FIELD])
+        assert [r.status for r in rows] == ["ok"]
+        assert len(clients[prefs[0]].submits) == 1
+        assert len(clients[prefs[1]].submits) == 1
 
     def test_trace_spans_use_node_lanes(self, clients):
         from repro.observe import Trace

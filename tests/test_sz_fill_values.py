@@ -128,6 +128,59 @@ class TestEdgeCases:
             SZCompressor(1e-3, fill_value=1e35).compress(xf)
 
 
+class TestFloat32Sentinels:
+    """A float32 field stores its sentinel as the float32 nearest the
+    declared fill value (CESM's ``1e20`` is ``float32(1e20)``, which the
+    float64 ``1e20`` does not equal); fills are matched in the input's
+    own dtype."""
+
+    @pytest.mark.parametrize("fill", [1e20, 1e35])
+    def test_sentinel_roundtrip_and_valid_bound(self, masked_field, fill):
+        x, _, mask = masked_field
+        x32 = x.astype(np.float32)
+        xf32 = x32.copy()
+        xf32[mask] = fill
+        blob = SZCompressor(1e-4, mode="rel", fill_value=fill).compress(xf32)
+        valid = x32[~mask].astype(np.float64)
+        valid_vr = float(valid.max() - valid.min())
+        meta = Container.from_bytes(blob).meta
+        assert "fill_value" in meta
+        assert meta["value_range"] == pytest.approx(valid_vr)
+        recon = decompress(blob)
+        assert recon.dtype == np.float32
+        assert np.all(recon[mask] == np.float32(fill))
+        err = np.abs(recon[~mask].astype(np.float64) - valid).max()
+        # eb plus the float32 cast of the reconstruction
+        ulp = np.spacing(np.float32(np.abs(valid).max()))
+        assert err <= 1e-4 * valid_vr + ulp
+
+    def test_masked_report_and_calibration_match_fill(self, masked_field):
+        from repro.core.calibration import refined_relative_bound
+        from repro.metrics.distortion import masked_distortion_report
+
+        x, _, mask = masked_field
+        xf32 = x.astype(np.float32)
+        xn32 = xf32.copy()
+        xf32[mask] = 1e20
+        xn32[mask] = np.nan
+        rep = masked_distortion_report(xf32, xf32, fill_value=1e20)
+        assert rep.value_range == masked_distortion_report(
+            xn32, xn32, fill_value=np.nan
+        ).value_range
+        assert refined_relative_bound(
+            xf32, 40.0, fill_value=1e20
+        ) == refined_relative_bound(xn32, 40.0, fill_value=np.nan)
+
+    def test_unrepresentable_sentinel_matches_nothing(self, masked_field):
+        from repro.metrics.distortion import fill_mask
+
+        x, _, _ = masked_field
+        x32 = x.astype(np.float32)
+        assert not fill_mask(x32, 1e39).any()  # beyond float32's range
+        blob = SZCompressor(1e-3, fill_value=1e39).compress(x32)
+        assert "fill_value" not in Container.from_bytes(blob).meta
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.floats(0.05, 0.9))
 def test_fill_property(seed, frac):
