@@ -143,9 +143,9 @@ def run(workdir: str = ".", expect_cache_hit: bool = False) -> int:
             and value("fpzc_service_jobs_completed_total") >= 2,
         )
         check(
-            "batch/queue histograms observed",
-            value("fpzc_service_batch_size_count") >= 1
-            and value("fpzc_service_queue_seconds_count") >= 1,
+            "queue/job histograms observed",
+            value("fpzc_service_queue_seconds_count") >= 1
+            and value("fpzc_service_job_seconds_count") >= 1,
         )
 
         if expect_cache_hit:

@@ -643,7 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sv.add_argument(
         "--workers", type=int, default=2, dest="workers",
-        help="worker pool size (0 = inline execution)",
+        help="worker pool size (0 = inline execution); the service "
+        "runs two dispatcher loops per worker",
     )
     p_sv.add_argument(
         "--pool",
@@ -655,15 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sv.add_argument(
         "--queue-limit", type=int, default=64, dest="queue_limit",
         help="admission bound: jobs beyond this depth get 429",
-    )
-    p_sv.add_argument(
-        "--batch-window", type=float, default=0.005, dest="batch_window",
-        metavar="SECONDS",
-        help="micro-batch collection window for compatible compress jobs",
-    )
-    p_sv.add_argument(
-        "--batch-max", type=int, default=8, dest="batch_max",
-        help="max jobs per micro-batched pool fan-out",
     )
     p_sv.add_argument(
         "--grace", type=float, default=10.0, metavar="SECONDS",
@@ -1963,8 +1955,6 @@ def _cmd_serve(args) -> int:
         kind=args.pool,
         transport=_transport(args),
         queue_limit=args.queue_limit,
-        batch_window_s=args.batch_window,
-        batch_max=args.batch_max,
         grace_s=args.grace,
         max_retries=args.max_retries,
         ledger=args.ledger,

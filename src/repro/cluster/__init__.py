@@ -23,7 +23,9 @@ HTTP/1.1 protocol the service already speaks.  The pieces:
     :class:`~repro.parallel.executor.FieldResult` rows compare equal
     to the serial path.
 :mod:`repro.cluster.coordinator`
-    The asyncio HTTP front door plus cluster observability:
+    The coordinator's routes on the front door it shares with the
+    member services (:class:`repro.service.http.HttpServer`), plus
+    cluster observability:
     ``/cluster/metrics`` (member Prometheus snapshots merged via
     ``merge_snapshot``), ``/cluster/ring``, ``/cluster/nodes``.
 :mod:`repro.cluster.testing`

@@ -1,8 +1,8 @@
 """The cluster coordinator: one HTTP front door over N member nodes.
 
-``fpzc cluster serve`` runs this process.  It speaks the same
-stdlib HTTP/1.1 dialect as the member services
-(:mod:`repro.service.http`) and exposes:
+``fpzc cluster serve`` runs this process.  It runs on the same
+front door as the member services (:class:`repro.service.http.
+HttpServer`) and exposes:
 
 =============================  =======================================
 ``POST /v1/compress``          route one job to its ring owner
@@ -45,7 +45,6 @@ import asyncio
 import functools
 import itertools
 import json
-import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,11 +56,11 @@ from repro.cluster.router import ClusterRouter
 from repro.errors import ParameterError, ReproError, TransportError
 from repro.resilience.retry import RetryPolicy
 from repro.service.http import (
+    KEEP_JOBS,
     HttpError,
+    HttpServer,
     Request,
     json_body,
-    read_request,
-    render_response,
 )
 
 __all__ = [
@@ -106,7 +105,6 @@ class ClusterConfig:
     retry_seed: int = 0
     request_timeout_s: float = 300.0
     name: str = "coordinator"
-    max_body_bytes: int = 16 * 1024 * 1024
     trace_perfetto: Optional[str] = None
 
     def __post_init__(self):
@@ -161,10 +159,11 @@ def build_router(config: ClusterConfig, trace=None) -> ClusterRouter:
     )
 
 
-class ClusterCoordinator:
+class ClusterCoordinator(HttpServer):
     """The asyncio front end around a :class:`ClusterRouter`."""
 
     def __init__(self, config: ClusterConfig):
+        super().__init__(config.host, config.port)
         self.config = config
         self.trace = None
         if config.trace_perfetto:
@@ -175,45 +174,20 @@ class ClusterCoordinator:
         self.membership = self.router.membership
         self.ring = self.router.ring
         self._ids = itertools.count(1)
-        #: cid -> (node, terminal doc) for routed single jobs.
+        #: cid -> (node, terminal doc) for the newest KEEP_JOBS routed
+        #: single jobs, oldest first.
         self.jobs: Dict[str, Tuple[str, Dict]] = {}
-        self._server: Optional[asyncio.AbstractServer] = None
         self._probe_task: Optional[asyncio.Task] = None
-        self._stopped = asyncio.Event()
-        self._draining = False
         self._started = time.monotonic()
 
     # -- lifecycle ------------------------------------------------------
-
-    @property
-    def port(self) -> int:
-        if self._server is None or not self._server.sockets:
-            return self.config.port
-        return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
         loop = asyncio.get_running_loop()
         # Synchronous startup probe so /readyz is truthful immediately.
         await loop.run_in_executor(None, self.membership.probe_all)
-        self._server = await asyncio.start_server(
-            self._handle, host=self.config.host, port=self.config.port
-        )
+        await super().start()
         self._probe_task = loop.create_task(self._probe_loop())
-
-    async def serve_forever(self, install_signals: bool = True) -> None:
-        if self._server is None:
-            await self.start()
-        if install_signals:
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(
-                        sig,
-                        lambda: asyncio.ensure_future(self.shutdown()),
-                    )
-                except (NotImplementedError, RuntimeError):
-                    pass
-        await self._stopped.wait()
 
     async def shutdown(self) -> None:
         if self._draining:
@@ -222,9 +196,7 @@ class ClusterCoordinator:
         if self._probe_task is not None:
             self._probe_task.cancel()
             await asyncio.gather(self._probe_task, return_exceptions=True)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._close()
         if self.trace is not None and self.config.trace_perfetto:
             from repro.cluster.router import node_lane
             from repro.telemetry.export import write_chrome_trace
@@ -250,52 +222,6 @@ class ClusterCoordinator:
 
     # -- HTTP -----------------------------------------------------------
 
-    async def _handle(self, reader, writer) -> None:
-        try:
-            try:
-                request = await read_request(
-                    reader, max_body=self.config.max_body_bytes
-                )
-            except HttpError as exc:
-                writer.write(render_response(
-                    exc.status, json.dumps({"error": exc.message}).encode()
-                ))
-                return
-            if request is None:
-                return
-            try:
-                payload = await self._route(request)
-            except HttpError as exc:
-                payload = self._json(exc.status, {"error": exc.message})
-            except TransportError as exc:
-                payload = self._json(
-                    503, {"error": str(exc), "error_code": exc.code}
-                )
-            except ReproError as exc:
-                payload = self._json(400, {"error": str(exc)})
-            except Exception as exc:  # noqa: BLE001 -- last-resort 500
-                payload = self._json(
-                    500, {"error": f"{type(exc).__name__}: {exc}"}
-                )
-            status, body, ctype, extra = payload
-            writer.write(render_response(status, body, ctype, extra))
-        finally:
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    @staticmethod
-    def _json(status: int, doc: Dict, extra: Tuple = ()):
-        return (
-            status,
-            json.dumps(doc, sort_keys=True).encode(),
-            "application/json",
-            extra,
-        )
-
     async def _route(self, request: Request):
         method, path = request.method, request.path
         if path == "/healthz" and method == "GET":
@@ -313,8 +239,6 @@ class ClusterCoordinator:
             if self._draining or alive == 0:
                 return self._json(503, {"ready": False, "alive": alive})
             return self._json(200, {"ready": True, "alive": alive})
-        if path == "/metrics" and method == "GET":
-            return self._metrics_response(request)
         if path == "/cluster/metrics" and method == "GET":
             return await self._cluster_metrics(request)
         if path == "/cluster/ring" and method == "GET":
@@ -341,9 +265,10 @@ class ClusterCoordinator:
                 return await loop.run_in_executor(
                     None, functools.partial(self._do_sweep, doc)
                 )
-            return await loop.run_in_executor(
-                None, functools.partial(self._do_single, kind, doc)
+            routed = await loop.run_in_executor(
+                None, self.router.submit_and_wait, kind, doc
             )
+            return self._json(200, self._remember(routed))
         if len(parts) >= 4 and parts[1] == "v1" and parts[2] == "jobs":
             cid = parts[3]
             entry = self.jobs.get(cid)
@@ -361,16 +286,16 @@ class ClusterCoordinator:
                 return (200, blob, "application/octet-stream", ())
         raise HttpError(404, f"no route for {method} {path}")
 
-    # -- forwarded work (runs on executor threads) ----------------------
-
-    def _do_single(self, kind: str, payload: Dict):
-        doc = self.router.submit_and_wait(kind, payload)
+    def _remember(self, doc: Dict) -> Dict:
+        """File a routed job's terminal document under a new coordinator
+        ID, dropping the oldest past :data:`KEEP_JOBS`."""
         cid = f"c{next(self._ids):06d}"
-        node = doc.get("cluster", {}).get("node", "?")
-        self.jobs[cid] = (node, doc)
-        out = dict(doc)
-        out["coordinator_id"] = cid
-        return self._json(200, out)
+        self.jobs[cid] = (doc.get("cluster", {}).get("node", "?"), doc)
+        while len(self.jobs) > KEEP_JOBS:
+            del self.jobs[next(iter(self.jobs))]
+        return {**doc, "coordinator_id": cid}
+
+    # -- forwarded work (runs on executor threads) ----------------------
 
     def _do_sweep(self, payload: Dict):
         targets = [float(t) for t in payload.get("targets") or ()]
@@ -399,34 +324,11 @@ class ClusterCoordinator:
 
     # -- observability --------------------------------------------------
 
-    def _metrics_response(self, request: Request):
-        from repro.report import render_prometheus
-        from repro.telemetry.registry import metrics as _reg
-
-        snap = _reg().snapshot()
-        if request.query.get("format") == "json":
-            return self._json(200, snap)
-        return (
-            200,
-            render_prometheus(snap).encode(),
-            "text/plain; version=0.0.4",
-            (),
-        )
-
     async def _cluster_metrics(self, request: Request):
         """Every member's snapshot + the coordinator's own, merged."""
         loop = asyncio.get_running_loop()
         doc = await loop.run_in_executor(None, self._merged_snapshot)
-        if request.query.get("format") == "json":
-            return self._json(200, doc)
-        from repro.report import render_prometheus
-
-        return (
-            200,
-            render_prometheus(doc).encode(),
-            "text/plain; version=0.0.4",
-            (),
-        )
+        return self._render_metrics(request, doc)
 
     def _merged_snapshot(self) -> Dict:
         from repro.telemetry.registry import MetricsRegistry

@@ -1,28 +1,25 @@
 """In-process coordinator harness for tests.
 
-:class:`CoordinatorThread` mirrors
-:class:`repro.service.testing.ServiceThread`: a full
-:class:`~repro.cluster.coordinator.ClusterCoordinator` -- real
-sockets, real probe loop -- on a private event loop in a daemon
-thread, so synchronous test code can drive a whole in-process cluster
-(member :class:`ServiceThread` instances + this coordinator) with the
-blocking :class:`~repro.service.client.ServiceClient`.
+:class:`CoordinatorThread` is :class:`repro.service.testing.
+ServerThread` around a :class:`~repro.cluster.coordinator.
+ClusterCoordinator` -- real sockets, real probe loop -- so synchronous
+test code can drive a whole in-process cluster (member
+:class:`~repro.service.testing.ServiceThread` instances + this
+coordinator) with the blocking :class:`~repro.service.client.
+ServiceClient`.
 """
 
 from __future__ import annotations
 
-import asyncio
-import threading
 from typing import Optional
 
 from repro.cluster.coordinator import ClusterConfig, ClusterCoordinator
-from repro.errors import ReproError
-from repro.service.client import ServiceClient
+from repro.service.testing import ServerThread
 
 __all__ = ["CoordinatorThread"]
 
 
-class CoordinatorThread:
+class CoordinatorThread(ServerThread):
     """A live coordinator on a background event loop::
 
         with ServiceThread() as a, ServiceThread() as b:
@@ -31,89 +28,17 @@ class CoordinatorThread:
                 job = client.submit_compress("ATM", "CLDHGH", target=60.0)
     """
 
-    def __init__(self, config: Optional[ClusterConfig] = None, **overrides):
-        if config is None:
-            defaults = dict(port=0)
-            defaults.update(overrides)
-            config = ClusterConfig(**defaults)
-        elif overrides:
-            raise ReproError("give either config or overrides, not both")
-        self.config = config
-        self.coordinator: Optional[ClusterCoordinator] = None
-        self.loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    def start(self) -> "CoordinatorThread":
-        self._thread = threading.Thread(
-            target=self._run, name="fpzc-coordinator", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise ReproError("coordinator did not start within 30s")
-        if self._startup_error is not None:
-            raise ReproError(
-                f"coordinator failed to start: {self._startup_error}"
-            )
-        return self
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self.loop = loop
-        try:
-            self.coordinator = ClusterCoordinator(self.config)
-            loop.run_until_complete(self.coordinator.start())
-        except BaseException as exc:  # noqa: BLE001 -- reported to starter
-            self._startup_error = exc
-            self._ready.set()
-            loop.close()
-            return
-        self._ready.set()
-        try:
-            loop.run_until_complete(
-                self.coordinator.serve_forever(install_signals=False)
-            )
-        finally:
-            loop.close()
-
-    def stop(self) -> None:
-        if self.loop is None or self.coordinator is None:
-            return
-        if self._thread is None or not self._thread.is_alive():
-            return
-        coro = self.coordinator.shutdown()
-        try:
-            future = asyncio.run_coroutine_threadsafe(coro, self.loop)
-        except RuntimeError:
-            coro.close()
-        else:
-            try:
-                future.result(timeout=60)
-            except Exception:  # noqa: BLE001 -- loop may be closing
-                pass
-        self._thread.join(timeout=60)
-
-    def __enter__(self) -> "CoordinatorThread":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+    server_cls = ClusterCoordinator
+    config_cls = ClusterConfig
+    defaults = {"port": 0}
+    role = "coordinator"
+    client_timeout = 120.0
 
     @property
-    def port(self) -> int:
-        assert self.coordinator is not None
-        return self.coordinator.port
-
-    @property
-    def url(self) -> str:
-        return f"http://127.0.0.1:{self.port}"
+    def coordinator(self) -> Optional[ClusterCoordinator]:
+        return self.server
 
     @property
     def router(self):
-        assert self.coordinator is not None
-        return self.coordinator.router
-
-    def client(self, timeout: float = 120.0) -> ServiceClient:
-        return ServiceClient(self.url, timeout=timeout)
+        assert self.server is not None
+        return self.server.router

@@ -437,7 +437,7 @@ def render_service_section(
     if service_rows:
         headers = [
             "job", "kind", "dataset", "field", "target", "achieved PSNR",
-            "batch", "attempts", "queued",
+            "attempts", "queued",
         ]
         rows = []
         for entry, svc in service_rows[-20:][::-1]:
@@ -449,7 +449,6 @@ def render_service_section(
                 _esc(getattr(entry, "field", "") or "–"),
                 _esc(_fmt(getattr(entry, "target", None))),
                 _esc(_fmt(getattr(entry, "achieved_psnr", None))),
-                _esc(_fmt(svc.get("batched"))),
                 _esc(_fmt(svc.get("attempts"))),
                 _esc(
                     "–" if queued_s is None else f"{1e3 * queued_s:.1f} ms"

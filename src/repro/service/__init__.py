@@ -17,9 +17,10 @@ jobs over a small HTTP/1.1 API:
 ========================  ============================================
 
 Admission control (bounded priority queue -> 429 + ``Retry-After``),
-per-job deadlines, retries with backoff, micro-batched dispatch, and
-ledger/drift/metrics integration all live in
-:mod:`repro.service.app`; the stdlib-only HTTP parsing in
+per-job deadlines, retries with backoff, dispatch two jobs deep per
+pool worker, and ledger/drift/metrics integration all live in
+:mod:`repro.service.app`; the stdlib-only HTTP parsing and the server
+front door it shares with the cluster coordinator in
 :mod:`repro.service.http`; the picklable job functions in
 :mod:`repro.service.tasks`; a blocking client in
 :mod:`repro.service.client`; and an in-process test harness in

@@ -2,22 +2,21 @@
 
 Architecture (one process, one event loop)::
 
-    clients --- HTTP/1.1 ---> _handle ----> JobQueue (bounded, priority)
+    clients --- HTTP/1.1 ---> HttpServer ---> JobQueue (bounded, priority)
                                 |                |
-            /healthz /readyz /metrics      dispatcher loops (N)
-                                                 |  micro-batching
+            /healthz /readyz /metrics      dispatcher loops (2 per worker)
+                                                 |
                                           Executor (warm pool + arena)
                                                  |
                                      ledger + drift + service.* metrics
 
-Requests are parsed by :mod:`repro.service.http`, validated into
-:class:`~repro.service.jobs.JobSpec`\\ s and **admitted** through the
-bounded queue -- a full queue answers ``429`` with a ``Retry-After``
-hint instead of queueing unbounded work.  ``N = n_workers`` dispatcher
-coroutines pull jobs in priority order; single-field compress jobs
-that share a batch key are micro-batched into one pool fan-out (one
-dispatch for up to ``batch_max`` jobs, collected within
-``batch_window_s``), which is where small-job throughput comes from.
+Requests are parsed by the front door in :mod:`repro.service.http`,
+validated into :class:`~repro.service.jobs.JobSpec`\\ s and
+**admitted** through the bounded queue -- a full queue answers ``429``
+with a ``Retry-After`` hint instead of queueing unbounded work.
+``DISPATCH_PER_WORKER`` dispatcher coroutines per pool worker pull
+jobs in priority order and hand each to the pool as soon as it leaves
+the queue.
 
 Every terminal job updates the ``service.*`` metrics; successful runs
 append a schema-3 ledger record with the same ``extra["conformance"]``
@@ -38,20 +37,18 @@ from __future__ import annotations
 import asyncio
 import base64
 import itertools
-import json
-import signal
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import repro.observe as observe
-from repro.errors import ParameterError, ReproError
+from repro.errors import ParameterError
 from repro.service.http import (
+    KEEP_JOBS,
     HttpError,
+    HttpServer,
     Request,
     json_body,
-    read_request,
-    render_response,
 )
 from repro.service.jobs import Job, JobQueue, JobSpec
 from repro.service.tasks import (
@@ -61,6 +58,11 @@ from repro.service.tasks import (
 )
 
 __all__ = ["ServiceConfig", "CompressionService", "run_service"]
+
+#: Dispatcher loops per pool worker.  One job waits in the pool behind
+#: each running one, so a worker does not idle while a finished result
+#: hops back to the event loop before its dispatcher takes the next job.
+DISPATCH_PER_WORKER = 2
 
 
 @dataclass
@@ -74,16 +76,10 @@ class ServiceConfig:
     kind: str = "process"          # process | thread | inline
     transport: str = "auto"
     queue_limit: int = 64
-    batch_window_s: float = 0.005
-    batch_max: int = 8
     grace_s: float = 10.0
-    max_body_bytes: int = 16 * 1024 * 1024
     max_retries: int = 1
-    backoff_base: float = 0.05
-    retry_seed: int = 0
     ledger: Optional[str] = None
     no_ledger: bool = False
-    keep_jobs: int = 512           # terminal jobs retained for GETs
     allow_faults: bool = False     # gate for test-only fault specs
     trace_perfetto: Optional[str] = None
     cache_dir: Optional[str] = None      # None = blob cache disabled
@@ -94,8 +90,6 @@ class ServiceConfig:
             raise ParameterError("n_workers must be >= 0")
         if self.queue_limit < 1:
             raise ParameterError("queue_limit must be >= 1")
-        if self.batch_max < 1:
-            raise ParameterError("batch_max must be >= 1")
         if self.grace_s < 0:
             raise ParameterError("grace_s must be >= 0")
         if self.cache_max_bytes is not None and self.cache_max_bytes < 1:
@@ -106,7 +100,7 @@ def _service_metrics():
     """The ``service.*`` metric family.
 
     Job counts are deterministic for a given request sequence; queue
-    depth, latencies and batch sizes depend on wall-clock scheduling
+    depth and latencies depend on wall-clock scheduling
     and stay out of deterministic snapshots (same split the resilience
     counters use).
     """
@@ -154,12 +148,6 @@ def _service_metrics():
             help="jobs currently executing",
             deterministic=False,
         ),
-        "batch": reg.histogram(
-            "service.batch_size",
-            buckets=(1, 2, 4, 8, 16, 32),
-            help="jobs dispatched per pool fan-out",
-            deterministic=False,
-        ),
         "queue_s": reg.histogram(
             "service.queue_seconds",
             buckets=DEFAULT_BUCKETS,
@@ -175,7 +163,7 @@ def _service_metrics():
     }
 
 
-class CompressionService:
+class CompressionService(HttpServer):
     """One serving process; see the module docstring for the shape."""
 
     def __init__(self, config: Optional[ServiceConfig] = None):
@@ -188,6 +176,7 @@ class CompressionService:
 
         self.config = config or ServiceConfig()
         self.config.validate()
+        super().__init__(self.config.host, self.config.port)
         self.executor = Executor(
             n_workers=self.config.n_workers,
             transport=self.config.transport,
@@ -200,11 +189,7 @@ class CompressionService:
         self.jobs: Dict[str, Job] = {}
         self.metrics = _service_metrics()
         self.resilience = _resilience_counters()
-        self.retry_policy = RetryPolicy(
-            max_retries=self.config.max_retries,
-            backoff_base=self.config.backoff_base,
-            seed=self.config.retry_seed,
-        )
+        self.retry_policy = RetryPolicy(max_retries=self.config.max_retries)
         self.trace = (
             observe.Trace() if self.config.trace_perfetto else None
         )
@@ -224,52 +209,23 @@ class CompressionService:
         self._inflight_keys: Dict[str, List[Job]] = {}
         self._git_rev = git_rev()
         self._ids = itertools.count(1)
-        self._server: Optional[asyncio.AbstractServer] = None
         self._dispatchers: List[asyncio.Task] = []
         self._accepting = False
-        self._draining = False
-        self._stopped = asyncio.Event()
         self._wake = asyncio.Event()
         self._cancel_events: Dict[str, asyncio.Event] = {}
         self._inflight = 0
-        self._started_monotonic = time.monotonic()
 
     # -- lifecycle ------------------------------------------------------
 
-    @property
-    def port(self) -> int:
-        """The bound port (useful with ``port=0``)."""
-        if self._server is None or not self._server.sockets:
-            return self.config.port
-        return self._server.sockets[0].getsockname()[1]
-
     async def start(self) -> None:
         """Bind the socket and start the dispatcher loops."""
-        self._server = await asyncio.start_server(
-            self._handle, host=self.config.host, port=self.config.port
-        )
-        n_loops = max(1, self.config.n_workers)
+        await super().start()
+        n_loops = DISPATCH_PER_WORKER * max(1, self.config.n_workers)
         self._dispatchers = [
             asyncio.get_running_loop().create_task(self._dispatch_loop())
             for _ in range(n_loops)
         ]
         self._accepting = True
-
-    async def serve_forever(self, install_signals: bool = True) -> None:
-        """Run until a signal (or :meth:`shutdown`) drains the service."""
-        if self._server is None:
-            await self.start()
-        if install_signals:
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(
-                        sig,
-                        lambda: asyncio.ensure_future(self.shutdown()),
-                    )
-                except (NotImplementedError, RuntimeError):
-                    pass  # non-main thread / platform without support
-        await self._stopped.wait()
 
     async def shutdown(self, grace: Optional[float] = None) -> None:
         """Drain: refuse new work immediately, let queued + in-flight
@@ -288,9 +244,7 @@ class CompressionService:
         for task in self._dispatchers:
             task.cancel()
         await asyncio.gather(*self._dispatchers, return_exceptions=True)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._close()
         if self.trace is not None:
             from repro.telemetry.export import write_chrome_trace
             from repro.telemetry.registry import metrics as _reg
@@ -305,65 +259,17 @@ class CompressionService:
 
     # -- HTTP -----------------------------------------------------------
 
-    async def _handle(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    async def _respond(self, request: Request):
+        """Count and trace every parsed request around the shared
+        routing and error mapping."""
+        self.metrics["requests"].inc()
         t0 = time.perf_counter()
-        route = "?"
         try:
-            try:
-                request = await read_request(
-                    reader, max_body=self.config.max_body_bytes
-                )
-            except HttpError as exc:
-                writer.write(
-                    render_response(
-                        exc.status,
-                        json.dumps({"error": exc.message}).encode(),
-                    )
-                )
-                return
-            if request is None:
-                return
-            route = f"{request.method} {request.path}"
-            self.metrics["requests"].inc()
-            try:
-                payload = await self._route(request)
-            except HttpError as exc:
-                payload = (
-                    exc.status,
-                    json.dumps({"error": exc.message}).encode(),
-                    "application/json",
-                    (),
-                )
-            except ReproError as exc:
-                payload = (
-                    400,
-                    json.dumps({"error": str(exc)}).encode(),
-                    "application/json",
-                    (),
-                )
-            except Exception as exc:  # noqa: BLE001 -- last-resort 500
-                payload = (
-                    500,
-                    json.dumps(
-                        {"error": f"{type(exc).__name__}: {exc}"}
-                    ).encode(),
-                    "application/json",
-                    (),
-                )
-            status, body, ctype, extra = payload
-            writer.write(render_response(status, body, ctype, extra))
+            return await super()._respond(request)
         finally:
-            self._record_request_span(route, time.perf_counter() - t0)
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            self._record_request_span(
+                f"{request.method} {request.path}", time.perf_counter() - t0
+            )
 
     def _record_request_span(self, route: str, duration_s: float) -> None:
         """Hand-built span record: async handlers interleave on one
@@ -398,8 +304,6 @@ class CompressionService:
             if self._accepting:
                 return self._json(200, {"ready": True})
             return self._json(503, {"ready": False, "draining": True})
-        if path == "/metrics" and method == "GET":
-            return self._metrics_response(request)
         if path == "/v1/jobs" and method == "GET":
             docs = [
                 j.as_dict(include_result=False)
@@ -434,36 +338,10 @@ class CompressionService:
             return self._submit(kind, request)
         raise HttpError(404, f"no route for {method} {path}")
 
-    def _json(
-        self, status: int, doc: Dict, extra: Tuple = ()
-    ) -> Tuple[int, bytes, str, Tuple]:
-        return (
-            status,
-            json.dumps(doc, sort_keys=True).encode(),
-            "application/json",
-            tuple(extra),
-        )
-
     def _metrics_response(self, request: Request):
-        from repro.report import render_metrics_json, render_prometheus
-        from repro.telemetry.registry import metrics as _reg
-
         self.metrics["depth"].set(len(self.queue))
         self.metrics["inflight"].set(self._inflight)
-        snap = _reg().snapshot()
-        if request.query.get("format") == "json":
-            return (
-                200,
-                render_metrics_json(snap).encode(),
-                "application/json",
-                (),
-            )
-        return (
-            200,
-            render_prometheus(snap).encode(),
-            "text/plain; version=0.0.4",
-            (),
-        )
+        return super()._metrics_response(request)
 
     def _blob_response(self, job: Job):
         if job.state != "done":
@@ -611,9 +489,7 @@ class CompressionService:
     def _prune_jobs(self) -> None:
         """Cap the terminal-job history so a long-lived server does not
         accumulate every blob it ever produced."""
-        excess = len(self.jobs) - max(
-            self.config.keep_jobs, self.config.queue_limit * 2
-        )
+        excess = len(self.jobs) - max(KEEP_JOBS, self.config.queue_limit * 2)
         if excess <= 0:
             return
         for job_id in [
@@ -626,8 +502,8 @@ class CompressionService:
 
     def _take(self, job: Job) -> Job:
         """Count ``job`` in flight from the moment it leaves the queue:
-        a drain waits on the queue and the in-flight count, so a job
-        held in the batch window must be in one of them."""
+        a drain waits on the queue and the in-flight count, so a popped
+        job must be in one of them."""
         self._inflight += 1
         self.metrics["inflight"].set(self._inflight)
         self.metrics["depth"].set(len(self.queue))
@@ -647,44 +523,14 @@ class CompressionService:
                 pass
 
     async def _dispatch_loop(self) -> None:
-        try:
-            while True:
-                job = await self._next_job()
-                if job is None:
-                    return
-                batch = [job]
-                key = job.spec.batch_key()
-                if key is not None and self.config.batch_max > 1:
-                    batch += await self._gather_batch(key)
-                self.metrics["batch"].observe(len(batch))
-                now = time.monotonic()
-                for b in batch:
-                    b.batched = len(batch)
-                    self.metrics["queue_s"].observe(
-                        max(0.0, now - b.submitted_at)
-                    )
-                await asyncio.gather(
-                    *(self._run_job(b) for b in batch)
-                )
-        except asyncio.CancelledError:
-            return
-
-    async def _gather_batch(self, key) -> List[Job]:
-        """Collect compatible queued compress jobs for one fan-out:
-        whatever already waits plus whatever arrives inside the batch
-        window, capped at ``batch_max``."""
-        out: List[Job] = []
-        deadline = time.monotonic() + self.config.batch_window_s
-        while len(out) < self.config.batch_max - 1:
-            nxt = self.queue.pop_matching(key)
-            if nxt is not None:
-                out.append(self._take(nxt))
-                continue
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            await asyncio.sleep(min(0.001, remaining))
-        return out
+        while True:
+            job = await self._next_job()
+            if job is None:
+                return
+            self.metrics["queue_s"].observe(
+                max(0.0, time.monotonic() - job.submitted_at)
+            )
+            await self._run_job(job)
 
     async def _run_job(self, job: Job) -> None:
         """Run a job taken by :meth:`_take`, then retire it."""
@@ -762,9 +608,9 @@ class CompressionService:
 
     def _submit_to_pool(self, loop, job: Job, spec: Dict):
         """One attempt as an awaitable future.  Compress jobs go
-        straight to the pool (that is the batched fan-out path); sweep
-        and autotune jobs block a default-executor thread and fan out
-        internally over the same long-lived executor."""
+        straight to the pool; sweep and autotune jobs block a
+        default-executor thread and fan out internally over the same
+        long-lived executor."""
         import functools
 
         kind = job.spec.kind
@@ -847,7 +693,6 @@ class CompressionService:
                 "job_id": job.id,
                 "priority": job.spec.priority,
                 "attempts": job.attempts,
-                "batched": job.batched,
                 "queued_s": round(
                     (job.started_at or job.submitted_at)
                     - job.submitted_at,

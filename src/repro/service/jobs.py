@@ -150,18 +150,6 @@ class JobSpec:
         if self.priority < 0:
             raise ParameterError("priority must be >= 0")
 
-    def batch_key(self) -> Optional[Tuple]:
-        """Jobs sharing a key may ride one micro-batch dispatch: same
-        work shape, so one pool fan-out runs them all.  Only single-
-        field compress jobs batch; sweeps and autotunes are already
-        fan-outs of their own.  ``None`` means never batched."""
-        if self.kind != "compress":
-            return None
-        return (
-            "compress", self.dataset, self.scale, self.codec, self.mode,
-            self.refine, self.traced,
-        )
-
     def as_dict(self) -> Dict:
         return {
             "kind": self.kind,
@@ -188,7 +176,7 @@ class Job:
     __slots__ = (
         "id", "spec", "state", "submitted_at", "started_at", "finished_at",
         "deadline_at", "result", "blob", "error", "error_code", "attempts",
-        "batched", "cancel_requested", "cache_key", "follower_of",
+        "cancel_requested", "cache_key", "follower_of",
     )
 
     def __init__(self, job_id: str, spec: JobSpec):
@@ -208,7 +196,6 @@ class Job:
         self.error: Optional[str] = None
         self.error_code: Optional[str] = None
         self.attempts = 0
-        self.batched = 1
         self.cancel_requested = False
         # Blob-cache bookkeeping (see repro.service.app): the primary
         # job for a cache key carries the key; a job coalesced onto an
@@ -251,7 +238,6 @@ class Job:
             "codec": self.spec.codec,
             "priority": self.spec.priority,
             "attempts": self.attempts,
-            "batched": self.batched,
             "queued_s": round(
                 (self.started_at or now) - self.submitted_at, 6
             ),
@@ -316,25 +302,6 @@ class JobQueue:
                 return job
             # A tombstone was already discounted at cancel time.
         return None
-
-    def pop_matching(self, batch_key: Tuple) -> Optional[Job]:
-        """The best-priority queued job whose spec shares ``batch_key``
-        (the micro-batcher's lookahead).  O(n) scan, but n is bounded
-        by the queue limit and batching only triggers on small jobs."""
-        best_i = -1
-        for i, (_, _, job) in enumerate(self._heap):
-            if job.state != "queued":
-                continue
-            if job.spec.batch_key() != batch_key:
-                continue
-            if best_i < 0 or self._heap[i][:2] < self._heap[best_i][:2]:
-                best_i = i
-        if best_i < 0:
-            return None
-        _, _, job = self._heap.pop(best_i)
-        heapq.heapify(self._heap)
-        self._depth -= 1
-        return job
 
     def cancel_queued(self, job: Job) -> None:
         """Tombstone a queued job (the caller flips its state); the

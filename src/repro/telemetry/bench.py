@@ -312,11 +312,11 @@ def run_service_bench() -> Dict:
     """Submit the service corpus through a live in-process service and
     return the ``BENCH_service.json`` document.
 
-    Every job is submitted up front (so micro-batching and the queue
-    actually engage) and awaited; the deterministic block per job is
-    the serial pipeline's output -- compressed bytes, ratio, achieved
-    PSNR, terminal state -- which the service must reproduce exactly.
-    Queue/batch scheduling shows up only under ``timing``.
+    Every job is submitted up front (so the queue and every dispatcher
+    loop actually engage) and awaited; the deterministic block per job
+    is the serial pipeline's output -- compressed bytes, ratio,
+    achieved PSNR, terminal state -- which the service must reproduce
+    exactly.  Queue scheduling shows up only under ``timing``.
     """
     import time
 

@@ -167,15 +167,15 @@ class TestRoutedCompress:
         assert first["state"] == "done"
         node_first = first["cluster"]["node"]
         # The members and harness share one process registry, so the
-        # batch-size histogram counts every codec dispatch in the
+        # queue-latency histogram counts every codec dispatch in the
         # cluster: flat across the resubmit == nothing recompressed.
-        dispatches = _registry().get("service.batch_size").count
+        dispatches = _registry().get("service.queue_seconds").count
         second = client.submit_doc("compress", payload)
         assert second["state"] == "done"
         assert second["result"]["cached"] is True
         # Affinity: the same owning node answers, from its cache.
         assert second["cluster"]["node"] == node_first
-        assert _registry().get("service.batch_size").count == dispatches
+        assert _registry().get("service.queue_seconds").count == dispatches
 
     def test_routed_job_document_retrievable(self, cluster):
         client = cluster["co"].client(timeout=180)
@@ -342,6 +342,33 @@ class TestFailoverMidSweep:
             for task, owner in task_owner.items():
                 if owner != victim_url:
                     assert conf_counts.get(task) == 1, (task, conf_counts)
+
+
+class TestJobTable:
+    def test_routed_job_table_keeps_the_newest(self, tmp_path):
+        """The coordinator keeps the same number of routed job
+        documents a service keeps; older IDs are dropped first."""
+        from repro.service.http import KEEP_JOBS
+
+        with member(tmp_path, "a") as a:
+            with CoordinatorThread(peers=(a.url,)) as co:
+                co.router.submit_and_wait = lambda kind, payload: {
+                    "id": "j000001", "state": "done",
+                    "cluster": {"node": a.url},
+                }
+                client = co.client()
+                payload = {"dataset": DATASET, "field": FIELD,
+                           "target": TARGET}
+                ids = [
+                    client.submit_doc("compress", payload)["coordinator_id"]
+                    for _ in range(KEEP_JOBS + 8)
+                ]
+                assert list(co.coordinator.jobs) == ids[-KEEP_JOBS:]
+                assert client.status(ids[-1])["state"] == "done"
+                assert client.status(ids[-KEEP_JOBS])["state"] == "done"
+                with pytest.raises(ServiceError) as err:
+                    client.status(ids[0])
+                assert err.value.status == 404
 
 
 class TestDrainingMember:

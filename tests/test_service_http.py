@@ -1,10 +1,19 @@
-"""Unit tests for the stdlib asyncio HTTP layer of the service."""
+"""Tests for the stdlib asyncio HTTP layer: the request parser and
+response renderer as units, then the front door both servers share
+(``fpzc serve`` and ``fpzc cluster serve``) checked on live servers."""
 
 import asyncio
+import gc
 import json
+import re
+import socket
+import sys
+import time
+import warnings
 
 import pytest
 
+from repro.cluster.testing import CoordinatorThread
 from repro.service.http import (
     HttpError,
     Request,
@@ -12,6 +21,7 @@ from repro.service.http import (
     read_request,
     render_response,
 )
+from repro.service.testing import ServiceThread
 
 
 def _parse(data: bytes, max_body: int = 16 * 1024 * 1024):
@@ -141,3 +151,133 @@ class TestJsonBody:
         with pytest.raises(HttpError) as exc:
             json_body(Request(method="POST", path="/", body=b"[1, 2]"))
         assert exc.value.status == 400
+
+
+# -- the front door, on live servers --------------------------------------
+
+#: One sample line of the Prometheus text exposition format.
+_PROM_SAMPLE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? \S+$")
+
+
+@pytest.fixture(scope="module", params=["service", "coordinator"])
+def server(request):
+    """A live service, or a live coordinator in front of one."""
+    with ServiceThread(no_ledger=True) as st:
+        if request.param == "service":
+            yield st
+        else:
+            with CoordinatorThread(peers=(st.url,)) as co:
+                yield co
+
+
+def _exchange(port: int, raw: bytes):
+    """Send ``raw`` on a fresh connection; return (status, body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(raw)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), body
+
+
+class TestFrontDoor:
+    def test_malformed_request_line_is_400_with_json_error(self, server):
+        status, body = _exchange(server.port, b"NONSENSE\r\n\r\n")
+        assert status == 400
+        assert json.loads(body)["error"]
+
+    def test_body_over_16_mib_is_413(self, server):
+        raw = (
+            b"POST /v1/compress HTTP/1.1\r\nContent-Length: "
+            + str(16 * 1024 * 1024 + 1).encode()
+            + b"\r\n\r\n"
+        )
+        assert _exchange(server.port, raw)[0] == 413
+
+    def test_chunked_body_is_501(self, server):
+        raw = (
+            b"POST /v1/compress HTTP/1.1\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+        )
+        assert _exchange(server.port, raw)[0] == 501
+
+    def test_unknown_route_is_404(self, server):
+        status, body = _exchange(server.port, b"GET /nope HTTP/1.1\r\n\r\n")
+        assert status == 404
+        assert json.loads(body)["error"]
+
+    def test_non_json_body_on_compress_is_400(self, server):
+        raw = (
+            b"POST /v1/compress HTTP/1.1\r\n"
+            b"Content-Length: 5\r\n\r\n{nope"
+        )
+        status, body = _exchange(server.port, raw)
+        assert status == 400
+        assert json.loads(body)["error"]
+
+    def test_metrics_prometheus_text_and_json_snapshot(self, server):
+        client = server.client()
+        samples = [
+            line
+            for line in client.metrics_text().splitlines()
+            if line and not line.startswith("#")
+        ]
+        assert samples
+        assert all(_PROM_SAMPLE.match(line) for line in samples), samples
+        snap = client.metrics_json()
+        assert snap["schema"] == 1
+        assert isinstance(snap["metrics"], dict) and snap["metrics"]
+
+
+def _handler_tasks(loop) -> int:
+    """Connection handlers pending on ``loop`` (read from its thread)."""
+
+    async def count():
+        return sum(
+            t.get_coro().__name__ == "_handle" for t in asyncio.all_tasks()
+        )
+
+    return asyncio.run_coroutine_threadsafe(count(), loop).result(timeout=10)
+
+
+@pytest.mark.parametrize("harness", ["service", "coordinator"])
+def test_stop_unwinds_a_half_read_request(harness, caplog):
+    """Stopping a harness while a client has sent only part of its
+    request head cancels that handler and closes its transport before
+    the loop closes: no task destroyed pending, no unclosed transport,
+    no unraisable ``Event loop is closed``."""
+    unraisable = []
+    old_hook = sys.unraisablehook
+    sys.unraisablehook = unraisable.append
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            member = ServiceThread(no_ledger=True).start()
+            try:
+                st = (
+                    member
+                    if harness == "service"
+                    else CoordinatorThread(peers=(member.url,)).start()
+                )
+                sock = socket.create_connection(("127.0.0.1", st.port))
+                try:
+                    sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+                    deadline = time.monotonic() + 10
+                    while not _handler_tasks(st.loop):
+                        assert time.monotonic() < deadline, "never accepted"
+                        time.sleep(0.01)
+                    st.stop()
+                finally:
+                    sock.close()
+            finally:
+                member.stop()
+            gc.collect()
+    finally:
+        sys.unraisablehook = old_hook
+    assert unraisable == []
+    assert [w for w in caught if w.category is ResourceWarning] == []
+    assert "destroyed but it is pending" not in caplog.text

@@ -60,17 +60,6 @@ class TestJobSpec:
         with pytest.raises(ParameterError):
             JobSpec.from_payload("compress", ["not", "a", "dict"])
 
-    def test_batch_key_groups_compatible_compress_jobs(self):
-        a = _spec(field="CLDHGH")
-        b = _spec(field="CLDLOW")
-        c = _spec(field="CLDHGH", codec="transform")
-        sweep = JobSpec.from_payload(
-            "sweep", {"dataset": "ATM", "targets": [60]}
-        )
-        assert a.batch_key() == b.batch_key()  # field differs: still batch
-        assert a.batch_key() != c.batch_key()  # codec differs: no batch
-        assert sweep.batch_key() is None       # sweeps never batch
-
 
 class TestJob:
     def test_deadline_accounting(self):
@@ -122,19 +111,6 @@ class TestJobQueue:
         assert not q.full
         assert q.pop().id == "b"    # tombstone skipped at pop time
         assert q.pop() is None
-
-    def test_pop_matching_only_same_batch_key(self):
-        q = JobQueue(limit=8)
-        a = Job("a", _spec(field="CLDHGH"))
-        b = Job("b", _spec(field="CLDLOW"))
-        other = Job("o", _spec(codec="transform"))
-        for j in (a, b, other):
-            q.offer(j)
-        key = a.spec.batch_key()
-        got = {q.pop_matching(key).id, q.pop_matching(key).id}
-        assert got == {"a", "b"}
-        assert q.pop_matching(key) is None
-        assert q.pop().id == "o"
 
     def test_bad_limit_rejected(self):
         with pytest.raises(ParameterError):
