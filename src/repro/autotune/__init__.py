@@ -33,7 +33,7 @@ Quickstart
 True
 """
 
-from repro.autotune.cache import TrialCache, fingerprint, warm_start
+from repro.autotune.cache import TrialCache, warm_start
 from repro.autotune.driver import AutotuneResult, autotune
 from repro.autotune.objective import (
     BUILTIN_OBJECTIVES,
@@ -56,6 +56,5 @@ __all__ = [
     "BUILTIN_OBJECTIVES",
     "get_objective",
     "TrialCache",
-    "fingerprint",
     "warm_start",
 ]

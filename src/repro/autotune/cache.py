@@ -3,8 +3,10 @@
 Two cost-avoidance layers:
 
 ``TrialCache``
-    In-process memoization keyed by *data fingerprint x codec x exact
-    bound x container format version*.  The search revisits bounds
+    In-process memoization keyed by *data digest x codec x exact
+    bound x container format version* (the digest is
+    :func:`repro.cache.store.data_digest`, the one array fingerprint
+    the blob cache, the service and the router key on too).  The search revisits bounds
     freely (parallel pre-probes, subsample-then-confirm, repeated
     searches over the same field), so hits are common; a hit returns
     the recorded :class:`Trial` marked ``cached=True`` and must never
@@ -32,42 +34,24 @@ Two cost-avoidance layers:
 ``warm_start_from_store``
     The same two-pass mining applied to the shared cache store's
     metadata instead of the ledger: prior trial entries for the same
-    (fingerprint, codec, objective) are interpolated directly, and
+    (digest, codec, objective) are interpolated directly, and
     sibling blob entries contribute their achieved PSNR via Eq. 8.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 __all__ = [
-    "fingerprint",
     "TrialCache",
     "warm_start",
     "warm_start_from_store",
 ]
 
 
-def fingerprint(data) -> str:
-    """Stable content hash of an array: dtype, shape and raw bytes.
-
-    SHA-1 over the C-contiguous buffer; two arrays share a fingerprint
-    iff they are element-wise identical with the same dtype and shape.
-    """
-    a = np.ascontiguousarray(data)
-    h = hashlib.sha1()
-    h.update(str(a.dtype).encode())
-    h.update(str(a.shape).encode())
-    h.update(a.tobytes())
-    return h.hexdigest()
-
-
 class TrialCache:
-    """Memoized trials keyed by (fingerprint, codec, objective, bound,
+    """Memoized trials keyed by (data digest, codec, objective, bound,
     container format version).
 
     The bound enters the key exactly (``float.hex``), so only a probe

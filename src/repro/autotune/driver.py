@@ -12,9 +12,10 @@ inside out:
    the subsample's converged bound.  Small-field trials are an order
    of magnitude cheaper, and the full-data confirmation pass corrects
    the subsample's rate bias within a couple of trials;
-4. **parallel pre-probes**: with ``n_workers > 0`` a small geometric
-   fan of bounds around the warm start is evaluated concurrently
-   through :func:`repro.parallel.executor.map_tasks` and fed into the
+4. **parallel pre-probes**: with ``n_workers > 0`` (or a pooled
+   ``executor``) a small geometric fan of bounds around the warm
+   start is evaluated concurrently through
+   :meth:`repro.parallel.executor.Executor.map` and fed into the
    cache, so the sequential search's first probes are cache hits;
 5. the searcher itself (:mod:`repro.autotune.search`);
 6. telemetry: the whole run is an ``autotune`` span, every trial an
@@ -39,7 +40,6 @@ import numpy as np
 import repro.observe as observe
 from repro.autotune.cache import (
     TrialCache,
-    fingerprint,
     warm_start,
     warm_start_from_store,
 )
@@ -51,6 +51,7 @@ from repro.autotune.search import (
     relative_error,
     search,
 )
+from repro.cache.store import data_digest
 from repro.errors import ParameterError
 from repro.metrics.distortion import value_range
 
@@ -164,21 +165,18 @@ def _prefill_probes(
     n_workers: int,
     lo: float,
     hi: float,
-    transport: str = "auto",
     executor=None,
 ) -> None:
     """Evaluate a geometric fan of bounds around ``center`` in
     parallel and feed the cache (speculative FRaZ-style fan-out).
 
-    Every probe evaluates the *same* array, so with shm transport the
-    field is shared once and each worker attaches to it -- the probe
-    fan's payload cost no longer scales with the number of bounds.
-    With ``executor`` the fan runs on a long-lived
-    :class:`repro.parallel.executor.Executor` (its arena shares the
-    payload; nothing is torn down here).
+    The fan runs on ``executor``, or on a per-call pool of
+    ``n_workers``.  Every probe evaluates the *same* array, so when the
+    probes go to worker processes and shared memory works here, the
+    field is shared once and each worker attaches to it -- the fan's
+    payload cost does not scale with the number of bounds.
     """
-    from repro.parallel.executor import map_tasks
-    from repro.parallel.shm import ShmArena, resolve_transport
+    from repro.parallel.executor import payload_scope
 
     bounds = sorted(
         {
@@ -197,41 +195,12 @@ def _prefill_probes(
     # The misses get re-counted when the search probes them via the
     # cache; correct the double count.
     cache.misses -= len(todo)
+    if not todo:
+        return
     spec = objective.spec()
-    arena: Optional[ShmArena] = None
-    try:
-        if executor is not None:
-            from repro.parallel.shm import ShmArrayRef
-
-            shared = None
-            if todo and executor.arena is not None:
-                shared = executor.arena.share(data)
-            payload = shared if shared is not None else data
-            try:
-                trials = map_tasks(
-                    _probe_task,
-                    [(spec, payload, b) for b in todo],
-                    executor=executor,
-                )
-            finally:
-                # Probe payloads are one-shot; don't pin the segment
-                # for the executor's whole lifetime.
-                if isinstance(shared, ShmArrayRef):
-                    executor.arena.release(shared)
-        else:
-            if todo and resolve_transport(transport, n_workers):
-                arena = ShmArena()
-                payload = arena.share(data)
-            else:
-                payload = data
-            trials = map_tasks(
-                _probe_task,
-                [(spec, payload, b) for b in todo],
-                n_workers=n_workers,
-            )
-    finally:
-        if arena is not None:
-            arena.close()
+    with payload_scope(executor, n_workers) as (ex, arena):
+        payload = data if arena is None else arena.share(data)
+        trials = ex.map(_probe_task, [(spec, payload, b) for b in todo])
     for t in trials:
         cache.put(fp, objective.codec, objective.name, t)
 
@@ -251,7 +220,6 @@ def autotune(
     subsample_threshold: int = SUBSAMPLE_THRESHOLD,
     subsample_target: int = SUBSAMPLE_TARGET,
     n_workers: int = 0,
-    transport: str = "auto",
     executor=None,
     cache: Optional[TrialCache] = None,
     store=None,
@@ -282,17 +250,15 @@ def autotune(
         ``ledger_entries`` (see :func:`repro.autotune.cache.warm_start`)
         and finally the objective's model-based default guess.
     n_workers:
-        Parallel pre-probe fan-out through
-        :func:`repro.parallel.executor.map_tasks` (0 = inline, no fan).
-    transport:
-        How probe payloads reach the workers: ``"auto"``/``"shm"``
-        share the field once through :mod:`repro.parallel.shm`,
-        ``"pickle"`` ships a copy per probe.  Results are identical.
+        Parallel pre-probe fan-out on a per-call pool of this many
+        processes (0 = inline, no fan).  A process pool receives the
+        field through :mod:`repro.parallel.shm` when shared memory
+        works here, by pickle otherwise; results are identical.
     executor:
         An optional long-lived
         :class:`repro.parallel.executor.Executor`; the probe fan then
-        runs on its warm pool (``n_workers``/``transport`` are taken
-        from it) instead of spawning one per call.
+        runs on its warm pool (``n_workers`` is taken from it) instead
+        of starting one per call.
     cache:
         A :class:`TrialCache` to reuse across calls (sibling fields,
         repeated targets); a private one is created per call otherwise.
@@ -343,7 +309,7 @@ def autotune(
     fan_out = (
         executor is not None and not executor.inline
     ) or n_workers > 0
-    fp = fingerprint(data)
+    fp = data_digest(data)
     trace = observe.current_trace()
     with trace.span("autotune") as root:
         if trace.enabled:
@@ -378,15 +344,14 @@ def autotune(
         sub_trials = 0
         if data.size > subsample_threshold:
             sub = _strided_subsample(data, subsample_target)
-            sub_fp = fingerprint(sub)
+            sub_fp = data_digest(sub)
             with trace.span("autotune.subsample") as sp:
                 if trace.enabled:
                     sp.set("elements", int(sub.size))
                 if fan_out:
                     _prefill_probes(
                         obj, sub, sub_fp, cache, guess, n_workers,
-                        eb_lo, eb_hi, transport=transport,
-                        executor=executor,
+                        eb_lo, eb_hi, executor=executor,
                     )
                 sub_eval = tracked(
                     cache.wrap(
@@ -414,7 +379,7 @@ def autotune(
         elif fan_out:
             _prefill_probes(
                 obj, data, fp, cache, guess, n_workers, eb_lo, eb_hi,
-                transport=transport, executor=executor,
+                executor=executor,
             )
         # -- full-data search -------------------------------------------
         full_eval = tracked(

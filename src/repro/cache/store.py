@@ -93,9 +93,10 @@ def data_digest(data) -> str:
     """Stable SHA-256 content digest of an array: dtype, shape, bytes.
 
     Two arrays share a digest iff they are element-wise identical with
-    the same dtype and shape -- same contract as the autotune
-    fingerprint, but SHA-256 because these keys name durable on-disk
-    artefacts shared across machines.
+    the same dtype and shape.  This is the package's one array
+    fingerprint: blob keys, autotune trial keys, the service and the
+    cluster router all use it.  SHA-256 because these keys name durable
+    on-disk artefacts shared across machines.
     """
     a = np.ascontiguousarray(data)
     h = hashlib.sha256()

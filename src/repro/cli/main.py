@@ -46,37 +46,6 @@ from repro.errors import ReproError
 __all__ = ["main", "build_parser"]
 
 
-def _add_shm_flags(p: argparse.ArgumentParser) -> None:
-    """Attach the transport selector pair (``--shm`` / ``--no-shm``).
-
-    The tri-state maps to :data:`repro.parallel.shm.TRANSPORTS`:
-    unset -> ``"auto"`` (shm when available and worth it), ``--shm``
-    -> force the shared-memory plane (still degrades gracefully when
-    the platform has none), ``--no-shm`` -> pickle transport only.
-    """
-    group = p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--shm",
-        dest="shm",
-        action="store_true",
-        default=None,
-        help="move array payloads to workers over shared memory "
-        "(default: auto)",
-    )
-    group.add_argument(
-        "--no-shm",
-        dest="shm",
-        action="store_false",
-        help="force pickle transport for worker payloads",
-    )
-
-
-def _transport(args) -> str:
-    if getattr(args, "shm", None) is None:
-        return "auto"
-    return "shm" if args.shm else "pickle"
-
-
 def _add_cache_flags(p: argparse.ArgumentParser) -> None:
     """Attach the shared-cache flag set (``--cache``/``--no-cache``,
     ``--cache-dir``, ``--cache-max-bytes``).
@@ -215,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="chunk_workers",
         help="worker processes for --chunks slabs (default 0 = sequential)",
     )
-    _add_shm_flags(p_c)
     p_c.add_argument(
         "--entropy",
         choices=("huffman", "rans"),
@@ -327,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="ignore prior ledger runs when choosing the initial bound",
     )
-    _add_shm_flags(p_at)
     p_at.add_argument("--json", action="store_true", help="emit a JSON report")
     p_at.add_argument(
         "--trace",
@@ -381,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for chunked containers "
         "(default 0 = sequential)",
     )
-    _add_shm_flags(p_d)
 
     p_i = sub.add_parser("info", help="print container metadata")
     p_i.add_argument("input", help="compressed container file")
@@ -652,7 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="process",
         help="worker pool kind (process pools use the shm data plane)",
     )
-    _add_shm_flags(p_sv)
     p_sv.add_argument(
         "--queue-limit", type=int, default=64, dest="queue_limit",
         help="admission bound: jobs beyond this depth get 429",
@@ -929,8 +894,7 @@ def _compress_blob(args, data, store=None):
 def _compress_chunked_blob(args, data):
     """``compress --chunks N``: slab-parallel compression through
     :func:`repro.parallel.chunking.compress_chunked` (sz codec;
-    ``--abs``/``--rel``/``--psnr`` control modes).  Payloads move over
-    the transport selected by ``--shm``/``--no-shm``."""
+    ``--abs``/``--rel``/``--psnr`` control modes)."""
     from repro.core.fixed_psnr import FixedPSNRCompressor
     from repro.errors import ParameterError
     from repro.parallel.chunking import compress_chunked
@@ -940,7 +904,6 @@ def _compress_chunked_blob(args, data):
     kwargs = dict(
         n_chunks=args.chunks,
         n_workers=args.chunk_workers,
-        transport=_transport(args),
         entropy=args.entropy,
     )
     if args.psnr is not None:
@@ -1282,7 +1245,6 @@ def _cmd_autotune(args) -> int:
             max_trials=args.max_trials,
             max_seconds=args.max_seconds,
             n_workers=args.workers,
-            transport=_transport(args),
             ledger_entries=ledger_entries,
             keep_blob=args.output is not None,
             store=store,
@@ -1366,9 +1328,7 @@ def _cmd_decompress(args) -> int:
 
     with open(args.input, "rb") as fh:
         blob = fh.read()
-    recon = decompress(
-        blob, n_workers=args.chunk_workers, transport=_transport(args)
-    )
+    recon = decompress(blob, n_workers=args.chunk_workers)
     np.save(args.output, recon)
     print(f"{args.output}: shape {recon.shape}, dtype {recon.dtype}")
     return 0
@@ -1953,7 +1913,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         n_workers=args.workers,
         kind=args.pool,
-        transport=_transport(args),
         queue_limit=args.queue_limit,
         grace_s=args.grace,
         max_retries=args.max_retries,

@@ -12,6 +12,9 @@ decompositions that workload needs:
 * :mod:`repro.parallel.shm` -- the zero-copy shared-memory data plane
   that chunked compression and the autotune probe fan-out move user
   arrays over (with graceful fallback to the pickle channel).
+
+Every one of them runs on a :class:`~repro.parallel.executor.Executor`,
+the only source of worker pools: the caller's, or a per-call one.
 """
 
 from repro.parallel.executor import (
@@ -25,7 +28,6 @@ from repro.parallel.shm import (
     ShmArena,
     ShmArrayRef,
     open_payload,
-    resolve_transport,
     shm_available,
 )
 
@@ -39,6 +41,5 @@ __all__ = [
     "ShmArena",
     "ShmArrayRef",
     "open_payload",
-    "resolve_transport",
     "shm_available",
 ]

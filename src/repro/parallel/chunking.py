@@ -21,8 +21,7 @@ Correctness notes:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from repro.sz.compressor import SZCompressor
 __all__ = ["compress_chunked", "decompress_chunked"]
 
 
-def _compress_slab(args):
+def _compress_slab(payload, eb_abs, options, traced, prefix):
     """Compress one slab; returns ``(blob_payload, records_or_None)``.
 
     The slab arrives as any :mod:`repro.parallel.shm` array payload --
@@ -52,7 +51,6 @@ def _compress_slab(args):
     """
     from repro.parallel.shm import open_payload, publish_bytes
 
-    payload, eb_abs, options, traced, prefix = args
     comp = SZCompressor(error_bound=eb_abs, mode="abs", **options)
     with open_payload(payload) as data:
         if not traced:
@@ -64,14 +62,13 @@ def _compress_slab(args):
     return publish_bytes(prefix, blob), records
 
 
-def _decompress_slab(args):
+def _decompress_slab(payload, prefix):
     """Decompress one chunk blob (bytes or a shared uint8 payload) and
     send the reconstructed slab back as an array payload: published to
-    a segment under the arena prefix when the plane is on, a plain
+    a segment under the arena prefix when the call has one, a plain
     (pickled) ndarray otherwise."""
     from repro.parallel.shm import open_payload, publish_array
 
-    payload, prefix = args
     if isinstance(payload, (bytes, bytearray)):
         part = SZCompressor.decompress(bytes(payload))
     else:
@@ -82,46 +79,32 @@ def _decompress_slab(args):
     return publish_array(prefix, part)
 
 
-def _chunk_pool(executor, n_workers: int):
-    """Resolve the (pool, effective worker count, shm eligibility) a
-    chunked call should use.  With an :class:`~repro.parallel.executor.
-    Executor` the pool is the executor's long-lived one and shm is only
-    eligible for process kinds; otherwise callers spin up (and tear
-    down) their own ``ProcessPoolExecutor``.  The arena stays per-call
-    either way -- chunked payloads are one-shot, and adopting them into
-    a persistent arena would accumulate segments for its lifetime."""
-    if executor is None:
-        return None, n_workers, True
-    if executor.inline:
-        return None, 0, True
-    return executor.pool, executor.n_workers, executor.kind == "process"
-
-
 def compress_chunked(
     data,
     error_bound: float,
     mode: str = "abs",
     n_chunks: int = 4,
     n_workers: int = 0,
-    transport: str = "auto",
     executor=None,
     **compressor_options,
 ) -> bytes:
     """Compress ``data`` as ``n_chunks`` independent slabs along axis 0.
 
     ``n_workers=0`` compresses slabs sequentially (deterministic and
-    dependency-free); positive values use a process pool.  With
-    ``transport="auto"``/``"shm"`` and a pool, the whole array is
-    placed in **one** shared segment and each worker reads its slab
-    through a zero-copy :class:`~repro.parallel.shm.ShmSliceRef`;
-    compressed streams travel back through segments too.  The output
-    container is bit-identical across transports and worker counts.
-
+    dependency-free); positive values use a per-call process pool, and
     ``executor`` runs the slabs on a long-lived
-    :class:`repro.parallel.executor.Executor` pool (``n_workers`` is
-    then taken from it); the shm arena remains per-call.
+    :class:`repro.parallel.executor.Executor` instead (``n_workers``
+    is then taken from it).  When the slabs go to worker processes and
+    shared memory works here, the whole array is placed in **one**
+    per-call segment and each worker reads its slab through a
+    zero-copy :class:`~repro.parallel.shm.ShmSliceRef`; compressed
+    streams travel back through segments too.  Otherwise, and for
+    payloads the size/capacity guard turns away, they go by pickle.
+    The output container is bit-identical across data planes and
+    worker counts.
     """
-    from repro.parallel.shm import ShmArena, resolve_transport, take_bytes
+    from repro.parallel.executor import payload_scope
+    from repro.parallel.shm import take_bytes
 
     trace = observe.current_trace()
     with trace.span("chunked.compress") as root:
@@ -131,42 +114,32 @@ def compress_chunked(
         if n_chunks < 1:
             raise ParameterError("n_chunks must be >= 1")
         n_chunks = min(n_chunks, arr.shape[0])
-        ext_pool, n_workers, shm_ok = _chunk_pool(executor, n_workers)
-        if trace.enabled:
-            root.count("n_points", int(arr.size))
-            root.set("n_chunks", n_chunks)
-            root.set("n_workers", max(0, n_workers))
-        # Resolve the bound globally so chunked == unchunked semantics.
-        probe = SZCompressor(
-            error_bound=error_bound, mode=mode, **compressor_options
-        )
-        eb_abs = probe.resolve_error_bound(arr)
-        slabs = np.array_split(arr, n_chunks, axis=0)
-        chunk_rows = [int(s.shape[0]) for s in slabs]
-        use_shm = shm_ok and resolve_transport(transport, n_workers)
-        arena: Optional[ShmArena] = None
-        prefix = None
-        try:
-            if use_shm:
-                arena = ShmArena()
+        with payload_scope(executor, n_workers) as (ex, arena):
+            if trace.enabled:
+                root.count("n_points", int(arr.size))
+                root.set("n_chunks", n_chunks)
+                root.set("n_workers", 0 if ex.inline else ex.n_workers)
+            # Resolve the bound globally so chunked == unchunked semantics.
+            probe = SZCompressor(
+                error_bound=error_bound, mode=mode, **compressor_options
+            )
+            eb_abs = probe.resolve_error_bound(arr)
+            slabs = np.array_split(arr, n_chunks, axis=0)
+            chunk_rows = [int(s.shape[0]) for s in slabs]
+            if arena is None:
+                payloads, prefix = slabs, None
+            else:
                 base = arena.share(np.ascontiguousarray(arr))
                 payloads = arena.slice_refs(base, chunk_rows)
                 prefix = arena.prefix
-            else:
-                payloads = slabs
-            tasks = [
-                (payload, eb_abs, compressor_options, trace.enabled, prefix)
-                for payload in payloads
-            ]
             t0 = time.perf_counter()
-            if n_workers <= 0:
-                results = [_compress_slab(t) for t in tasks]
-            elif ext_pool is not None:
-                futures = [ext_pool.submit(_compress_slab, t) for t in tasks]
-                results = [f.result() for f in futures]
-            else:
-                with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                    results = list(pool.map(_compress_slab, tasks))
+            results = ex.map(
+                _compress_slab,
+                [
+                    (payload, eb_abs, compressor_options, trace.enabled, prefix)
+                    for payload in payloads
+                ],
+            )
             elapsed = time.perf_counter() - t0
             if elapsed > 0:
                 # Wall-clock-derived, hence excluded from deterministic
@@ -184,9 +157,6 @@ def compress_chunked(
                     # aggregate, and the tree stays stable across worker
                     # counts and scheduling.
                     trace.merge(records, prefix=("slab",))
-        finally:
-            if arena is not None:
-                arena.close()
         meta = {
             "dtype": str(arr.dtype),
             "shape": list(arr.shape),
@@ -202,17 +172,17 @@ def compress_chunked(
 
 
 def decompress_chunked(
-    blob: bytes, n_workers: int = 0, transport: str = "auto", executor=None
+    blob: bytes, n_workers: int = 0, executor=None
 ) -> np.ndarray:
     """Decompress a CHUNKED container back into one array.
 
-    With a pool and ``transport="auto"``/``"shm"``, chunk streams go
-    out and reconstructed slabs come back through shared segments (the
-    parent adopts each slab and concatenates the read-only views).
-    ``executor`` reuses a long-lived pool, exactly as in
-    :func:`compress_chunked`.
+    Slabs decode on the pool :func:`compress_chunked` would use.  When
+    they go to worker processes and shared memory works here, chunk
+    streams go out and reconstructed slabs come back through per-call
+    segments (the parent adopts each slab and concatenates the
+    read-only views).
     """
-    from repro.parallel.shm import ShmArena, resolve_transport
+    from repro.parallel.executor import payload_scope
 
     container = Container.from_bytes(blob)
     if container.codec != CODEC_CHUNKED:
@@ -227,37 +197,19 @@ def decompress_chunked(
     if len(chunk_rows) != n_chunks or sum(chunk_rows) != shape[0]:
         raise FormatError("chunk geometry inconsistent with array shape")
     blobs = [container.stream(f"chunk{i}") for i in range(n_chunks)]
-    ext_pool, n_workers, shm_ok = _chunk_pool(executor, n_workers)
-    use_shm = shm_ok and resolve_transport(transport, n_workers)
-    arena: Optional[ShmArena] = None
-    prefix = None
-    try:
-        if use_shm:
-            arena = ShmArena()
-            prefix = arena.prefix
+    with payload_scope(executor, n_workers) as (ex, arena):
+        if arena is None:
+            payloads, prefix = blobs, None
+        else:
             payloads = [
                 arena.share(np.frombuffer(b, dtype=np.uint8)) for b in blobs
             ]
-        else:
-            payloads = blobs
-        tasks = [(payload, prefix) for payload in payloads]
-        if n_workers <= 0:
-            raw = [_decompress_slab(t) for t in tasks]
-        elif ext_pool is not None:
-            futures = [ext_pool.submit(_decompress_slab, t) for t in tasks]
-            raw = [f.result() for f in futures]
-        else:
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                raw = list(pool.map(_decompress_slab, tasks))
-        parts = (
-            [arena.adopt_array(p) for p in raw] if arena is not None else raw
-        )
+            prefix = arena.prefix
+        raw = ex.map(_decompress_slab, [(p, prefix) for p in payloads])
+        parts = raw if arena is None else [arena.adopt_array(p) for p in raw]
         for part, rows in zip(parts, chunk_rows):
             if part.shape[0] != rows:
                 raise FormatError("slab shape mismatch")
         # np.concatenate copies, so the result owns its memory and the
-        # adopted segments can be unlinked in the finally below.
+        # adopted segments can be unlinked when the scope closes.
         return np.concatenate(parts, axis=0)
-    finally:
-        if arena is not None:
-            arena.close()

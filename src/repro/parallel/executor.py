@@ -28,7 +28,9 @@ policy the legacy fail-fast behaviour is unchanged.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import threading
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -38,7 +40,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, asdict, field as dc_field, fields as dc_fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import repro.observe as observe
 from repro.errors import ErrorCode, ParameterError
@@ -46,11 +48,12 @@ from repro.errors import ErrorCode, ParameterError
 __all__ = [
     "FieldResult",
     "Executor",
+    "executor_scope",
+    "payload_scope",
     "run_field_task",
     "sweep_dataset",
     "default_workers",
     "failed_field_result",
-    "map_tasks",
 ]
 
 
@@ -67,18 +70,16 @@ def _warm_worker(index: int) -> int:
 
 
 class Executor:
-    """Long-lived worker pool + shared-memory arena context.
+    """The one source of worker pools.
 
-    Before this class, every parallel entry point created (and tore
-    down) its own ``ProcessPoolExecutor`` and :class:`ShmArena` per
-    call -- fine for one-shot CLI runs, wasteful for anything
-    long-lived.  An ``Executor`` owns both for its whole lifetime and
-    is accepted by :func:`sweep_dataset`, :func:`map_tasks`,
+    Every parallel entry point -- :func:`sweep_dataset`,
     :func:`repro.autotune.autotune` and
     :func:`repro.parallel.chunking.compress_chunked` /
-    ``decompress_chunked`` via their ``executor=`` keyword, so repeated
-    calls reuse warm workers (and the fields those workers already
-    loaded)::
+    ``decompress_chunked`` -- runs on an ``Executor``: the caller's,
+    passed as ``executor=``, or a per-call one that
+    :func:`executor_scope` opens and closes around the call.  A
+    long-lived executor lets repeated calls reuse warm workers (and the
+    fields those workers already loaded)::
 
         with Executor(n_workers=4) as ex:
             ex.warm()                       # spawn + import up front
@@ -86,16 +87,16 @@ class Executor:
             r2 = sweep_dataset("ATM", [80.0], executor=ex)   # no new pool
 
     ``kind`` selects the pool flavour: ``"process"`` (the default; the
-    only kind that can use the shm data plane), ``"thread"`` (same
-    results, zero-copy by construction -- what the service uses in
-    tests and benches to avoid process spawn cost), or ``"inline"``
-    (no pool at all; ``n_workers <= 0`` forces it).  ``start_method``
-    optionally pins the multiprocessing start method -- the service
-    passes ``"spawn"`` because forking from a multi-threaded process
-    is unsafe (and a ``DeprecationWarning`` on 3.12+).
+    only kind whose calls move user arrays over the shm data plane),
+    ``"thread"`` (same results, zero-copy by construction -- what the
+    service uses in tests and benches to avoid process spawn cost), or
+    ``"inline"`` (no pool at all; ``n_workers <= 0`` forces it).
+    ``start_method`` optionally pins the multiprocessing start method
+    -- the service passes ``"spawn"`` because forking from a
+    multi-threaded process is unsafe (and a ``DeprecationWarning`` on
+    3.12+).
 
-    Results are bit-identical across kinds and transports -- the same
-    differential contract the data plane already guarantees.
+    Results are bit-identical across kinds and data planes.
     """
 
     _KINDS = ("process", "thread", "inline")
@@ -103,28 +104,19 @@ class Executor:
     def __init__(
         self,
         n_workers: int = 0,
-        transport: str = "auto",
         kind: str = "process",
         start_method: Optional[str] = None,
     ):
-        from repro.parallel.shm import TRANSPORTS
-
         if kind not in self._KINDS:
             raise ParameterError(
                 f"unknown executor kind {kind!r}; expected one of "
                 f"{self._KINDS}"
             )
-        if transport not in TRANSPORTS:
-            raise ParameterError(
-                f"unknown transport {transport!r}; expected one of "
-                f"{TRANSPORTS}"
-            )
         self.n_workers = int(n_workers)
         self.kind = "inline" if self.n_workers <= 0 else kind
-        self.transport = transport
         self.start_method = start_method
         self._pool = None
-        self._arena = None
+        self._lock = threading.Lock()
         self._closed = False
 
     # -- state ----------------------------------------------------------
@@ -143,42 +135,32 @@ class Executor:
 
     @property
     def pool(self):
-        """The lazily created pool (``None`` for the inline kind)."""
-        self._check_open()
-        if self.kind == "inline":
-            return None
-        if self._pool is None:
-            if self.kind == "thread":
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.n_workers,
-                    thread_name_prefix="repro-exec",
-                )
-            elif self.start_method:
-                import multiprocessing
+        """The lazily created pool (``None`` for the inline kind).
 
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.n_workers,
-                    mp_context=multiprocessing.get_context(self.start_method),
-                )
-            else:
-                self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
-        return self._pool
+        First use is thread-safe: the service reaches the pool from the
+        event loop and from default-executor threads at the same time.
+        The process pool class is looked up by its module-level name on
+        every creation, so patching
+        ``repro.parallel.executor.ProcessPoolExecutor`` sees every pool
+        this package starts."""
+        with self._lock:
+            self._check_open()
+            if self._pool is None and self.kind != "inline":
+                if self.kind == "thread":
+                    self._pool = ThreadPoolExecutor(
+                        max_workers=self.n_workers,
+                        thread_name_prefix="repro-exec",
+                    )
+                else:
+                    import multiprocessing
 
-    @property
-    def arena(self):
-        """The lazily created :class:`~repro.parallel.shm.ShmArena`,
-        or ``None`` when the transport resolves to pickle (non-process
-        kinds never get an arena -- threads already share memory)."""
-        from repro.parallel.shm import ShmArena, resolve_transport
-
-        self._check_open()
-        if self.kind != "process":
-            return None
-        if not resolve_transport(self.transport, self.n_workers):
-            return None
-        if self._arena is None:
-            self._arena = ShmArena()
-        return self._arena
+                    self._pool = ProcessPoolExecutor(
+                        max_workers=self.n_workers,
+                        mp_context=multiprocessing.get_context(
+                            self.start_method
+                        ),
+                    )
+            return self._pool
 
     # -- work -----------------------------------------------------------
 
@@ -195,16 +177,19 @@ class Executor:
             return f
         return self.pool.submit(fn, *args)
 
-    def map(self, fn, argtuples) -> List:
-        """Order-preserving map over argument tuples (the
-        :func:`map_tasks` contract, against this executor's pool)."""
+    def map(self, fn, argtuples, chunksize: int = 1) -> List:
+        """Order-preserving map: ``fn(*t)`` for each tuple ``t`` of
+        ``argtuples``.  ``fn`` must be a module-level (picklable)
+        callable.  ``chunksize`` goes to the pool's ``map``: a process
+        pool ships that many consecutive tasks to one worker at a time.
+        An empty task list touches no pool."""
+        self._check_open()
         tasks = list(argtuples)
         if not tasks:
             return []
         if self.kind == "inline":
             return [fn(*t) for t in tasks]
-        futures = [self.pool.submit(fn, *t) for t in tasks]
-        return [f.result() for f in futures]
+        return list(self.pool.map(fn, *zip(*tasks), chunksize=chunksize))
 
     def warm(self) -> int:
         """Spawn every worker now (and pre-import the codec modules in
@@ -219,18 +204,17 @@ class Executor:
 
     # -- teardown -------------------------------------------------------
 
-    def close(self, cancel_futures: bool = False) -> None:
-        """Shut the pool down and release every shared segment.
-        Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=cancel_futures)
-            self._pool = None
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
+    def close(self, wait: bool = True) -> None:
+        """Shut the pool down.  Idempotent.  ``wait=False`` cancels
+        queued calls and returns without waiting for running ones,
+        which finish (or hang) on their own."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=wait, cancel_futures=not wait)
 
     def __enter__(self) -> "Executor":
         return self
@@ -239,28 +223,45 @@ class Executor:
         self.close()
 
 
-def map_tasks(fn, argtuples, n_workers: int = 0, executor: Optional[Executor] = None):
-    """Order-preserving parallel map over argument tuples.
-
-    The generic fan-out primitive the autotune driver uses for
-    speculative trial probes: ``fn`` must be a module-level (picklable)
-    callable and each element of ``argtuples`` a tuple of its
-    positional arguments.  ``n_workers <= 0`` runs inline -- same
-    results, no pool -- which is what unit tests and small searches
-    use.  An empty task list short-circuits without spawning a pool.
-    With ``executor=`` the map runs on the given :class:`Executor`'s
-    long-lived pool (``n_workers`` is ignored) instead of a fresh one.
-    """
+@contextlib.contextmanager
+def executor_scope(
+    executor: Optional[Executor], n_workers: int, wait: bool = True
+) -> Iterator[Executor]:
+    """The executor one parallel call runs on: the caller's
+    ``executor`` (left open; ``n_workers`` is then ignored), or a
+    per-call ``Executor(n_workers)`` closed on exit.  ``wait=False``
+    closes the per-call pool without waiting for running calls -- the
+    retry path abandons hung attempts and must not block on them."""
     if executor is not None:
-        return executor.map(fn, argtuples)
-    tasks = list(argtuples)
-    if not tasks:
-        return []
-    if n_workers <= 0:
-        return [fn(*t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(fn, *t) for t in tasks]
-        return [f.result() for f in futures]
+        yield executor
+        return
+    ex = Executor(n_workers)
+    try:
+        yield ex
+    finally:
+        ex.close(wait)
+
+
+@contextlib.contextmanager
+def payload_scope(executor: Optional[Executor], n_workers: int):
+    """:func:`executor_scope` for calls that move user arrays: yields
+    ``(executor, arena)``, where ``arena`` is a per-call
+    :class:`~repro.parallel.shm.ShmArena` when the executor is a
+    process pool and shared memory works here, and ``None`` (payloads
+    go by pickle) otherwise.  The arena is closed after a per-call pool
+    has shut down, so it also reclaims segments that workers of a
+    failed call publish late."""
+    from repro.parallel.shm import ShmArena, shm_available
+
+    arena = None
+    try:
+        with executor_scope(executor, n_workers) as ex:
+            if ex.kind == "process" and shm_available():
+                arena = ShmArena()
+            yield ex, arena
+    finally:
+        if arena is not None:
+            arena.close()
 
 
 @dataclass(frozen=True)
@@ -675,8 +676,7 @@ def _sweep_inline_with_retry(tasks, policy, fault, counters):
     return results
 
 
-def _sweep_pool_with_retry(tasks, policy, fault, counters, n_workers,
-                           external_pool=None):
+def _sweep_pool_with_retry(tasks, policy, fault, counters, pool):
     rng = policy.rng()
     results: List[Optional[FieldResult]] = [None] * len(tasks)
     states = [_TaskState(i, t) for i, t in enumerate(tasks)]
@@ -701,64 +701,50 @@ def _sweep_pool_with_retry(tasks, policy, fault, counters, n_workers,
         else:
             waiting.append((time.monotonic() + delay, state))
 
-    # Nothing may sit between pool creation and the try: an exception
-    # in that gap would leak the pool's worker processes (the finally
-    # below is the only shutdown path for this non-context-managed
-    # executor -- it must cover *every* exit).  An external pool (a
-    # long-lived Executor's) is never shut down here; note that an
-    # abandoned hung attempt then keeps one of its workers busy until
-    # the attempt finishes on its own.
-    pool = external_pool or ProcessPoolExecutor(max_workers=n_workers)
-    try:
-        for state in states:
-            submit(state)
-        while inflight or waiting:
-            now = time.monotonic()
-            for ready_at, state in list(waiting):
-                if ready_at <= now:
-                    waiting.remove((ready_at, state))
-                    submit(state)
-            if not inflight:
-                next_ready = min(ready_at for ready_at, _ in waiting)
-                time.sleep(max(0.0, next_ready - time.monotonic()))
-                continue
-            timeout = None
-            deadlines = [dl for _, dl in inflight.values() if dl is not None]
-            horizons = deadlines + [ready_at for ready_at, _ in waiting]
-            if horizons:
-                timeout = max(0.0, min(horizons) - time.monotonic())
-            done, _pending = wait(
-                set(inflight), timeout=timeout, return_when=FIRST_COMPLETED
-            )
-            for fut in done:
-                state, _deadline = inflight.pop(fut)
-                exc = fut.exception()
-                result = None if exc is not None else fut.result()
-                if exc is None and _validated(result):
-                    results[state.index] = _with_attempts(
-                        result, state.attempt + 1
-                    )
-                else:
-                    settle(state, *_classify_failure(exc, result))
-            now = time.monotonic()
-            for fut, (state, deadline) in list(inflight.items()):
-                if deadline is not None and now >= deadline:
-                    # The attempt is hung (or just too slow): abandon
-                    # the future -- its eventual result is ignored --
-                    # and account a timeout.
-                    fut.cancel()
-                    del inflight[fut]
-                    settle(
-                        state,
-                        ErrorCode.TASK_TIMEOUT,
-                        f"attempt exceeded the {policy.task_timeout:.3f}s "
-                        "deadline",
-                    )
-    finally:
-        # Don't block on abandoned (hung) workers; queued futures are
-        # cancelled, running ones are left to finish in the background.
-        if external_pool is None:
-            pool.shutdown(wait=False, cancel_futures=True)
+    for state in states:
+        submit(state)
+    while inflight or waiting:
+        now = time.monotonic()
+        for ready_at, state in list(waiting):
+            if ready_at <= now:
+                waiting.remove((ready_at, state))
+                submit(state)
+        if not inflight:
+            next_ready = min(ready_at for ready_at, _ in waiting)
+            time.sleep(max(0.0, next_ready - time.monotonic()))
+            continue
+        timeout = None
+        deadlines = [dl for _, dl in inflight.values() if dl is not None]
+        horizons = deadlines + [ready_at for ready_at, _ in waiting]
+        if horizons:
+            timeout = max(0.0, min(horizons) - time.monotonic())
+        done, _pending = wait(
+            set(inflight), timeout=timeout, return_when=FIRST_COMPLETED
+        )
+        for fut in done:
+            state, _deadline = inflight.pop(fut)
+            exc = fut.exception()
+            result = None if exc is not None else fut.result()
+            if exc is None and _validated(result):
+                results[state.index] = _with_attempts(
+                    result, state.attempt + 1
+                )
+            else:
+                settle(state, *_classify_failure(exc, result))
+        now = time.monotonic()
+        for fut, (state, deadline) in list(inflight.items()):
+            if deadline is not None and now >= deadline:
+                # The attempt is hung (or just too slow): abandon the
+                # future -- its eventual result is ignored -- and
+                # account a timeout.
+                fut.cancel()
+                del inflight[fut]
+                settle(
+                    state,
+                    ErrorCode.TASK_TIMEOUT,
+                    f"attempt exceeded the {policy.task_timeout:.3f}s "
+                    "deadline",
+                )
     return results
 
 
@@ -808,7 +794,7 @@ def sweep_dataset(
     CI fault matrix's hook); it requires ``retry``.
 
     ``executor`` runs the sweep on a long-lived :class:`Executor`
-    instead of a per-call pool: ``n_workers`` is taken from the
+    instead of a per-call one: ``n_workers`` is taken from the
     executor, its workers keep the fields they loaded for the next
     sweep, and nothing is torn down afterwards.
 
@@ -839,32 +825,22 @@ def sweep_dataset(
         for t in targets
     ]
     _metrics().counter("parallel.field_tasks_total").inc(len(tasks))
-    external_pool = None
-    if executor is not None:
-        n_workers = 0 if executor.inline else executor.n_workers
-        external_pool = executor.pool
-    # One worker per field when the fields can keep every worker busy.
-    chunksize = max(1, len(targets)) if len(names) >= n_workers else 1
-    if retry is None:
-        if n_workers <= 0:
-            results = [run_field_task(*t) for t in tasks]
-        elif external_pool is not None:
-            results = list(external_pool.map(
-                run_field_task, *zip(*tasks), chunksize=chunksize
-            ))
-        else:
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                results = list(
-                    pool.map(run_field_task, *zip(*tasks), chunksize=chunksize)
-                )
-    else:
-        counters = _resilience_counters()
-        if n_workers <= 0:
-            results = _sweep_inline_with_retry(tasks, retry, fault, counters)
+    # A per-call pool on the retry path shuts down without waiting for
+    # abandoned (hung) attempts; on a caller's executor such an attempt
+    # keeps its worker busy until it finishes on its own.
+    with executor_scope(executor, n_workers, wait=retry is None) as ex:
+        workers = 0 if ex.inline else ex.n_workers
+        # One worker per field when the fields can keep every worker busy.
+        chunksize = max(1, len(targets)) if len(names) >= workers else 1
+        if retry is None:
+            results = ex.map(run_field_task, tasks, chunksize=chunksize)
+        elif ex.inline:
+            results = _sweep_inline_with_retry(
+                tasks, retry, fault, _resilience_counters()
+            )
         else:
             results = _sweep_pool_with_retry(
-                tasks, retry, fault, counters, n_workers,
-                external_pool=external_pool,
+                tasks, retry, fault, _resilience_counters(), ex.pool
             )
     # Field-major task order back to (target, field) row order.
     results = [

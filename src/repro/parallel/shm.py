@@ -11,11 +11,13 @@ exactly this data-movement plumbing.
 The data plane replaces the pickle channel with POSIX shared memory
 (:mod:`multiprocessing.shared_memory`):
 
-* :class:`ShmArena` owns parent-created segments with a refcounted
-  lifecycle, an unlink-everything :meth:`ShmArena.close`, a
-  ``weakref.finalize`` safety net, and an orphan sweep keyed on the
-  arena's unique name prefix (so segments published by a worker that
-  crashed or hung are still reclaimed).
+* :class:`ShmArena` owns the segments of one parallel call: an
+  unlink-everything :meth:`ShmArena.close`, a ``weakref.finalize``
+  safety net, and an orphan sweep keyed on the arena's unique name
+  prefix (so segments published by a worker that crashed or hung are
+  still reclaimed).  Each call that moves user arrays to worker
+  processes opens its own arena
+  (:func:`repro.parallel.executor.payload_scope`); none outlives it.
 * :class:`ShmArrayRef` / :class:`ShmSliceRef` / :class:`ShmBytesRef`
   are lightweight picklable *references*: a few dozen bytes cross the
   pickle channel instead of the payload.  Workers attach with
@@ -37,7 +39,7 @@ bytes** as the pickled original, and shared inputs are mapped
 read-only so no worker can corrupt a segment other tasks are reading.
 ``tests/test_parallel_shm.py`` holds the differential wall: every
 parallel path must produce bit-identical output through shm, pickle
-and serial execution.
+(forced through the size guard) and serial execution.
 
 Telemetry (parent-side; see docs/PERFORMANCE.md and
 docs/OBSERVABILITY.md):
@@ -71,11 +73,9 @@ from repro.errors import ErrorCode, ParameterError, TransportError
 from repro.telemetry.registry import metrics as _metrics
 
 __all__ = [
-    "TRANSPORTS",
     "MIN_SHARE_BYTES",
     "MAX_SHARE_BYTES",
     "shm_available",
-    "resolve_transport",
     "ShmArena",
     "ShmArrayRef",
     "ShmSliceRef",
@@ -87,9 +87,6 @@ __all__ = [
     "take_bytes",
     "shm_dir_entries",
 ]
-
-#: Recognized transport selectors for the parallel entry points.
-TRANSPORTS = ("auto", "shm", "pickle")
 
 #: Payloads below this many bytes ship by pickle: a segment costs two
 #: syscalls plus resource-tracker traffic, which a small memcpy beats.
@@ -126,7 +123,7 @@ def shm_available() -> bool:
 
     Probed once per process by creating and unlinking a tiny segment;
     any failure (missing module, read-only ``/dev/shm``, seccomp)
-    makes every transport decision fall back to pickle.
+    makes every parallel call move its payloads by pickle.
     """
     global _AVAILABLE
     if _AVAILABLE is None:
@@ -138,30 +135,6 @@ def shm_available() -> bool:
         except Exception:  # noqa: BLE001 -- any failure means "no shm"
             _AVAILABLE = False
     return _AVAILABLE
-
-
-def resolve_transport(transport: str, n_workers: int) -> bool:
-    """Decide whether a parallel entry point should use the shm plane.
-
-    ``"pickle"`` never does; ``"auto"`` and ``"shm"`` do whenever there
-    are worker processes and shared memory is available.  ``"shm"``
-    with no shm support degrades gracefully (counted in
-    ``shm.fallbacks_total``) rather than failing the run.
-    """
-    if transport not in TRANSPORTS:
-        raise ParameterError(
-            f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-        )
-    if transport == "pickle" or n_workers <= 0:
-        return False
-    if not shm_available():
-        if transport == "shm":
-            _metrics().counter(
-                "shm.fallbacks_total",
-                help="payload shares that degraded to pickle transport",
-            ).inc()
-        return False
-    return True
 
 
 def _free_shm_bytes() -> Optional[int]:
@@ -247,14 +220,17 @@ def _sweep_prefix(prefix: str) -> int:
     return swept
 
 
-def _finalize_arena(prefix: str, segments: Dict[str, list]) -> None:
-    """The ``weakref.finalize`` safety net: runs if an arena is
-    garbage-collected or the interpreter exits without ``close()``."""
+def _release_all(prefix: str, segments: Dict[str, object]) -> int:
+    """Close and unlink every handle in ``segments``, then sweep
+    ``prefix``; returns the number of orphans swept.  Both
+    :meth:`ShmArena.close` and the arena's ``weakref.finalize`` safety
+    net (an arena garbage-collected, or the interpreter exiting,
+    without ``close()``) run it."""
     for name in list(segments):
-        seg, _refs = segments.pop(name)
+        seg = segments.pop(name)
         _close_quietly(seg)
         _unlink_quietly(seg)
-    _sweep_prefix(prefix)
+    return _sweep_prefix(prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +306,7 @@ class InlineArrayRef:
 
     Returned by :meth:`ShmArena.share` when the shm plane is disabled,
     unavailable, or the payload fails the size/capacity guard; the
-    array itself rides the pickle channel like before.
+    array itself rides the pickle channel.
     """
 
     __slots__ = ("array",)
@@ -378,20 +354,19 @@ def open_payload(payload: ArrayPayload) -> Iterator[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# the arena (parent-owned segments, refcounted)
+# the arena (parent-owned segments of one call)
 # ---------------------------------------------------------------------------
 
 
 class ShmArena:
     """Owner of a family of shared segments with a common name prefix.
 
-    Lifecycle: ``share()`` creates a segment at refcount 1;
-    ``retain``/``release`` adjust it; the segment is unlinked when the
-    count reaches zero.  ``close()`` force-releases everything and
-    additionally sweeps the prefix for orphans published by faulted
-    workers.  A ``weakref.finalize`` hook repeats the cleanup if the
-    arena is dropped without closing -- nothing this object created
-    can outlive the process.
+    Lifecycle: ``share()`` creates a segment that stays linked until
+    ``close()``, which unlinks everything the arena shared or adopted
+    and sweeps the prefix for orphans published by faulted workers.  A
+    ``weakref.finalize`` hook repeats the cleanup if the arena is
+    dropped without closing -- nothing this object created can outlive
+    the process.
 
     Use as a context manager for exception-safe cleanup::
 
@@ -403,8 +378,8 @@ class ShmArena:
     def __init__(self, prefix: Optional[str] = None, enabled: bool = True):
         self.prefix = prefix or f"fpz{os.getpid():x}x{secrets.token_hex(4)}"
         self._enabled = bool(enabled) and shm_available()
-        self._segments: Dict[str, list] = {}  # name -> [shm, refcount]
-        self._adopted: Dict[str, object] = {}  # name -> attached handle
+        # name -> handle, for segments shared here or adopted from workers
+        self._segments: Dict[str, object] = {}
         self._counter = itertools.count()
         self._closed = False
         if self._enabled:
@@ -419,43 +394,20 @@ class ShmArena:
             except Exception:  # noqa: BLE001 -- tracker is an optimization
                 pass
         self._finalizer = weakref.finalize(
-            self, _finalize_arena, self.prefix, self._segments
+            self, _release_all, self.prefix, self._segments
         )
-
-    # -- introspection --------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def active_segments(self) -> int:
-        return len(self._segments) + len(self._adopted)
-
-    @property
-    def bytes_active(self) -> int:
-        return sum(seg.size for seg, _ in self._segments.values())
 
     @property
     def finalizer_alive(self) -> bool:
         return self._finalizer.alive
 
-    def refcount(self, ref) -> int:
-        """Current refcount of a shared segment (0 when released)."""
-        entry = self._segments.get(self._name_of(ref))
-        return 0 if entry is None else entry[1]
-
     # -- sharing --------------------------------------------------------
 
     def share(self, data) -> ArrayPayload:
         """Place ``data`` in a fresh segment (one copy) and return a
-        picklable ref at refcount 1; falls back to an
-        :class:`InlineArrayRef` when the plane is off or the payload
-        fails the size/capacity guard."""
+        picklable ref; falls back to an :class:`InlineArrayRef` when
+        the plane is off or the payload fails the size/capacity
+        guard."""
         self._check_open()
         arr = np.asarray(data)
         if not (self._enabled and _share_allowed(arr.nbytes)):
@@ -477,7 +429,7 @@ class ShmArena:
             view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
             view[...] = arr
             del view
-            self._segments[name] = [seg, 1]
+            self._segments[name] = seg
             if trace.enabled:
                 sp.count("bytes", int(arr.nbytes))
             reg = _metrics()
@@ -514,56 +466,6 @@ class ShmArena:
                 for lo, hi in zip(bounds[:-1], bounds[1:])
             ]
 
-    # -- refcounted lifecycle ------------------------------------------
-
-    @staticmethod
-    def _name_of(ref) -> str:
-        if isinstance(ref, (ShmArrayRef, ShmBytesRef)):
-            return ref.name
-        if isinstance(ref, ShmSliceRef):
-            return ref.base.name
-        if isinstance(ref, str):
-            return ref
-        raise ParameterError(
-            f"not a shared-segment reference: {type(ref).__name__}"
-        )
-
-    def retain(self, ref) -> None:
-        """Increment a segment's refcount."""
-        self._check_open()
-        name = self._name_of(ref)
-        entry = self._segments.get(name)
-        if entry is None:
-            raise TransportError(
-                f"cannot retain {name!r}: segment already released or "
-                "not owned by this arena",
-                code=ErrorCode.SHM_RELEASED,
-            )
-        entry[1] += 1
-
-    def release(self, ref) -> None:
-        """Decrement a segment's refcount; the segment is unlinked at
-        zero.  Releasing a segment that is already gone is a typed
-        :class:`~repro.errors.TransportError`
-        (:data:`~repro.errors.ErrorCode.SHM_RELEASED`), never a crash."""
-        name = self._name_of(ref)
-        entry = self._segments.get(name)
-        if entry is None:
-            raise TransportError(
-                f"double release of segment {name!r} (or segment not "
-                "owned by this arena)",
-                code=ErrorCode.SHM_RELEASED,
-            )
-        entry[1] -= 1
-        if entry[1] <= 0:
-            del self._segments[name]
-            _close_quietly(entry[0])
-            _unlink_quietly(entry[0])
-            _metrics().counter(
-                "shm.segments_released_total",
-                help="shared-memory segments explicitly released",
-            ).inc()
-
     # -- worker-published results --------------------------------------
 
     def adopt_array(self, payload) -> np.ndarray:
@@ -578,7 +480,7 @@ class ShmArena:
                 f"cannot adopt {type(payload).__name__}"
             )
         seg = _attach(payload.name)
-        self._adopted[payload.name] = seg
+        self._segments[payload.name] = seg
         arr = np.ndarray(
             payload.shape, dtype=np.dtype(payload.dtype), buffer=seg.buf
         )
@@ -588,23 +490,13 @@ class ShmArena:
     # -- teardown -------------------------------------------------------
 
     def close(self) -> None:
-        """Release every live segment, unlink adopted ones, and sweep
-        the prefix for orphans left by faulted workers.  Idempotent."""
+        """Unlink every shared and adopted segment, and sweep the
+        prefix for orphans left by faulted workers.  Idempotent."""
         if self._closed:
             return
         self._closed = True
-        released = 0
-        for name in list(self._segments):
-            seg, _refs = self._segments.pop(name)
-            _close_quietly(seg)
-            _unlink_quietly(seg)
-            released += 1
-        for name in list(self._adopted):
-            seg = self._adopted.pop(name)
-            _close_quietly(seg)
-            _unlink_quietly(seg)
-            released += 1
-        swept = _sweep_prefix(self.prefix)
+        released = len(self._segments)
+        swept = _release_all(self.prefix, self._segments)
         self._finalizer.detach()
         reg = _metrics()
         if released:

@@ -26,10 +26,10 @@ readiness probe and admissions flip to 503 immediately, queued and
 in-flight jobs get ``grace_s`` seconds to finish, then the process
 exits 0.
 
-The pool itself is a :class:`repro.parallel.executor.Executor` -- the
-long-lived pool+arena context this PR introduced -- created with the
-``spawn`` start method, because a serving process is multi-threaded by
-the time it forks and forking such a process is unsafe.
+The pool itself is a long-lived
+:class:`repro.parallel.executor.Executor`, created with the ``spawn``
+start method, because a serving process is multi-threaded by the time
+it forks and forking such a process is unsafe.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ class ServiceConfig:
     port: int = 8077
     n_workers: int = 2
     kind: str = "process"          # process | thread | inline
-    transport: str = "auto"
     queue_limit: int = 64
     grace_s: float = 10.0
     max_retries: int = 1
@@ -179,7 +178,6 @@ class CompressionService(HttpServer):
         super().__init__(self.config.host, self.config.port)
         self.executor = Executor(
             n_workers=self.config.n_workers,
-            transport=self.config.transport,
             kind=self.config.kind,
             start_method=(
                 "spawn" if self.config.kind == "process" else None

@@ -309,7 +309,9 @@ class SZCompressor:
         n = int(np.prod(shape))
         signs = None
         if meta.get("mode") == "pw_rel":
-            sign_blob = lossless_decompress(container.stream("signs"), lossless)
+            sign_blob = lossless_decompress(
+                container.stream("signs"), lossless, max_length=n
+            )
             signs = np.frombuffer(sign_blob, dtype=np.int8)
             if signs.size != n:
                 raise DecompressionError("sign stream length mismatch")
@@ -319,7 +321,10 @@ class SZCompressor:
         fill_mask = None
         if "fill_value" in meta:
             fill_value = unpack_exact_float(meta["fill_value"])
-            mask_blob = lossless_decompress(container.stream("fillmask"), lossless)
+            mask_blob = lossless_decompress(
+                container.stream("fillmask"), lossless,
+                max_length=(n + 7) // 8,
+            )
             bits = np.unpackbits(np.frombuffer(mask_blob, dtype=np.uint8))
             if bits.size < n:
                 raise DecompressionError("fill mask shorter than the array")
@@ -386,15 +391,13 @@ def compress(
     mode: str = "abs",
     n_chunks: int = 0,
     n_workers: int = 0,
-    transport: str = "auto",
     **kwargs,
 ) -> bytes:
     """Functional one-shot front end to :class:`SZCompressor`.
 
     ``n_chunks >= 1`` routes through the slab-parallel
     :func:`repro.parallel.chunking.compress_chunked` path instead
-    (``n_workers`` processes, array payloads moved over ``transport``
-    -- see :mod:`repro.parallel.shm`); the default stays the plain
+    (``n_workers`` processes); the default stays the plain
     single-container compressor.
     """
     if n_chunks >= 1:
@@ -406,19 +409,16 @@ def compress(
             mode=mode,
             n_chunks=n_chunks,
             n_workers=n_workers,
-            transport=transport,
             **kwargs,
         )
     return SZCompressor(error_bound=error_bound, mode=mode, **kwargs).compress(data)
 
 
-def decompress(
-    blob: bytes, n_workers: int = 0, transport: str = "auto"
-) -> np.ndarray:
+def decompress(blob: bytes, n_workers: int = 0) -> np.ndarray:
     """Decompress any container produced by this package (SZ,
-    transform, regression, embedded, or chunked).  ``n_workers`` and
-    ``transport`` apply only to chunked containers, whose slabs can be
-    decoded in parallel."""
+    transform, regression, embedded, or chunked).  ``n_workers``
+    applies only to chunked containers, whose slabs can be decoded in
+    parallel."""
     container = Container.from_bytes(blob)
     if container.codec == CODEC_SZ:
         return SZCompressor.decompress(blob)
@@ -427,7 +427,7 @@ def decompress(
     if container.codec == CODEC_CHUNKED:
         from repro.parallel.chunking import decompress_chunked
 
-        return decompress_chunked(blob, n_workers=n_workers, transport=transport)
+        return decompress_chunked(blob, n_workers=n_workers)
     if container.codec == CODEC_REGRESSION:
         from repro.sz.regression import RegressionCompressor
 

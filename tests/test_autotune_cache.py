@@ -6,8 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.autotune.cache import TrialCache, fingerprint, warm_start
+from repro.autotune.cache import TrialCache, warm_start
 from repro.autotune.objective import Trial, get_objective
+from repro.cache.store import data_digest
 
 
 def make_trial(eb, value):
@@ -25,22 +26,25 @@ def make_trial(eb, value):
 
 
 class TestFingerprint:
+    """Trials are keyed by the package's one array fingerprint,
+    :func:`repro.cache.store.data_digest`."""
+
     def test_deterministic(self, smooth2d):
-        assert fingerprint(smooth2d) == fingerprint(smooth2d)
+        assert data_digest(smooth2d) == data_digest(smooth2d)
 
     def test_sensitive_to_content(self, smooth2d):
         other = np.array(smooth2d)
         other.flat[0] += 1e-9
-        assert fingerprint(smooth2d) != fingerprint(other)
+        assert data_digest(smooth2d) != data_digest(other)
 
     def test_sensitive_to_dtype_and_shape(self):
         a = np.zeros((4, 4), dtype=np.float64)
-        assert fingerprint(a) != fingerprint(a.astype(np.float32))
-        assert fingerprint(a) != fingerprint(a.reshape(2, 8))
+        assert data_digest(a) != data_digest(a.astype(np.float32))
+        assert data_digest(a) != data_digest(a.reshape(2, 8))
 
     def test_non_contiguous_view_matches_copy(self, smooth2d):
         view = np.asarray(smooth2d)[::2, ::2]
-        assert fingerprint(view) == fingerprint(np.ascontiguousarray(view))
+        assert data_digest(view) == data_digest(np.ascontiguousarray(view))
 
 
 class TestTrialCache:

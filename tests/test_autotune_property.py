@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.autotune import TrialCache, autotune
-from repro.autotune.cache import fingerprint
+from repro.cache.store import data_digest
 from repro.autotune.objective import Trial
 from repro.autotune.search import relative_error, search
 from repro.errors import ParameterError
@@ -188,7 +188,7 @@ else:  # pragma: no cover
         assert_constant_field_raises(value, (16, 16))
 
 
-# -- supporting invariant: fingerprints are content-stable --------------
+# -- supporting invariant: the trial-key digest is content-stable -------
 
 if HAVE_HYPOTHESIS:
 
@@ -200,11 +200,11 @@ if HAVE_HYPOTHESIS:
     def test_fingerprint_stable_and_content_sensitive(seed, n):
         r = np.random.default_rng(seed)
         a = r.normal(size=n)
-        assert fingerprint(a) == fingerprint(a.copy())
+        assert data_digest(a) == data_digest(a.copy())
         b = a.copy()
         b[0] = b[0] + 1.0 if np.isfinite(b[0]) else 0.0
         if not np.array_equal(a, b):
-            assert fingerprint(a) != fingerprint(b)
+            assert data_digest(a) != data_digest(b)
 
 else:  # pragma: no cover
 
@@ -212,7 +212,7 @@ else:  # pragma: no cover
     def test_fingerprint_stable_and_content_sensitive(seed):
         r = np.random.default_rng(seed)
         a = r.normal(size=int(r.integers(1, 64)))
-        assert fingerprint(a) == fingerprint(a.copy())
+        assert data_digest(a) == data_digest(a.copy())
         b = a.copy()
         b[0] += 1.0
-        assert fingerprint(a) != fingerprint(b)
+        assert data_digest(a) != data_digest(b)

@@ -460,35 +460,28 @@ class TestAutotuneCommand:
 
 
 class TestTransportFlags:
-    def test_shm_flags_mutually_exclusive(self, demo_npy):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                [
-                    "compress", str(demo_npy), "-o", "x", "--abs", "0.01",
-                    "--shm", "--no-shm",
-                ]
-            )
-
     def test_chunked_compress_identical_across_transports(
-        self, demo_npy, tmp_path
+        self, demo_npy, tmp_path, monkeypatch
     ):
-        outs = {}
-        for label, extra in {
-            "default": [],
-            "shm": ["--shm"],
-            "pickle": ["--no-shm"],
-        }.items():
+        import repro.parallel.shm as shm
+
+        def run(label, workers):
             out = tmp_path / f"{label}.fpzc"
             code = main(
                 [
                     "compress", str(demo_npy), "-o", str(out),
                     "--abs", "0.01", "--chunks", "3",
-                    "--chunk-workers", "2", *extra,
+                    "--chunk-workers", workers,
                 ]
             )
             assert code == 0
-            outs[label] = out.read_bytes()
-        assert outs["default"] == outs["shm"] == outs["pickle"]
+            return out.read_bytes()
+
+        serial = run("serial", "0")
+        shared = run("default", "2")
+        # A zero size-guard cap sends every payload by pickle.
+        monkeypatch.setattr(shm, "MAX_SHARE_BYTES", 0)
+        assert serial == shared == run("pickle", "2")
 
     def test_chunked_decompress_with_workers(self, demo_npy, tmp_path):
         out = tmp_path / "c.fpzc"
@@ -502,7 +495,7 @@ class TestTransportFlags:
         code = main(
             [
                 "decompress", str(out), "-o", str(rec),
-                "--chunk-workers", "2", "--shm",
+                "--chunk-workers", "2",
             ]
         )
         assert code == 0
@@ -520,13 +513,21 @@ class TestTransportFlags:
         assert "chunks" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--shm", "--no-shm"])
-    def test_sweep_rejects_removed_shm_flags(self, flag):
-        # Sweep workers load their fields by name; there is no payload
-        # transport left to choose.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["sweep", "NYX", "--targets", "60", "--workers", "2", flag]
-            )
+    def test_sweep_rejects_removed_shm_flags(self, flag, capsys):
+        # Every parallel call picks its data plane itself; no
+        # subcommand has a transport left to choose.
+        for argv in (
+            ["sweep", "NYX", "--targets", "60", "--workers", "2"],
+            ["compress", "f.npy", "-o", "f.fpz", "--abs", "0.01",
+             "--chunks", "2", "--chunk-workers", "2"],
+            ["decompress", "f.fpz", "-o", "r.npy", "--chunk-workers", "2"],
+            ["autotune", "f.npy", "--ratio", "10", "--workers", "2"],
+            ["serve", "--workers", "2"],
+        ):
+            build_parser().parse_args(argv)
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([*argv, flag])
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestLedgerJson:

@@ -1,16 +1,28 @@
-"""Unit tests for the field-sweep executor."""
+"""Unit tests for the field-sweep executor.
+
+``FPZC_TEST_WORKERS`` sets the pool width of the pool-count tests (CI's
+``parallel-matrix`` job runs this module at 1, 2 and 4 workers); the
+default is 2.
+"""
+
+import os
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import repro.parallel.executor as executor_module
 from repro.errors import ParameterError
 from repro.parallel.executor import (
     Executor,
     FieldResult,
-    map_tasks,
     run_field_task,
     sweep_dataset,
 )
+
+WORKERS = int(os.environ.get("FPZC_TEST_WORKERS", "2"))
 
 
 class TestRunFieldTask:
@@ -85,14 +97,14 @@ class TestExecutor:
         with Executor(n_workers=0, kind="process") as ex:
             assert ex.inline
             assert ex.pool is None
-            assert ex.arena is None
             assert ex.map(_double, [(1,), (2,)]) == [2, 4]
 
     def test_bad_kind_and_transport_rejected(self):
         with pytest.raises(ParameterError):
             Executor(n_workers=2, kind="fiber")
-        with pytest.raises(ParameterError):
-            Executor(n_workers=2, transport="carrier-pigeon")
+        # The data plane is chosen per call; there is no knob for it.
+        with pytest.raises(TypeError):
+            Executor(n_workers=2, transport="shm")
 
     def test_thread_kind_matches_inline(self):
         kwargs = dict(targets=[60.0], fields=["temperature"])
@@ -114,9 +126,14 @@ class TestExecutor:
         assert [r.as_dict() for r in inline] == [r.as_dict() for r in first]
         assert [r.as_dict() for r in first] == [r.as_dict() for r in second]
 
-    def test_map_tasks_uses_executor(self):
+    def test_map_preserves_order_on_the_pool(self):
+        tasks = [(i,) for i in range(7)]
         with Executor(n_workers=2, kind="thread") as ex:
-            assert map_tasks(_double, [(3,), (4,)], executor=ex) == [6, 8]
+            assert ex.map(_double, tasks) == [2 * i for i in range(7)]
+            assert ex.map(_double, tasks, chunksize=3) == [
+                2 * i for i in range(7)
+            ]
+            assert ex.map(_double, []) == []
 
     def test_closed_executor_rejects_work(self):
         ex = Executor(n_workers=2, kind="thread")
@@ -185,14 +202,14 @@ class TestPoolLifecycle:
         """Regression: an exception between pool creation and the
         try-block used to leak the pool's worker processes.  Any
         failure after construction must reach ``shutdown`` exactly
-        once, with ``cancel_futures`` so queued work dies too."""
-        import repro.parallel.executor as ex
+        once, with ``cancel_futures`` so queued work dies too, and
+        without waiting (the retry path abandons hung attempts)."""
         from repro.resilience.retry import RetryPolicy
 
         shutdown_calls = []
 
         class ExplodingPool:
-            def __init__(self, max_workers=None):
+            def __init__(self, max_workers=None, mp_context=None):
                 pass
 
             def submit(self, *a, **kw):
@@ -201,16 +218,115 @@ class TestPoolLifecycle:
             def shutdown(self, wait=True, cancel_futures=False):
                 shutdown_calls.append((wait, cancel_futures))
 
-        monkeypatch.setattr(ex, "ProcessPoolExecutor", ExplodingPool)
-        task = (
-            "NYX", "temperature", 60.0, None, None, "sz", False, False, None,
+        monkeypatch.setattr(
+            executor_module, "ProcessPoolExecutor", ExplodingPool
         )
         with pytest.raises(RuntimeError, match="submit exploded"):
-            ex._sweep_pool_with_retry(
-                [task],
-                RetryPolicy(max_retries=0),
-                None,
-                ex._resilience_counters(),
+            sweep_dataset(
+                "NYX",
+                targets=[60.0],
+                fields=["temperature"],
                 n_workers=2,
+                retry=RetryPolicy(max_retries=0),
             )
         assert shutdown_calls == [(False, True)]
+
+    def test_concurrent_first_use_builds_one_pool(self, monkeypatch):
+        """Two threads reaching ``pool`` together while the pool is
+        being built -- the service's event loop and a sweep job's
+        default-executor thread -- get one and the same pool."""
+        built = []
+
+        class SlowPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                time.sleep(0.2)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", SlowPool)
+        barrier = threading.Barrier(2)
+        seen = []
+
+        def first_use(ex):
+            barrier.wait()
+            seen.append(ex.pool)
+
+        with Executor(n_workers=2) as ex:
+            threads = [
+                threading.Thread(target=first_use, args=(ex,))
+                for _ in range(2)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert len(built) == 1
+            assert seen[0] is seen[1] is ex.pool
+        for pool in built:
+            pool.shutdown()
+
+
+ENTRY_POINTS = [
+    "sweep_dataset", "compress_chunked", "decompress_chunked", "autotune",
+]
+
+
+def _entry_points(data):
+    """One call of every parallel entry point, by name; each takes
+    ``n_workers=`` or ``executor=``."""
+    from repro.autotune import autotune
+    from repro.parallel.chunking import compress_chunked, decompress_chunked
+
+    blob = compress_chunked(data, 1e-3, mode="rel", n_chunks=3)
+    return {
+        "sweep_dataset": lambda **kw: sweep_dataset(
+            "NYX", targets=[60.0], fields=["temperature"], **kw
+        ),
+        "compress_chunked": lambda **kw: compress_chunked(
+            data, 1e-3, mode="rel", n_chunks=3, **kw
+        ),
+        "decompress_chunked": lambda **kw: decompress_chunked(blob, **kw),
+        "autotune": lambda **kw: autotune(
+            data, "psnr", 60.0, max_trials=4, keep_blob=False, **kw
+        ),
+    }
+
+
+class TestPoolCount:
+    """Every parallel entry point gets its workers from ``Executor``:
+    a pooled call starts exactly one pool, and a call handed an
+    executor starts none.  Pools are counted the way perfbench's
+    ``parallel.pool_starts`` counts them, by patching
+    ``repro.parallel.executor.ProcessPoolExecutor``."""
+
+    @pytest.fixture
+    def pool_starts(self, monkeypatch):
+        starts = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(
+            executor_module, "ProcessPoolExecutor", CountingPool
+        )
+        return starts
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_one_pool_per_pooled_call(self, pool_starts, smooth2d, name):
+        _entry_points(smooth2d)[name](n_workers=WORKERS)
+        assert len(pool_starts) == 1
+
+    def test_no_pool_when_given_an_executor(self, pool_starts, smooth2d):
+        calls = _entry_points(smooth2d)
+        with Executor(n_workers=WORKERS) as ex:
+            assert ex.pool is not None
+            for name in ENTRY_POINTS:
+                calls[name](executor=ex)
+                assert len(pool_starts) == 1, name
+
+    def test_no_pool_when_inline(self, pool_starts, smooth2d):
+        for call in _entry_points(smooth2d).values():
+            call(n_workers=0)
+        assert pool_starts == []

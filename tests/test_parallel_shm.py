@@ -1,19 +1,22 @@
 """The differential wall around the shared-memory data plane.
 
-Transport is an implementation detail: every entry point that moves a
-user array to workers (chunked compress/decompress, the autotune probe
-fan-out) must produce **bit-identical** output whether payloads move
-inline, over the pickle channel, or through :mod:`repro.parallel.shm`
--- across codecs, dtypes and awkward shapes.  These tests pin that
-contract (container bytes and per-stream CRCs, not just
-reconstructions), plus the arena lifecycle, the fallback guards, and
-fault-time cleanup.  (Sweeps ship field names only; their
-differential suite is ``tests/test_field_source.py``.)
+The data plane is an implementation detail: every entry point that
+moves a user array to workers (chunked compress/decompress, the
+autotune probe fan-out) must produce **bit-identical** output whether
+payloads move inline, over the pickle channel, or through
+:mod:`repro.parallel.shm` -- across codecs, dtypes and awkward shapes.
+A pooled call picks shm on its own; the pickle arm is forced by
+setting the size guard's ``MAX_SHARE_BYTES`` to 0, which turns every
+payload away.  These tests pin that contract (container bytes and
+per-stream CRCs, not just reconstructions), plus the arena lifecycle,
+the fallback guards, and fault-time cleanup.  (Sweeps ship field names
+only; their differential suite is ``tests/test_field_source.py``.)
 
 ``FPZC_TEST_WORKERS`` sets the pool width (CI's ``parallel-matrix``
 job runs this module at 1, 2 and 4 workers); the default is 2.
 """
 
+import contextlib
 import os
 
 import numpy as np
@@ -33,7 +36,6 @@ from repro.parallel.shm import (
     open_payload,
     publish_array,
     publish_bytes,
-    resolve_transport,
     shm_available,
     shm_dir_entries,
     take_bytes,
@@ -57,6 +59,26 @@ def _zero_leaked_segments():
     gc.collect()
     leaked = set(shm_dir_entries("fpz")) - before
     assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+
+
+@contextlib.contextmanager
+def _pickle_arm():
+    """Inside the block the size guard turns every payload away, so a
+    pooled call moves all of them over the pickle channel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shm, "MAX_SHARE_BYTES", 0)
+        yield
+
+
+def _counter(name):
+    from repro.telemetry.registry import metrics
+
+    m = metrics().get(name)
+    return 0 if m is None else m.value
+
+
+def _shared_bytes() -> int:
+    return _counter("shm.bytes_shared_total")
 
 
 def _field(shape, dtype, seed=0):
@@ -85,32 +107,17 @@ class TestArenaLifecycle:
                 with pytest.raises(ValueError):
                     view[0, 0] = 1.0
 
-    def test_refcount_retain_release(self):
-        arena = ShmArena()
-        try:
-            ref = arena.share(_field((64, 64), np.float64))
-            assert arena.refcount(ref) == 1
-            arena.retain(ref)
-            assert arena.refcount(ref) == 2
-            arena.release(ref)
-            assert arena.refcount(ref) == 1
-            assert shm_dir_entries(arena.prefix)  # still linked
-            arena.release(ref)
-            assert arena.refcount(ref) == 0
-            assert shm_dir_entries(arena.prefix) == []
-        finally:
-            arena.close()
-
     def test_double_release_is_typed_error(self):
-        arena = ShmArena()
-        try:
-            ref = arena.share(_field((64, 64), np.float64))
-            arena.release(ref)
+        # take_bytes drains a worker-published segment and unlinks it;
+        # draining it a second time must not crash or resurrect it.
+        blob = os.urandom(shm.MIN_SHARE_BYTES + 17)
+        with ShmArena() as arena:
+            payload = publish_bytes(arena.prefix, blob)
+            assert take_bytes(payload) == blob
             with pytest.raises(TransportError) as exc:
-                arena.release(ref)
+                take_bytes(payload)
             assert exc.value.code == ErrorCode.SHM_RELEASED
-        finally:
-            arena.close()
+            assert shm_dir_entries(arena.prefix) == []
 
     def test_share_after_close_is_typed_error(self):
         arena = ShmArena()
@@ -221,12 +228,6 @@ class TestFallbackGuards:
         blob = b"x" * (1 << 20)
         assert publish_bytes("fpzguardtest", blob) is blob
 
-    def test_resolve_transport_validation(self):
-        with pytest.raises(ParameterError):
-            resolve_transport("carrier-pigeon", 2)
-        assert not resolve_transport("pickle", 4)
-        assert not resolve_transport("auto", 0)  # inline -> no plane
-
     def test_open_payload_rejects_non_payloads(self):
         with pytest.raises(ParameterError):
             with open_payload("not an array"):
@@ -234,7 +235,7 @@ class TestFallbackGuards:
 
 
 # ---------------------------------------------------------------------------
-# differential: every transport, bit-identical output
+# differential: every data plane, bit-identical output
 # ---------------------------------------------------------------------------
 
 
@@ -249,15 +250,17 @@ class TestChunkedDifferential:
     @pytest.mark.parametrize("shape,dtype", SHAPES)
     def test_container_bytes_identical_across_transports(self, shape, dtype):
         data = _field(shape, dtype, seed=hash((shape, str(dtype))) % 2**32)
-        serial = compress_chunked(data, 1e-3, mode="rel", n_chunks=4)
-        pickled = compress_chunked(
-            data, 1e-3, mode="rel", n_chunks=4,
-            n_workers=WORKERS, transport="pickle",
-        )
-        shared = compress_chunked(
-            data, 1e-3, mode="rel", n_chunks=4,
-            n_workers=WORKERS, transport="shm",
-        )
+        kwargs = dict(mode="rel", n_chunks=4)
+        serial = compress_chunked(data, 1e-3, **kwargs)
+        before = _shared_bytes()
+        with _pickle_arm():
+            pickled = compress_chunked(
+                data, 1e-3, n_workers=WORKERS, **kwargs
+            )
+        assert _shared_bytes() == before
+        shared = compress_chunked(data, 1e-3, n_workers=WORKERS, **kwargs)
+        if shm_available() and data.nbytes >= shm.MIN_SHARE_BYTES:
+            assert _shared_bytes() > before
         assert serial == pickled == shared
         # Same bytes implies same CRCs, but assert the stream level
         # explicitly so a future container change can't mask a drift.
@@ -269,10 +272,9 @@ class TestChunkedDifferential:
         data = _field((97, 53), np.float64, seed=7)
         blob = compress_chunked(data, 1e-3, mode="rel", n_chunks=4)
         serial = decompress_chunked(blob)
-        pickled = decompress_chunked(
-            blob, n_workers=WORKERS, transport="pickle"
-        )
-        shared = decompress_chunked(blob, n_workers=WORKERS, transport="shm")
+        with _pickle_arm():
+            pickled = decompress_chunked(blob, n_workers=WORKERS)
+        shared = decompress_chunked(blob, n_workers=WORKERS)
         assert serial.dtype == pickled.dtype == shared.dtype
         assert np.array_equal(serial, pickled)
         assert np.array_equal(serial, shared)
@@ -285,17 +287,12 @@ class TestChunkedDifferential:
         want = compress_chunked(data, 1e-3, mode="rel", n_chunks=4)
         monkeypatch.setattr(shm, "MAX_SHARE_BYTES", 256)
         got = compress_chunked(
-            data, 1e-3, mode="rel", n_chunks=4,
-            n_workers=WORKERS, transport="shm",
+            data, 1e-3, mode="rel", n_chunks=4, n_workers=WORKERS
         )
         assert got == want
 
     def test_zero_d_input_rejected_everywhere(self):
-        for kwargs in (
-            {},
-            dict(n_workers=WORKERS, transport="shm"),
-            dict(n_workers=WORKERS, transport="pickle"),
-        ):
+        for kwargs in ({}, dict(n_workers=WORKERS)):
             with pytest.raises(ParameterError):
                 compress_chunked(np.float64(1.0), 1e-3, **kwargs)
 
@@ -304,17 +301,14 @@ class TestChunkedDifferential:
 
         data = _field((60, 40), np.float32, seed=3)
         direct = compress_chunked(
-            data, 1e-3, mode="rel", n_chunks=3,
-            n_workers=WORKERS, transport="shm",
+            data, 1e-3, mode="rel", n_chunks=3, n_workers=WORKERS
         )
         routed = compress(
-            data, 1e-3, mode="rel", n_chunks=3,
-            n_workers=WORKERS, transport="shm",
+            data, 1e-3, mode="rel", n_chunks=3, n_workers=WORKERS
         )
         assert direct == routed
         assert np.array_equal(
-            decompress(routed, n_workers=WORKERS, transport="shm"),
-            decompress(routed),
+            decompress(routed, n_workers=WORKERS), decompress(routed)
         )
 
 
@@ -322,20 +316,24 @@ class TestAutotuneDifferential:
     def test_probe_fanout_matches_across_transports(self):
         from repro.autotune.driver import autotune
 
-        data = _field((64, 64), np.float32, seed=11)
+        # Large enough for the size guard to let the field into shm.
+        data = _field((128, 128), np.float32, seed=11)
 
         def key(r):
             return (r.eb_rel, r.n_trials, r.achieved, r.converged)
 
         inline = autotune(data, "ratio", 8.0, n_workers=0, keep_blob=False)
-        pickled = autotune(
-            data, "ratio", 8.0, n_workers=WORKERS, transport="pickle",
-            keep_blob=False,
-        )
+        before = _shared_bytes()
+        with _pickle_arm():
+            pickled = autotune(
+                data, "ratio", 8.0, n_workers=WORKERS, keep_blob=False
+            )
+        assert _shared_bytes() == before
         shared = autotune(
-            data, "ratio", 8.0, n_workers=WORKERS, transport="shm",
-            keep_blob=False,
+            data, "ratio", 8.0, n_workers=WORKERS, keep_blob=False
         )
+        if shm_available():
+            assert _shared_bytes() - before == data.nbytes
         assert key(inline) == key(pickled) == key(shared)
 
 
@@ -422,32 +420,26 @@ class TestShmFaultCleanup:
 
 @needs_shm
 class TestTransportTelemetry:
-    def _counter(self, name):
-        from repro.telemetry.registry import metrics
-
-        m = metrics().get(name)
-        return 0 if m is None else m.value
-
     def test_share_counts_bytes_and_segments(self):
         x = _field((64, 64), np.float64)
-        shared0 = self._counter("shm.bytes_shared_total")
-        created0 = self._counter("shm.segments_created_total")
-        released0 = self._counter("shm.segments_released_total")
+        shared0 = _counter("shm.bytes_shared_total")
+        created0 = _counter("shm.segments_created_total")
+        released0 = _counter("shm.segments_released_total")
         with ShmArena() as arena:
             arena.share(x)
-        assert self._counter("shm.bytes_shared_total") - shared0 == x.nbytes
-        assert self._counter("shm.segments_created_total") - created0 == 1
-        assert self._counter("shm.segments_released_total") - released0 == 1
+        assert _counter("shm.bytes_shared_total") - shared0 == x.nbytes
+        assert _counter("shm.segments_created_total") - created0 == 1
+        assert _counter("shm.segments_released_total") - released0 == 1
 
     def test_guard_fallback_counts(self, monkeypatch):
         monkeypatch.setattr(shm, "MAX_SHARE_BYTES", 1024)
-        fallbacks0 = self._counter("shm.fallbacks_total")
-        moved0 = self._counter("shm.bytes_moved_total")
+        fallbacks0 = _counter("shm.fallbacks_total")
+        moved0 = _counter("shm.bytes_moved_total")
         x = _field((64, 64), np.float64)
         with ShmArena() as arena:
             arena.share(x)
-        assert self._counter("shm.fallbacks_total") - fallbacks0 == 1
-        assert self._counter("shm.bytes_moved_total") - moved0 == x.nbytes
+        assert _counter("shm.fallbacks_total") - fallbacks0 == 1
+        assert _counter("shm.bytes_moved_total") - moved0 == x.nbytes
 
     def test_transport_spans_recorded(self):
         import repro.observe as observe

@@ -189,16 +189,30 @@ def zlib_bomb():
                     + [deflater.flush()])
 
 
-@pytest.mark.parametrize("stream", ["table", "payload", "escapes"])
+#: sz options that make a container carry each bombed stream.
+_BOMB_OPTIONS = {
+    "table": {},
+    "payload": {},
+    "escapes": {},
+    "signs": {"mode": "pw_rel"},
+    "fillmask": {"fill_value": -999.0},
+}
+
+
+@pytest.mark.parametrize("stream", list(_BOMB_OPTIONS))
 def test_zlib_bomb_is_a_bounded_decompression_error(zlib_bomb, stream):
-    """A bomb in any Huffman-tail stream of a well-formed container
-    ends in DecompressionError without being inflated (all 64 MiB used
-    to be, and a payload bomb even decoded: the bytes past
-    ``total_bits`` were ignored)."""
-    compress_fn, _ = _header_codecs(radius=3)["sz"]
+    """A bomb in any Huffman-tail or sz side stream of a well-formed
+    container ends in DecompressionError without being inflated (all
+    64 MiB used to be; a payload bomb even decoded, because the bytes
+    past ``total_bits`` were ignored, and so did a fill-mask bomb,
+    because the bits past the array's end were)."""
     x = np.cumsum(np.random.default_rng(4).normal(size=(16, 16)), axis=0)
-    c = Container.from_bytes(compress_fn(x))
+    x[::5, ::3] = -999.0  # fill points; only the fillmask case masks them
+    c = Container.from_bytes(
+        compress(x, 1e-3, quantization_radius=3, **_BOMB_OPTIONS[stream])
+    )
     assert c.meta["n_escapes"] > 0
+    assert stream in dict(c.streams)
     streams = [
         (name, zlib_bomb if name == stream else payload)
         for name, payload in c.streams

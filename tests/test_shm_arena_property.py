@@ -1,16 +1,16 @@
 """Property tests for the :class:`repro.parallel.shm.ShmArena` lifecycle.
 
-Hypothesis drives random interleavings of ``share`` / ``retain`` /
-``release`` / ``close`` against a trivial reference model (a dict of
-expected refcounts) and asserts two invariants after every step:
+Hypothesis drives random interleavings of the data plane's segment
+operations -- ``share``, a worker's ``publish_bytes`` / ``publish_array``,
+the parent's ``take_bytes`` / ``adopt_array`` -- against a trivial
+reference model (the set of segments that should be linked) and
+asserts after every step that the ``/dev/shm`` listing under the
+arena's prefix is exactly that set: **no interleaving can leak a
+segment**, and none is reclaimed early.  ``close()`` then leaves
+nothing behind.
 
-* the arena's refcounts match the model exactly, and
-* the ``/dev/shm`` listing under the arena's prefix contains exactly
-  the segments the model says are alive -- i.e. **no interleaving can
-  leak a segment**, and none is reclaimed early.
-
-Misuse (double release, use-after-close) must surface as a *typed*
-:class:`~repro.errors.TransportError`, never a crash or a leak.
+Misuse (draining a segment twice, use-after-close) must surface as a
+*typed* :class:`~repro.errors.TransportError`, never a crash or a leak.
 """
 
 import gc
@@ -21,7 +21,15 @@ from hypothesis import given, settings, strategies as st
 
 import repro.parallel.shm as shm
 from repro.errors import ErrorCode, TransportError
-from repro.parallel.shm import ShmArena, ShmArrayRef, shm_dir_entries
+from repro.parallel.shm import (
+    ShmArena,
+    ShmArrayRef,
+    ShmBytesRef,
+    publish_array,
+    publish_bytes,
+    shm_dir_entries,
+    take_bytes,
+)
 
 pytestmark = pytest.mark.skipif(
     not shm.shm_available(), reason="POSIX shared memory unavailable"
@@ -30,29 +38,28 @@ pytestmark = pytest.mark.skipif(
 # One payload comfortably above MIN_SHARE_BYTES; contents are
 # irrelevant to lifecycle behaviour, so reuse a single buffer.
 _PAYLOAD = np.arange(8192, dtype=np.float64).reshape(64, 128)
+_BLOB = _PAYLOAD.tobytes()
 
 # An interleaving is a sequence of ops over a small pool of slots.
-# "share" fills a slot; retain/release act on whatever ref the slot
-# currently holds (no-op when empty -- Hypothesis still explores the
+# "share"/"publish_*" fill a slot; "take"/"adopt" act on whatever the
+# slot holds (no-op when empty -- Hypothesis still explores the
 # orderings around it).
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(["share", "retain", "release"]),
+        st.sampled_from(
+            ["share", "publish_bytes", "publish_array", "take", "adopt"]
+        ),
         st.integers(min_value=0, max_value=3),
     ),
     max_size=24,
 )
 
 
-def _alive_names(arena, model):
-    return {ref.name for ref, count in model.items() if count > 0}
-
-
 @settings(max_examples=40, deadline=None)
 @given(ops=_OPS)
 def test_interleavings_never_leak_or_double_free(ops):
     slots = {}
-    model = {}  # ShmArrayRef -> expected refcount
+    linked = set()  # names the model says are in /dev/shm
     arena = ShmArena()
     try:
         for op, slot in ops:
@@ -60,30 +67,33 @@ def test_interleavings_never_leak_or_double_free(ops):
                 ref = arena.share(_PAYLOAD)
                 assert isinstance(ref, ShmArrayRef)
                 slots[slot] = ref
-                model[ref] = model.get(ref, 0) + 1
-            elif op == "retain" and slot in slots:
+                linked.add(ref.name)
+            elif op == "publish_bytes":
+                ref = publish_bytes(arena.prefix, _BLOB)
+                assert isinstance(ref, ShmBytesRef)
+                slots[slot] = ref
+                linked.add(ref.name)
+            elif op == "publish_array":
+                ref = publish_array(arena.prefix, _PAYLOAD)
+                assert isinstance(ref, ShmArrayRef)
+                slots[slot] = ref
+                linked.add(ref.name)
+            elif op == "take" and isinstance(slots.get(slot), ShmBytesRef):
                 ref = slots[slot]
-                if model[ref] > 0:
-                    arena.retain(ref)
-                    model[ref] += 1
-            elif op == "release" and slot in slots:
-                ref = slots[slot]
-                if model[ref] > 0:
-                    arena.release(ref)
-                    model[ref] -= 1
+                if ref.name in linked:
+                    assert take_bytes(ref) == _BLOB
+                    linked.discard(ref.name)
                 else:
                     with pytest.raises(TransportError) as exc:
-                        arena.release(ref)
+                        take_bytes(ref)
                     assert exc.value.code == ErrorCode.SHM_RELEASED
-            # Invariants hold after *every* step, not just at the end.
-            for ref, count in model.items():
-                assert arena.refcount(ref) == count
-            assert set(shm_dir_entries(arena.prefix)) == _alive_names(
-                arena, model
-            )
-            assert arena.bytes_active == sum(
-                ref.nbytes for ref, c in model.items() if c > 0
-            )
+            elif op == "adopt" and isinstance(slots.get(slot), ShmArrayRef):
+                # Adopted and shared segments stay linked until close.
+                view = arena.adopt_array(slots[slot])
+                assert np.array_equal(view, _PAYLOAD)
+                del view
+            # The invariant holds after *every* step, not just at the end.
+            assert set(shm_dir_entries(arena.prefix)) == linked
     finally:
         arena.close()
     assert shm_dir_entries(arena.prefix) == []
@@ -91,16 +101,16 @@ def test_interleavings_never_leak_or_double_free(ops):
 
 
 @settings(max_examples=20, deadline=None)
-@given(n_live=st.integers(min_value=0, max_value=4))
-def test_close_reclaims_everything_regardless_of_refcounts(n_live):
+@given(n_shared=st.integers(0, 4), n_published=st.integers(0, 3))
+def test_close_reclaims_every_segment(n_shared, n_published):
     arena = ShmArena()
-    for i in range(n_live):
-        ref = arena.share(_PAYLOAD)
-        for _ in range(i):  # leave varying refcounts outstanding
-            arena.retain(ref)
+    for _ in range(n_shared):
+        arena.share(_PAYLOAD)
+    for _ in range(n_published):  # published by a worker, never drained
+        publish_bytes(arena.prefix, _BLOB)
+    assert len(shm_dir_entries(arena.prefix)) == n_shared + n_published
     arena.close()
     assert shm_dir_entries(arena.prefix) == []
-    assert arena.active_segments == 0
     # and nothing stale survives a second close
     arena.close()
     assert shm_dir_entries(arena.prefix) == []
@@ -117,20 +127,3 @@ def test_finalizer_sweeps_garbage_collected_arena(n_live):
     del arena
     gc.collect()
     assert shm_dir_entries(prefix) == []
-
-
-@settings(max_examples=20, deadline=None)
-@given(extra=st.integers(min_value=0, max_value=3))
-def test_release_past_zero_is_always_typed(extra):
-    with ShmArena() as arena:
-        ref = arena.share(_PAYLOAD)
-        for _ in range(extra):
-            arena.retain(ref)
-        for _ in range(extra + 1):
-            arena.release(ref)
-        with pytest.raises(TransportError) as exc:
-            arena.release(ref)
-        assert exc.value.code == ErrorCode.SHM_RELEASED
-        # the failed release must not have resurrected anything
-        assert arena.refcount(ref) == 0
-        assert shm_dir_entries(arena.prefix) == []

@@ -96,24 +96,27 @@ def test_equivalence_property(seed, shape, eb):
 
 class TestTransportEquivalence:
     """The reference-equivalence contract extended to the data plane:
-    chunk-parallel compression over either transport must serialize to
-    the *same container bytes* (and therefore the same stream CRCs) as
-    the serial path, on every field character the suite models."""
+    chunk-parallel compression over shm or pickle must serialize to the
+    *same container bytes* (and therefore the same stream CRCs) as the
+    serial path, on every field character the suite models.  A pooled
+    call picks shm on its own; a zero size-guard cap forces pickle."""
 
     @pytest.mark.parametrize("field_name", ["smooth2d", "rough2d", "intermittent2d"])
-    def test_chunked_bytes_match_across_transports(self, field_name, request):
+    def test_chunked_bytes_match_across_transports(
+        self, field_name, request, monkeypatch
+    ):
+        import repro.parallel.shm as shm
         from repro.io.container import Container
         from repro.parallel.chunking import compress_chunked
 
         data = request.getfixturevalue(field_name)
         serial = compress_chunked(data, 1e-3, mode="rel", n_chunks=3)
-        pickled = compress_chunked(
-            data, 1e-3, mode="rel", n_chunks=3, n_workers=2,
-            transport="pickle",
-        )
         shared = compress_chunked(
-            data, 1e-3, mode="rel", n_chunks=3, n_workers=2,
-            transport="shm",
+            data, 1e-3, mode="rel", n_chunks=3, n_workers=2
+        )
+        monkeypatch.setattr(shm, "MAX_SHARE_BYTES", 0)
+        pickled = compress_chunked(
+            data, 1e-3, mode="rel", n_chunks=3, n_workers=2
         )
         assert serial == pickled == shared
         assert (
@@ -127,9 +130,9 @@ class TestTransportEquivalence:
         data = smooth2d.astype(np.float32)
         serial = compress_chunked(data, 5e-3, mode="rel", n_chunks=4)
         shared = compress_chunked(
-            data, 5e-3, mode="rel", n_chunks=4, n_workers=2, transport="shm"
+            data, 5e-3, mode="rel", n_chunks=4, n_workers=2
         )
         assert serial == shared
-        out = decompress_chunked(shared, n_workers=2, transport="shm")
+        out = decompress_chunked(shared, n_workers=2)
         assert out.dtype == np.float32
         assert np.array_equal(out, decompress_chunked(serial))
