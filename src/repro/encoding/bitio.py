@@ -1,13 +1,15 @@
 """Vectorized variable-length bit packing and a small sequential bit I/O.
 
-The hot path is :func:`pack_codes`: given per-symbol (code, length)
-pairs it produces the concatenated MSB-first bit stream.  It works on
-64-bit words rather than bits: the exclusive prefix sum of the lengths
-gives every code's bit offset, each code is shifted into place inside
-the word it starts in, one ``bitwise_or.reduceat`` per word merges the
-codes that start there, and the few codes that cross a word boundary
-are OR-ed into the next word.  The cost is a constant number of
-whole-array passes, with no Python loop over symbols or bit positions.
+The hot path is :func:`pack_aligned`: given per-symbol codes stored
+left-aligned in 64-bit words, with their lengths, it produces the
+concatenated MSB-first bit stream.  It works on 64-bit words rather
+than bits: the exclusive prefix sum of the lengths gives every code's
+bit offset, each code is shifted into place inside the word it starts
+in, one ``bitwise_or.reduceat`` per word merges the codes that start
+there, and the few codes that cross a word boundary are OR-ed into the
+next word.  The cost is a constant number of whole-array passes, with
+no Python loop over symbols or bit positions.  :func:`pack_codes` is
+the same packer for codes held in their low bits.
 
 :class:`BitWriter` / :class:`BitReader` are deliberately simple
 sequential implementations used for small headers and as an oracle in
@@ -22,7 +24,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 
-__all__ = ["pack_codes", "unpack_bits", "BitWriter", "BitReader"]
+__all__ = ["pack_aligned", "pack_codes", "unpack_bits", "BitWriter", "BitReader"]
 
 
 def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> Tuple[bytes, int]:
@@ -50,28 +52,47 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> Tuple[bytes, int]:
         return b"", 0
     if lengths.min() < 1 or lengths.max() > 57:
         raise ParameterError("code lengths must be in [1, 57]")
+    # Left-align each code in a 64-bit word, dropping bits above its
+    # length.
+    return pack_aligned(codes << (np.uint64(64) - lengths.view(np.uint64)), lengths)
 
-    ends = np.cumsum(lengths)
-    total_bits = int(ends[-1])
-    offsets = ends - lengths
-    bit = (offsets & 63).view(np.uint64)
-    # Left-align each code in a 64-bit word (dropping bits above its
-    # length), then move it to its bit offset inside the word it starts
-    # in.  A code is shorter than a word, so every word up to the last
-    # code's holds the start of at least one code: ``first[k]`` is the
-    # first code starting in word k, and one OR-reduction over each run
-    # of codes (which occupy disjoint bits) assembles word k.
-    aligned = codes << (np.uint64(64) - lengths.view(np.uint64))
-    first = np.searchsorted(offsets, np.arange(0, int(offsets[-1]) + 1, 64))
-    words = np.zeros((total_bits + 63) >> 6, dtype=np.uint64)
-    words[: first.size] = np.bitwise_or.reduceat(aligned >> bit, first)
-    # Only the last code of word k can spill into word k + 1, and then
-    # its bit offset is >= 8, so the shift below stays in [1, 56].
-    last = np.append(first[1:], codes.size) - 1
-    k = np.flatnonzero(ends[last] > np.arange(1, first.size + 1) * 64)
+
+def pack_aligned(aligned: np.ndarray, lengths: np.ndarray) -> Tuple[bytes, int]:
+    """:func:`pack_codes` for codes already left-aligned in their words.
+
+    ``aligned[i]`` holds its ``lengths[i]`` code bits at the top of a
+    uint64 and zeros below them; ``lengths`` is a non-empty uint8 or
+    int64 array of values in ``[1, 57]``.  Neither is checked, and
+    ``aligned`` is overwritten.
+    """
+    # Exclusive prefix sum of the lengths: each code's bit offset, of
+    # which only the offset inside its word is kept.
+    bit = np.cumsum(lengths, dtype=np.int64)
+    total_bits = int(bit[-1])
+    bit -= lengths
+    bit = np.bitwise_and(bit, 63, out=bit).view(np.uint64)
+    # A code is shorter than a word, so every word up to the last
+    # code's holds the start of at least one code, and a code starts a
+    # word exactly where the in-word offset falls.  One OR-reduction
+    # over each word's run of codes (which occupy disjoint bits)
+    # assembles the word.  Only the last code of a word can spill into
+    # the next one, and then its bit offset is >= 8, so the shift below
+    # stays in [1, 56].
+    starts = np.empty(aligned.size, dtype=bool)
+    starts[0] = True
+    np.less(bit[1:], bit[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], aligned.size) - 1
+    k = np.flatnonzero(bit[last] + lengths[last] > 64)
     spill = last[k]
-    words[k + 1] |= aligned[spill] << (np.uint64(64) - bit[spill])
-    return words.astype(">u8").tobytes()[: (total_bits + 7) >> 3], total_bits
+    spilled = aligned[spill] << (np.uint64(64) - bit[spill])
+    # Move each code to its bit offset inside the word it starts in.
+    np.right_shift(aligned, bit, out=aligned)
+    words = np.zeros((total_bits + 63) >> 6, dtype=np.uint64)
+    words[: first.size] = np.bitwise_or.reduceat(aligned, first)
+    words[k + 1] |= spilled
+    payload = words.astype(">u8").view(np.uint8)[: (total_bits + 7) >> 3]
+    return payload.tobytes(), total_bits
 
 
 def unpack_bits(payload: bytes, total_bits: int) -> np.ndarray:

@@ -50,6 +50,7 @@ __all__ = [
     "DEFAULT_RADIUS",
     "ENTROPY_CODERS",
     "SUPPORTED_DTYPES",
+    "check_count",
     "decode_codes",
     "encode_codes",
     "read_header",
@@ -93,6 +94,15 @@ def validate_input(data, finite: bool = True) -> np.ndarray:
 
 def _bad_meta(message: str) -> FormatError:
     return FormatError(f"bad container metadata: {message}", code=ErrorCode.BAD_META)
+
+
+def check_count(name: str, declared: int, implied: int) -> None:
+    """Raise :class:`FormatError` with code ``BAD_META`` unless the
+    header's count ``name`` equals the one its shape implies.  Side
+    streams are sized from these counts, so they are checked before
+    anything is inflated."""
+    if declared != implied:
+        raise _bad_meta(f"{name} {declared}, the shape implies {implied}")
 
 
 def read_header(
@@ -159,18 +169,24 @@ def encode_codes(
     trace = observe.current_trace()
     escape_symbol = radius + 1
     with trace.span("escape") as sp:
-        esc_mask = np.abs(q) > radius
-        n_escapes = int(esc_mask.sum())
-        if trace.enabled:
-            sp.count("n_outliers", n_escapes)
-            sp.set("hit_ratio", 1.0 - n_escapes / q.size)
+        # One min/max pass settles the usual case, no escapes, and
+        # gives the entropy coder the stream's span.
+        bounds = (int(q.min()), int(q.max()))
+        n_escapes = 0
+        if bounds[0] < -radius or bounds[1] > radius:
+            esc_mask = np.abs(q) > radius
+            n_escapes = int(esc_mask.sum())
         if n_escapes:
             escaped = q[esc_mask].astype(np.int64)
             q = q.copy()
             q[esc_mask] = escape_symbol
+            bounds = (int(q.min()), escape_symbol)
             streams.append(
                 ("escapes", lossless_compress(escaped.tobytes(), lossless, level))
             )
+        if trace.enabled:
+            sp.count("n_outliers", n_escapes)
+            sp.set("hit_ratio", 1.0 - n_escapes / q.size)
     meta["n_escapes"] = n_escapes
     meta["escape_symbol"] = escape_symbol
 
@@ -196,8 +212,8 @@ def encode_codes(
                 )
                 return n_escapes, None, coder_id
 
-        code = CanonicalHuffman.from_data(q)
-        payload, total_bits = code.encode(q)
+        code = CanonicalHuffman.from_data(q, bounds=bounds)
+        payload, total_bits = code.encode(q, bounds=bounds)
         meta["total_bits"] = total_bits
         if trace.enabled:
             sp.count("total_bits", int(total_bits))
@@ -244,7 +260,8 @@ def decode_codes(
         # Inflation is bounded by the metadata, so a bomb fails early:
         # the alphabet cannot outnumber the points (9 bytes per Huffman
         # table entry, 10 per rANS), the packer writes exactly
-        # ceil(total_bits / 8) payload bytes, and an escape is 8 bytes.
+        # ceil(total_bits / 8) payload bytes of codes 1 to max_length
+        # bits long, and an escape is 8 bytes, one per escape marker.
         table_blob = lossless_decompress(
             container.stream("table"),
             lossless,
@@ -252,6 +269,11 @@ def decode_codes(
         )
         if entropy_id == _HUFFMAN:
             code = CanonicalHuffman.from_table_bytes(table_blob)
+            if not n <= total_bits <= code.max_length * n:
+                raise DecompressionError(
+                    f"{total_bits} bits cannot hold {n} codes of 1 to "
+                    f"{code.max_length} bits"
+                )
             payload = _inflate_exact(
                 container, "payload", lossless, -(-total_bits // 8)
             )
@@ -263,12 +285,12 @@ def decode_codes(
                 raise DecompressionError("rANS symbol count mismatch")
 
         if n_escapes:
-            esc_blob = _inflate_exact(
-                container, "escapes", lossless, 8 * n_escapes
-            )
             esc_mask = q == escape_symbol
             if int(esc_mask.sum()) != n_escapes:
                 raise DecompressionError("escape marker count mismatch")
+            esc_blob = _inflate_exact(
+                container, "escapes", lossless, 8 * n_escapes
+            )
             q = q.copy()
             q[esc_mask] = np.frombuffer(esc_blob, dtype=np.int64)
     return q

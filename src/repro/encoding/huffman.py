@@ -3,17 +3,26 @@
 SZ's third stage is a "customized Huffman coding" over quantization
 codes (paper Section II-A).  This module implements it from scratch:
 
-* optimal code lengths via the classic two-queue/heap algorithm;
+* the histogram in one ``np.bincount`` over the data's span when that
+  span is no larger than the input (quantization codes lie within a
+  small radius, so this is the usual case), else ``np.unique``;
+* optimal code lengths via the two-queue construction: leaves sorted
+  stably by count, merged nodes kept in creation order (their weights
+  come out nondecreasing), a leaf winning a tie -- so the queue fronts
+  pop in exactly the (weight, id) order of the textbook heap;
 * **length-limited** code lengths via the package-merge (coin
   collector) algorithm, so that decode tables stay small;
-* canonical code assignment (codes are recoverable from lengths alone,
-  so the serialized table is just ``(symbol, length)`` pairs);
-* vectorized encoding: a code lookup per symbol, then the word-level
-  packer :func:`repro.encoding.bitio.pack_codes`.  The lookup gathers
-  from dense value -> (code, length) tables when the alphabet's span
-  is no larger than the input (quantization codes lie within a small
-  radius, so this is the usual case), and binary-searches the sorted
-  alphabet otherwise (any int64 alphabet is allowed);
+* canonical code assignment as one prefix sum (codes are recoverable
+  from lengths alone, so the serialized table is just
+  ``(symbol, length)`` pairs);
+* vectorized encoding: a lookup of left-aligned codes, then the
+  word-level packer :func:`repro.encoding.bitio.pack_aligned`.  The
+  lookup gathers from dense value -> (code, length) tables under the
+  same span test as the histogram, and binary-searches the sorted
+  alphabet otherwise (any int64 alphabet is allowed).  When two codes
+  fit in the packer's 57 bits (always, for codes :meth:`from_data`
+  builds), each pair of consecutive symbols is fused into one code
+  before packing, which halves every packer pass;
 * segment-parallel decoding, whose work is per symbol rather than
   per bit.  The payload is cut into segments of S bits
   (:func:`_segment_bits` derives S from the stream) and walkers in
@@ -54,14 +63,13 @@ be length-limited to the table width and as an oracle in tests.
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 import repro.observe as observe
-from repro.encoding.bitio import pack_codes
+from repro.encoding.bitio import pack_aligned
 from repro.errors import DecompressionError, ParameterError
 
 __all__ = [
@@ -74,6 +82,11 @@ __all__ = [
 
 #: Widest decode table we are willing to build: 2**18 entries (~2 MB).
 MAX_TABLE_BITS = 18
+
+
+def _bounds(flat: np.ndarray) -> Tuple[int, int]:
+    """``(min, max)`` of a non-empty integer array, as Python ints."""
+    return int(flat.min()), int(flat.max())
 
 
 def _segment_bits(n_symbols: int, total_bits: int, max_length: int) -> int:
@@ -99,8 +112,13 @@ def _segment_bits(n_symbols: int, total_bits: int, max_length: int) -> int:
 def optimal_code_lengths(counts: np.ndarray) -> np.ndarray:
     """Return optimal (unlimited) Huffman code lengths for ``counts``.
 
-    Uses the standard heap construction.  A single-symbol alphabet gets
-    length 1 (a code must still occupy at least one bit).
+    Two-queue construction, equal to the heap construction over
+    ``(count, index)`` tie by tie: leaves sorted stably by count form
+    one queue, merged nodes in creation order the other, and a leaf
+    wins a tie.  Merged weights come out nondecreasing, so each queue
+    stays sorted by (weight, id) and the smaller front is always the
+    heap's minimum.  A single-symbol alphabet gets length 1 (a code
+    must still occupy at least one bit).
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 1 or counts.size == 0:
@@ -110,26 +128,33 @@ def optimal_code_lengths(counts: np.ndarray) -> np.ndarray:
     n = counts.size
     if n == 1:
         return np.array([1], dtype=np.int64)
-    # Heap of (weight, tiebreak, node-id); internal nodes get ids >= n.
-    # Plain Python ints throughout: these loops run once per symbol of
-    # the alphabet, where NumPy scalar indexing costs more than the work.
-    heap = [(c, i, i) for i, c in enumerate(counts.tolist())]
-    heapq.heapify(heap)
-    parent = [-1] * (2 * n - 1)
-    next_id = n
-    while len(heap) > 1:
-        w1, _, a = heapq.heappop(heap)
-        w2, _, b = heapq.heappop(heap)
-        parent[a] = next_id
-        parent[b] = next_id
-        heapq.heappush(heap, (w1 + w2, next_id, next_id))
-        next_id += 1
+    order = np.argsort(counts, kind="stable")
+    # Node weights by id: leaves by rank at 0 .. n-1, merged nodes at
+    # n .. 2n-2 in creation order.  Plain Python ints throughout: this
+    # loop runs once per symbol of the alphabet, where NumPy scalar
+    # indexing costs more than the work.
+    w = counts[order].tolist() + [0] * (n - 1)
+    parent = [0] * (2 * n - 1)
+    leaf, merged = 0, n
+    for node in range(n, 2 * n - 1):
+        if leaf < n and (merged == node or w[leaf] <= w[merged]):
+            a, leaf = leaf, leaf + 1
+        else:
+            a, merged = merged, merged + 1
+        if leaf < n and (merged == node or w[leaf] <= w[merged]):
+            b, leaf = leaf, leaf + 1
+        else:
+            b, merged = merged, merged + 1
+        w[node] = w[a] + w[b]
+        parent[a] = parent[b] = node
     # Depth of each leaf = code length; compute top-down over node ids
     # (a child always has a smaller id than its parent).
     depth = [0] * (2 * n - 1)
     for node in range(2 * n - 3, -1, -1):
         depth[node] = depth[parent[node]] + 1
-    return np.array(depth[:n], dtype=np.int64)
+    lengths = np.empty(n, dtype=np.int64)
+    lengths[order] = depth[:n]
+    return lengths
 
 
 def package_merge_lengths(counts: np.ndarray, max_length: int) -> np.ndarray:
@@ -180,19 +205,22 @@ def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
     """Assign canonical codes given per-symbol lengths.
 
     Symbols are ranked by (length, position); code values increase with
-    rank, shifting left when the length steps up.
+    rank, shifting left when the length steps up.  With ``L`` the
+    longest length, the code of rank r is
+    ``(sum of 2**(L - len_i) over ranks i < r) >> (L - len_r)``: each
+    term of the sum is a multiple of the ones after it, so the shift
+    drops no bits, and the sum is at most ``2**L`` by the Kraft
+    inequality, so uint64 holds it for ``L <= 57``.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    order = np.lexsort((np.arange(lengths.size), lengths))
-    by_rank = []
-    code = -1
-    prev_len = int(lengths[order[0]])
-    for ln in lengths[order].tolist():
-        code = (code + 1) << (ln - prev_len)
-        by_rank.append(code)
-        prev_len = ln
-    codes = np.zeros(lengths.size, dtype=np.uint64)
-    codes[order] = by_rank
+    order = np.argsort(lengths, kind="stable")
+    by_rank = lengths[order]
+    shift = (by_rank[-1] - by_rank).astype(np.uint64)
+    unit = np.uint64(1) << shift
+    start = np.cumsum(unit)
+    start -= unit
+    codes = np.empty(lengths.size, dtype=np.uint64)
+    codes[order] = start >> shift
     return codes
 
 
@@ -251,15 +279,31 @@ class CanonicalHuffman:
 
     @classmethod
     def from_data(
-        cls, data: np.ndarray, max_length: int = MAX_TABLE_BITS
+        cls,
+        data: np.ndarray,
+        max_length: int = MAX_TABLE_BITS,
+        bounds: Optional[Tuple[int, int]] = None,
     ) -> "CanonicalHuffman":
-        """Build a code from the data that will be encoded."""
+        """Build a code from the data that will be encoded.
+
+        ``bounds`` is the data's ``(min, max)`` when the caller has
+        already computed it (it is not checked).
+        """
         trace = observe.current_trace()
         with trace.span("huffman.build") as sp:
-            data = np.asarray(data).ravel()
-            if data.size == 0:
+            flat = np.asarray(data, dtype=np.int64).ravel()
+            if flat.size == 0:
                 raise ParameterError("cannot build a code from empty data")
-            symbols, counts = np.unique(data.astype(np.int64), return_counts=True)
+            lo, hi = bounds if bounds is not None else _bounds(flat)
+            if hi - lo < flat.size:
+                # The span test of encode's dense tables: one counting
+                # pass over a table no larger than the input.
+                counts = np.bincount(flat - lo, minlength=hi - lo + 1)
+                symbols = np.flatnonzero(counts)
+                counts = counts[symbols]
+                symbols += lo
+            else:
+                symbols, counts = np.unique(flat, return_counts=True)
             from repro.telemetry.registry import metrics as _metrics
 
             _metrics().histogram("encoding.huffman.alphabet_size").observe(
@@ -271,32 +315,38 @@ class CanonicalHuffman:
 
     # -- encoding ------------------------------------------------------
 
-    def encode(self, data: np.ndarray) -> Tuple[bytes, int]:
+    def encode(
+        self, data: np.ndarray, bounds: Optional[Tuple[int, int]] = None
+    ) -> Tuple[bytes, int]:
         """Encode ``data`` (values must all be in the alphabet).
 
-        Returns ``(payload, total_bits)``.
+        ``bounds`` is the data's ``(min, max)`` when the caller has
+        already computed it (it is not checked).  Returns
+        ``(payload, total_bits)``.
         """
         trace = observe.current_trace()
         with trace.span("huffman.encode") as sp:
             flat = np.asarray(data, dtype=np.int64).ravel()
             if flat.size == 0:
                 return b"", 0
+            aligned = self.codes << (np.uint64(64) - self.lengths.view(np.uint64))
+            lengths = self.lengths.astype(np.uint8)
             lo = int(self.symbols[0])
             span = int(self.symbols[-1]) - lo + 1
             if span <= flat.size:
-                # Dense value -> (code, length) tables over the alphabet's
-                # span, no larger than the input, so the lookup stays
-                # O(n).  Length 0 marks a value missing from the alphabet.
-                if int(flat.min()) < lo or int(flat.max()) >= lo + span:
+                # Dense value -> (left-aligned code, length) tables over
+                # the alphabet's span, no larger than the input, so the
+                # lookup stays O(n).  Length 0 marks a value missing
+                # from the alphabet.
+                d_lo, d_hi = bounds if bounds is not None else _bounds(flat)
+                if d_lo < lo or d_hi >= lo + span:
                     raise ParameterError("data contains symbols outside the alphabet")
-                code_of = np.zeros(span, dtype=np.uint64)
-                length_of = np.zeros(span, dtype=np.int64)
-                code_of[self.symbols - lo] = self.codes
-                length_of[self.symbols - lo] = self.lengths
-                rel = flat - lo
-                codes, lengths = code_of[rel], length_of[rel]
-                if lengths.min() == 0:
-                    raise ParameterError("data contains symbols outside the alphabet")
+                rel = self.symbols - lo
+                aligned_of = np.zeros(span, dtype=np.uint64)
+                length_of = np.zeros(span, dtype=np.uint8)
+                aligned_of[rel] = aligned
+                length_of[rel] = lengths
+                aligned, lengths, idx = aligned_of, length_of, flat - lo
             else:
                 # Wide alphabets (any int64 values): binary search.
                 idx = np.searchsorted(self.symbols, flat)
@@ -305,8 +355,22 @@ class CanonicalHuffman:
                 ] != flat)
                 if bad.any():
                     raise ParameterError("data contains symbols outside the alphabet")
-                codes, lengths = self.codes[idx], self.lengths[idx]
-            payload, total_bits = pack_codes(codes, lengths)
+            if 2 * self.max_length <= 57:
+                # Fuse symbols 2i and 2i + 1 into one code of at most 57
+                # bits; an odd last symbol stays alone.  A missing value
+                # (length 0) is looked for in both halves first.
+                codes, code_lengths = aligned[idx[0::2]], lengths[idx[0::2]]
+                second, second_lengths = aligned[idx[1::2]], lengths[idx[1::2]]
+                missing = min(code_lengths.min(), second_lengths.min(initial=1)) == 0
+                m = second.size
+                codes[:m] |= second >> code_lengths[:m]
+                code_lengths[:m] += second_lengths
+            else:
+                codes, code_lengths = aligned[idx], lengths[idx]
+                missing = code_lengths.min() == 0
+            if missing:
+                raise ParameterError("data contains symbols outside the alphabet")
+            payload, total_bits = pack_aligned(codes, code_lengths)
             if trace.enabled:
                 sp.count("n_symbols", int(flat.size))
                 sp.count("total_bits", int(total_bits))

@@ -34,7 +34,6 @@ import threading
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
-    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
@@ -125,10 +124,6 @@ class Executor:
     def inline(self) -> bool:
         return self.kind == "inline"
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def _check_open(self) -> None:
         if self._closed:
             raise ParameterError("executor is closed")
@@ -163,19 +158,6 @@ class Executor:
             return self._pool
 
     # -- work -----------------------------------------------------------
-
-    def submit(self, fn, *args) -> Future:
-        """Submit one call; inline executors run it immediately and
-        return an already-completed future."""
-        self._check_open()
-        if self.kind == "inline":
-            f: Future = Future()
-            try:
-                f.set_result(fn(*args))
-            except BaseException as exc:  # noqa: BLE001 -- future carries it
-                f.set_exception(exc)
-            return f
-        return self.pool.submit(fn, *args)
 
     def map(self, fn, argtuples, chunksize: int = 1) -> List:
         """Order-preserving map: ``fn(*t)`` for each tuple ``t`` of

@@ -26,12 +26,15 @@ loop on the hot path.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 import repro.observe as observe
 
 from repro.encoding.codes import (
     DEFAULT_RADIUS,
+    check_count,
     decode_codes,
     encode_codes,
     read_header,
@@ -54,9 +57,10 @@ from repro.io.container import (
     pack_exact_float,
     unpack_exact_float,
 )
+from repro.sz.predictors import axis_difference
 from repro.sz.quantizer import MAX_LATTICE_COORD
 from repro.sz.regression import design_matrix, fit_block_planes
-from repro.transform.blocking import merge_blocks, split_blocks
+from repro.transform.blocking import merge_blocks, padded_shape, split_blocks
 
 __all__ = ["HybridCompressor"]
 
@@ -65,7 +69,7 @@ def _block_lorenzo_diff(blocks: np.ndarray) -> np.ndarray:
     """Block-local Lorenzo difference along every non-block axis."""
     q = blocks
     for axis in range(1, blocks.ndim):
-        q = np.diff(q, axis=axis, prepend=0)
+        q = axis_difference(q, axis)
     return q
 
 
@@ -224,8 +228,12 @@ class HybridCompressor:
 
         d = len(shape)
         delta = 2.0 * eb_abs
+        check_count("n_blocks", n_blocks, math.prod(padded_shape(shape, m)) // m**d)
+        check_count("n_codes", n_codes, n_blocks * m**d)
 
-        sel_blob = lossless_decompress(container.stream("selector"), lossless)
+        sel_blob = lossless_decompress(
+            container.stream("selector"), lossless, max_length=-(-n_blocks // 8)
+        )
         bits = np.unpackbits(np.frombuffer(sel_blob, dtype=np.uint8))
         if bits.size < n_blocks:
             raise DecompressionError("selector bitmap too short")
@@ -244,7 +252,11 @@ class HybridCompressor:
             recon[lor] = anchor + delta * k.astype(np.float64)
 
         if use_reg.any():
-            coeff_blob = lossless_decompress(container.stream("coeffs"), lossless)
+            coeff_blob = lossless_decompress(
+                container.stream("coeffs"),
+                lossless,
+                max_length=4 * (d + 1) * n_regression,
+            )
             coeffs = np.frombuffer(coeff_blob, dtype=np.float32)
             if coeffs.size != n_regression * (d + 1):
                 raise DecompressionError("coefficient stream length mismatch")

@@ -36,6 +36,7 @@ import repro.observe as observe
 
 from repro.encoding.codes import (
     DEFAULT_RADIUS,
+    check_count,
     decode_codes,
     encode_codes,
     read_header,
@@ -199,10 +200,12 @@ class Sz11Compressor:
 
         n = int(np.prod(shape))
         delta = 2.0 * eb_abs
-        if n_codes != n_seg * SEGMENT:
-            raise DecompressionError("segment geometry mismatch")
+        check_count("n_segments", n_seg, -(-n // SEGMENT))
+        check_count("n_codes", n_codes, n_seg * SEGMENT)
 
-        flag_blob = lossless_decompress(container.stream("flags"), lossless)
+        flag_blob = lossless_decompress(
+            container.stream("flags"), lossless, max_length=-(-2 * n_codes // 8)
+        )
         bits = np.unpackbits(np.frombuffer(flag_blob, dtype=np.uint8))
         if bits.size < 2 * n_codes:
             raise DecompressionError("flag stream too short")

@@ -29,6 +29,7 @@ from repro.errors import ParameterError
 
 __all__ = [
     "PREDICTORS",
+    "axis_difference",
     "lorenzo_difference",
     "lorenzo_reconstruct",
     "lorenzo_predict",
@@ -47,6 +48,20 @@ def _check_int_array(k: np.ndarray) -> np.ndarray:
     return k.astype(np.int64, copy=False)
 
 
+def axis_difference(q: np.ndarray, axis: int) -> np.ndarray:
+    """``np.diff(q, axis=axis, prepend=0)`` as one subtraction into a
+    fresh array (``q`` is not written)."""
+    out = np.empty_like(q)
+    lead = (slice(None),) * axis
+    np.subtract(
+        q[lead + (slice(1, None),)],
+        q[lead + (slice(None, -1),)],
+        out=out[lead + (slice(1, None),)],
+    )
+    out[lead + (0,)] = q[lead + (0,)]
+    return out
+
+
 def lorenzo_difference(k: np.ndarray) -> np.ndarray:
     """n-D Lorenzo difference: ``q = k - pred(k)`` with zero padding.
 
@@ -56,7 +71,7 @@ def lorenzo_difference(k: np.ndarray) -> np.ndarray:
     """
     q = _check_int_array(k)
     for axis in range(q.ndim):
-        q = np.diff(q, axis=axis, prepend=0)
+        q = axis_difference(q, axis)
     return q
 
 
@@ -72,7 +87,7 @@ def lorenzo_reconstruct(q: np.ndarray) -> np.ndarray:
 def _flat_difference(k: np.ndarray) -> np.ndarray:
     """1-D Lorenzo over row-major order regardless of array rank."""
     k = _check_int_array(k)
-    return np.diff(k.ravel(), prepend=0).reshape(k.shape)
+    return axis_difference(k.ravel(), 0).reshape(k.shape)
 
 
 def _flat_reconstruct(q: np.ndarray) -> np.ndarray:
@@ -101,8 +116,7 @@ def _lorenzo2_difference(k: np.ndarray) -> np.ndarray:
     """
     q = _check_int_array(k)
     for axis in range(q.ndim):
-        q = np.diff(q, axis=axis, prepend=0)
-        q = np.diff(q, axis=axis, prepend=0)
+        q = axis_difference(axis_difference(q, axis), axis)
     return q
 
 

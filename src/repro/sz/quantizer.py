@@ -50,8 +50,15 @@ def snap_to_lattice(data: np.ndarray, anchor: float, delta: float) -> np.ndarray
     """Return integer lattice coordinates ``k = rint((data - anchor)/delta)``."""
     if not np.isfinite(delta) or delta <= 0.0:
         raise ParameterError(f"bin size delta must be positive, got {delta}")
-    k = np.rint((np.asarray(data, dtype=np.float64) - anchor) / delta)
-    if np.abs(k).max(initial=0.0) > MAX_LATTICE_COORD:
+    # The subtraction casts to float64 as it goes; the division and the
+    # rounding then work in place.
+    k = np.subtract(data, anchor, dtype=np.float64)
+    np.divide(k, delta, out=k)
+    np.rint(k, out=k)
+    if (
+        k.min(initial=0.0) < -MAX_LATTICE_COORD
+        or k.max(initial=0.0) > MAX_LATTICE_COORD
+    ):
         raise CompressionError(
             "error bound too small relative to the value range: lattice "
             "coordinates exceed exact-integer range"

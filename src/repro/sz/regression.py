@@ -23,6 +23,7 @@ pseudo-inverse.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Tuple
 
@@ -32,6 +33,7 @@ import repro.observe as observe
 
 from repro.encoding.codes import (
     DEFAULT_RADIUS,
+    check_count,
     decode_codes,
     encode_codes,
     read_header,
@@ -54,7 +56,7 @@ from repro.io.container import (
     pack_exact_float,
     unpack_exact_float,
 )
-from repro.transform.blocking import merge_blocks, split_blocks
+from repro.transform.blocking import merge_blocks, padded_shape, split_blocks
 
 __all__ = ["RegressionCompressor", "design_matrix", "fit_block_planes"]
 
@@ -207,8 +209,12 @@ class RegressionCompressor:
 
         d = len(shape)
         delta = 2.0 * eb_abs
+        check_count("n_blocks", n_blocks, math.prod(padded_shape(shape, m)) // m**d)
+        check_count("n_codes", n_codes, n_blocks * m**d)
 
-        coeff_blob = lossless_decompress(container.stream("coeffs"), lossless)
+        coeff_blob = lossless_decompress(
+            container.stream("coeffs"), lossless, max_length=4 * (d + 1) * n_blocks
+        )
         coeffs = np.frombuffer(coeff_blob, dtype=np.float32)
         if coeffs.size != n_blocks * (d + 1):
             raise DecompressionError("coefficient stream length mismatch")

@@ -21,13 +21,14 @@ zero and nearly vanish), making the effective rate much better than
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 import repro.observe as observe
 
-from repro.encoding.codes import read_header, validate_input
+from repro.encoding.codes import check_count, read_header, validate_input
 from repro.encoding.lossless import (
     lossless_compress,
     lossless_decompress,
@@ -44,7 +45,7 @@ from repro.io.container import (
     pack_exact_float,
     unpack_exact_float,
 )
-from repro.transform.blocking import merge_blocks, split_blocks
+from repro.transform.blocking import merge_blocks, padded_shape, split_blocks
 from repro.transform.dct import block_dct, block_idct
 
 __all__ = ["EmbeddedTransformCompressor", "encode_planes", "decode_planes"]
@@ -237,13 +238,16 @@ class EmbeddedTransformCompressor:
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad container metadata: {exc}") from exc
 
+        check_count("n_coeffs", n_coeffs, math.prod(padded_shape(shape, m)))
         if max_planes is not None:
             if max_planes < 1:
                 raise ParameterError("max_planes must be >= 1")
             # stream 0 is the sign plane; keep at most max_planes more
             n_streams = min(n_streams, 1 + max_planes)
         planes = [
-            lossless_decompress(container.stream(f"plane{i}"), lossless)
+            lossless_decompress(
+                container.stream(f"plane{i}"), lossless, max_length=-(-n_coeffs // 8)
+            )
             for i in range(n_streams)
         ]
         values = decode_planes(planes, n_coeffs, n_planes_total, scale)

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.encoding.bitio import unpack_bits
+from repro.encoding.bitio import pack_codes, unpack_bits
 from repro.encoding.huffman import (
     MAX_TABLE_BITS,
     CanonicalHuffman,
+    _canonical_codes,
     _segment_bits,
     huffman_decode,
     huffman_encode,
@@ -221,43 +222,57 @@ class TestCanonicalHuffman:
         assert np.array_equal(code.decode_sequential(payload, data.size, bits), data)
 
 
-def _reference_code(data):
-    """(symbols, lengths, codes) for ``data`` from np.unique and literal
-    array-based heap, depth and canonical-rank loops."""
-    symbols, counts = np.unique(np.asarray(data, dtype=np.int64), return_counts=True)
-    n = counts.size
-    lengths = np.ones(1, dtype=np.int64)
-    if n > 1:
-        heap = [(int(c), i, i) for i, c in enumerate(counts)]
-        heapq.heapify(heap)
-        parent = np.full(2 * n - 1, -1, dtype=np.int64)
-        next_id = n
-        while len(heap) > 1:
-            w1, _, a = heapq.heappop(heap)
-            w2, _, b = heapq.heappop(heap)
-            parent[a] = parent[b] = next_id
-            heapq.heappush(heap, (w1 + w2, next_id, next_id))
-            next_id += 1
-        depth = np.zeros(2 * n - 1, dtype=np.int64)
-        for node in range(2 * n - 3, -1, -1):
-            depth[node] = depth[parent[node]] + 1
-        lengths = depth[:n]
-    if lengths.max() > MAX_TABLE_BITS:
-        lengths = package_merge_lengths(counts, MAX_TABLE_BITS)
-    order = np.lexsort((np.arange(n), lengths))
-    codes = np.zeros(n, dtype=np.uint64)
+def _reference_lengths(counts):
+    """Huffman code lengths from a literal heap over (count, id) and
+    an array-based depth loop."""
+    n = len(counts)
+    if n == 1:
+        return np.ones(1, dtype=np.int64)
+    heap = [(int(c), i, i) for i, c in enumerate(counts)]
+    heapq.heapify(heap)
+    parent = np.full(2 * n - 1, -1, dtype=np.int64)
+    next_id = n
+    while len(heap) > 1:
+        w1, _, a = heapq.heappop(heap)
+        w2, _, b = heapq.heappop(heap)
+        parent[a] = parent[b] = next_id
+        heapq.heappush(heap, (w1 + w2, next_id, next_id))
+        next_id += 1
+    depth = np.zeros(2 * n - 1, dtype=np.int64)
+    for node in range(2 * n - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    return depth[:n]
+
+
+def _reference_canonical(lengths):
+    """Canonical codes from the literal per-rank loop."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order = np.lexsort((np.arange(lengths.size), lengths))
+    codes = np.zeros(lengths.size, dtype=np.uint64)
     code = 0
     for rank, idx in enumerate(order):
         if rank:
             code = (code + 1) << int(lengths[idx] - lengths[order[rank - 1]])
         codes[idx] = code
-    return symbols, lengths, codes
+    return codes
+
+
+def _reference_code(data):
+    """(symbols, lengths, codes) for ``data`` from np.unique and literal
+    array-based heap, depth and canonical-rank loops."""
+    symbols, counts = np.unique(np.asarray(data, dtype=np.int64), return_counts=True)
+    lengths = _reference_lengths(counts)
+    if lengths.max() > MAX_TABLE_BITS:
+        lengths = package_merge_lengths(counts, MAX_TABLE_BITS)
+    return symbols, lengths, _reference_canonical(lengths)
 
 
 @pytest.mark.parametrize(
-    "kind", ["radius_bounded", "wide", "single_symbol", "uniform"]
+    "kind", ["radius_bounded", "wide", "single_symbol", "uniform", "gappy"]
 )
 def test_from_data_matches_reference(kind):
+    """Spans within the input size take the bincount histogram (all
+    but "wide"), the others np.unique; both match the reference."""
     rng = np.random.default_rng(11)
     if kind == "radius_bounded":
         # Signed quantization codes within the default radius 32767,
@@ -269,6 +284,8 @@ def test_from_data_matches_reference(kind):
         data = rng.choice(np.array([-(2**40), -7, 0, 2**40]), size=1000)
     elif kind == "single_symbol":
         data = np.full(50, 2**40)
+    elif kind == "gappy":
+        data = rng.choice(np.arange(-3000, 3000, 7), size=20000)
     else:
         data = rng.integers(-2000, 2000, size=20000)
     code = CanonicalHuffman.from_data(data)
@@ -276,6 +293,75 @@ def test_from_data_matches_reference(kind):
     assert np.array_equal(code.symbols, symbols)
     assert np.array_equal(code.lengths, lengths)
     assert np.array_equal(code.codes, codes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(1, 4), min_size=1, max_size=300),
+        st.lists(st.sampled_from([1, 2, 3, 5, 8, 13]), min_size=1, max_size=300),
+        st.lists(st.integers(1, 10**12), min_size=1, max_size=60),
+    )
+)
+def test_optimal_lengths_match_the_heap(counts):
+    """The two-queue construction gives the heap's lengths exactly,
+    ties included (small repeated counts force many)."""
+    lengths = optimal_code_lengths(np.array(counts))
+    assert np.array_equal(lengths, _reference_lengths(counts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 50), min_size=1, max_size=200))
+def test_canonical_codes_match_the_rank_loop(counts):
+    lengths = optimal_code_lengths(np.array(counts))
+    assert np.array_equal(_canonical_codes(lengths), _reference_canonical(lengths))
+
+
+@pytest.mark.parametrize("longest", [1, 18, 28, 29, 57])
+def test_canonical_codes_match_the_rank_loop_up_to_57_bits(longest):
+    """A complete code with lengths 1, 2, ..., longest, longest, in
+    shuffled symbol order: the prefix sum stays exact in uint64."""
+    lengths = np.append(np.arange(1, longest + 1), longest)
+    lengths = np.random.default_rng(longest).permutation(lengths)
+    assert np.array_equal(_canonical_codes(lengths), _reference_canonical(lengths))
+
+
+def _test_code(longest):
+    """A complete code whose longest codes have ``longest`` bits (one
+    symbol for ``longest`` 1), over a span of 3 * longest + 1 values."""
+    if longest == 1:
+        return CanonicalHuffman(np.array([5]), np.array([1]))
+    lengths = np.append(np.arange(1, longest + 1), longest)
+    return CanonicalHuffman(np.arange(lengths.size) * 3 - 7, lengths)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 1001])
+@pytest.mark.parametrize("longest", [1, 18, 28, 29])
+def test_encode_matches_per_symbol_pack(n, longest):
+    """Encode (left-aligned lookup, fused pairs when 2L <= 57) emits the
+    bits of ``pack_codes`` over the per-symbol codes: for odd and even
+    n and for one symbol, on the search route (n below the span) and
+    the dense one, with codes either side of the pairing limit."""
+    code = _test_code(longest)
+    idx = np.random.default_rng(n + longest).integers(0, code.symbols.size, size=n)
+    idx[: min(n, 3)] = code.symbols.size - 1  # the longest codes
+    want = pack_codes(code.codes[idx], code.lengths[idx])
+    assert code.encode(code.symbols[idx]) == want
+
+
+@pytest.mark.parametrize("position", [0, 5, 10], ids=["first", "second", "tail"])
+@pytest.mark.parametrize("bad", [-1, 3, 6])
+@pytest.mark.parametrize("longest", [2, 29], ids=["paired", "unpaired"])
+def test_out_of_alphabet_raises_in_any_pair_position(position, bad, longest):
+    """On the dense route, a symbol below, inside (a gap) or above the
+    alphabet's span raises whether it is the first or the second half
+    of a fused pair or the odd tail, and when codes are too long to be
+    paired."""
+    code = CanonicalHuffman(np.array([0, 2, 5]), np.array([1, 2, longest]))
+    data = np.resize(code.symbols, 11)  # odd, and span 6 <= 11
+    data[position] = bad
+    with pytest.raises(ParameterError):
+        code.encode(data)
 
 
 def _property_stream(values, shape):

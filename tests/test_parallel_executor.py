@@ -139,9 +139,10 @@ class TestExecutor:
         ex = Executor(n_workers=2, kind="thread")
         ex.close()
         ex.close()  # idempotent
-        assert ex.closed
         with pytest.raises(ParameterError):
-            ex.submit(_double, 1)
+            ex.map(_double, [(1,)])
+        with pytest.raises(ParameterError):
+            ex.pool
 
     def test_warm_spawns_workers(self):
         with Executor(n_workers=2) as ex:

@@ -198,20 +198,50 @@ _BOMB_OPTIONS = {
     "fillmask": {"fill_value": -999.0},
 }
 
+#: (codec, stream) pairs of the other codecs' side streams.
+_SIDE_STREAMS = [
+    ("hybrid", "selector"),
+    ("hybrid", "coeffs"),
+    ("regression", "coeffs"),
+    ("legacy", "flags"),
+    ("embedded", "plane0"),
+    ("embedded", "plane1"),
+]
 
-@pytest.mark.parametrize("stream", list(_BOMB_OPTIONS))
-def test_zlib_bomb_is_a_bounded_decompression_error(zlib_bomb, stream):
-    """A bomb in any Huffman-tail or sz side stream of a well-formed
+
+def _bomb_target(codec, stream):
+    """A well-formed ``codec`` container that carries ``stream``."""
+    rng = np.random.default_rng(4)
+    if codec == "sz":
+        x = np.cumsum(rng.normal(size=(16, 16)), axis=0)
+        x[::5, ::3] = -999.0  # fill points; only the fillmask case masks them
+        c = Container.from_bytes(
+            compress(x, 1e-3, quantization_radius=3, **_BOMB_OPTIONS[stream])
+        )
+        assert c.meta["n_escapes"] > 0
+        return c
+    if codec == "hybrid":
+        # 3-D white noise: Lorenzo's stencil amplifies it, so every
+        # block picks regression and the container has coefficients.
+        x = rng.normal(size=(16, 16, 16))
+    else:
+        x = np.cumsum(rng.normal(size=(16, 16)), axis=0)
+    return Container.from_bytes(_header_codecs()[codec][0](x))
+
+
+@pytest.mark.parametrize(
+    "codec, stream",
+    [("sz", stream) for stream in _BOMB_OPTIONS] + _SIDE_STREAMS,
+    ids=list(_BOMB_OPTIONS) + [f"{c}-{s}" for c, s in _SIDE_STREAMS],
+)
+def test_zlib_bomb_is_a_bounded_decompression_error(zlib_bomb, codec, stream):
+    """A bomb in any Huffman-tail or side stream of a well-formed
     container ends in DecompressionError without being inflated (all
     64 MiB used to be; a payload bomb even decoded, because the bytes
-    past ``total_bits`` were ignored, and so did a fill-mask bomb,
-    because the bits past the array's end were)."""
-    x = np.cumsum(np.random.default_rng(4).normal(size=(16, 16)), axis=0)
-    x[::5, ::3] = -999.0  # fill points; only the fillmask case masks them
-    c = Container.from_bytes(
-        compress(x, 1e-3, quantization_radius=3, **_BOMB_OPTIONS[stream])
-    )
-    assert c.meta["n_escapes"] > 0
+    past ``total_bits`` were ignored, and so did a bomb in a fill mask,
+    selector, flag or bit-plane stream, because the bits past the
+    count the header declares were)."""
+    c = _bomb_target(codec, stream)
     assert stream in dict(c.streams)
     streams = [
         (name, zlib_bomb if name == stream else payload)
@@ -226,6 +256,58 @@ def test_zlib_bomb_is_a_bounded_decompression_error(zlib_bomb, stream):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "count, stream", [("total_bits", "payload"), ("n_escapes", "escapes")]
+)
+def test_bomb_behind_a_hostile_count_is_bounded(zlib_bomb, count, stream):
+    """A Huffman-tail stream is inflated only up to what the decoded
+    symbols allow, whatever count the header declares: 2**40 payload
+    bits for 256 points, or 2**30 escapes, over a bomb, end in
+    DecompressionError under the same memory bound (the declared count
+    used to set the cap, so all 64 MiB were inflated)."""
+    c = _bomb_target("sz", stream)
+    hostile = {count: 2**30 if count == "n_escapes" else 2**40}
+    streams = [
+        (name, zlib_bomb if name == stream else payload)
+        for name, payload in c.streams
+    ]
+    blob = Container(c.codec, {**c.meta, **hostile}, streams).to_bytes()
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecompressionError):
+            decompress(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "codec, count",
+    [
+        ("hybrid", "n_blocks"),
+        ("hybrid", "n_codes"),
+        ("regression", "n_blocks"),
+        ("regression", "n_codes"),
+        ("legacy", "n_segments"),
+        ("legacy", "n_codes"),
+        ("embedded", "n_coeffs"),
+    ],
+)
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_count_that_disagrees_with_the_shape_is_bad_meta(codec, count, delta):
+    """The counts that size a codec's side streams must be the ones its
+    shape implies; one more or one less is FormatError(BAD_META) before
+    any stream is inflated."""
+    c = _bomb_target(codec, None)
+    blob = Container(
+        c.codec, {**c.meta, count: c.meta[count] + delta}, c.streams
+    ).to_bytes()
+    with pytest.raises(FormatError) as info:
+        decompress(blob)
+    assert info.value.code == ErrorCode.BAD_META
 
 
 @pytest.mark.parametrize("cut", [1, 8])

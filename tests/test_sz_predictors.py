@@ -104,5 +104,41 @@ class TestFloatHelpers:
     )
 )
 def test_lorenzo_inverse_property(k):
-    """difference/reconstruct are exact inverses on any int lattice."""
-    assert np.array_equal(lorenzo_reconstruct(lorenzo_difference(k)), k)
+    """difference/reconstruct are exact inverses on any int lattice, and
+    the difference is the ``np.diff(prepend=0)`` composition, leaving
+    its input unmodified."""
+    before = k.copy()
+    q = lorenzo_difference(k)
+    assert np.array_equal(k, before)
+    assert np.array_equal(q, _reference_difference("lorenzo", k))
+    assert np.array_equal(lorenzo_reconstruct(q), k)
+
+
+def _reference_difference(name, k):
+    """Each predictor's difference as the ``np.diff(prepend=0)``
+    composition it replaced."""
+    if name == "none":
+        return k.copy()
+    if name == "lorenzo1d":
+        return np.diff(k.ravel(), prepend=0).reshape(k.shape)
+    q = k
+    for axis in range(k.ndim):
+        for _ in range(2 if name == "lorenzo2" else 1):
+            q = np.diff(q, axis=axis, prepend=0)
+    return q
+
+
+@pytest.mark.parametrize("name", sorted(PREDICTORS))
+@pytest.mark.parametrize(
+    "shape", [(17,), (1,), (7, 9), (1, 5), (4, 5, 6), (4, 1, 6), (3, 3, 3, 3)]
+)
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_difference_matches_diff_composition(name, shape, order, rng):
+    """Every difference equals the literal ``np.diff(prepend=0)``
+    composition, 1-D to 4-D, extent-1 axes and Fortran order included,
+    and leaves its input unmodified."""
+    _, diff, _ = predictor_by_name(name)
+    k = np.asarray(rng.integers(-(2**40), 2**40, size=shape), order=order)
+    before = k.copy()
+    assert np.array_equal(diff(k), _reference_difference(name, k))
+    assert np.array_equal(k, before)

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import CompressionError, ParameterError
-from repro.sz.quantizer import LatticeQuantizer, lattice_values, snap_to_lattice
+from repro.sz.quantizer import (
+    MAX_LATTICE_COORD,
+    LatticeQuantizer,
+    lattice_values,
+    snap_to_lattice,
+)
 
 
 class TestSnap:
@@ -80,3 +85,55 @@ def test_snap_error_bound_property(data, eb):
     quant = LatticeQuantizer(eb, anchor)
     _, recon = quant.roundtrip(data)
     assert np.max(np.abs(recon - data)) <= eb * (1 + 1e-9) + 1e-12
+
+
+def _reference_snap(data, anchor, delta):
+    """The expression snap_to_lattice replaced, its range check
+    included."""
+    k = np.rint((np.asarray(data, dtype=np.float64) - anchor) / delta)
+    if np.abs(k).max(initial=0.0) > MAX_LATTICE_COORD:
+        raise CompressionError("out of range")
+    return k.astype(np.int64)
+
+
+def _snap_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CompressionError:
+        return CompressionError
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    hnp.arrays(
+        st.sampled_from([np.float32, np.float64]),
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=8),
+        elements=st.floats(-1e6, 1e6, width=32),
+    ),
+    st.floats(-1e3, 1e3),
+    st.floats(1e-12, 1e3),
+)
+def test_snap_matches_reference_expression(data, anchor, delta):
+    """Same coordinates, or the same range error, as the old expression
+    on float32 and float64 input (tiny deltas push past the range)."""
+    want = _snap_outcome(_reference_snap, data, anchor, delta)
+    got = _snap_outcome(snap_to_lattice, data, anchor, delta)
+    if want is CompressionError:
+        assert got is CompressionError
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("over", [0, 2])
+def test_snap_range_edge(sign, over):
+    """Exactly MAX_LATTICE_COORD from the anchor is allowed; one lattice
+    step past it (either side) is the range error, as before."""
+    data = np.array([0.0, sign * (MAX_LATTICE_COORD + over)])
+    want = _snap_outcome(_reference_snap, data, 0.0, 1.0)
+    got = _snap_outcome(snap_to_lattice, data, 0.0, 1.0)
+    if over:
+        assert want is CompressionError and got is CompressionError
+    else:
+        assert np.array_equal(got, want)
