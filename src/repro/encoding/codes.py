@@ -30,7 +30,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 import repro.observe as observe
-from repro.encoding.huffman import CanonicalHuffman
+from repro.encoding.huffman import MAX_TABLE_BITS, CanonicalHuffman
 from repro.encoding.lossless import (
     lossless_compress,
     lossless_decompress,
@@ -269,6 +269,14 @@ def decode_codes(
         )
         if entropy_id == _HUFFMAN:
             code = CanonicalHuffman.from_table_bytes(table_blob)
+            # The encoder caps lengths at MAX_TABLE_BITS; a longer code
+            # would send the payload to the per-bit sequential decoder,
+            # whose time grows with the declared shape.
+            if code.max_length > MAX_TABLE_BITS:
+                raise DecompressionError(
+                    f"Huffman table has a {code.max_length}-bit code; "
+                    f"the encoder writes at most {MAX_TABLE_BITS}"
+                )
             if not n <= total_bits <= code.max_length * n:
                 raise DecompressionError(
                     f"{total_bits} bits cannot hold {n} codes of 1 to "

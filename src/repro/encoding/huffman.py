@@ -57,8 +57,13 @@ codes (paper Section II-A).  This module implements it from scratch:
   arrays.
 
 A literal sequential decoder (:meth:`CanonicalHuffman.decode_sequential`)
-is kept both as a fallback for pathological alphabets whose codes cannot
-be length-limited to the table width and as an oracle in tests.
+is kept as an oracle in tests and as the fallback of direct
+:meth:`CanonicalHuffman.decode` calls on codes longer than
+``MAX_TABLE_BITS``.  Containers never reach it: the encoder caps code
+lengths at ``MAX_TABLE_BITS``, and
+:func:`repro.encoding.codes.decode_codes` rejects a longer table before
+inflating the payload, because the per-bit loop's time grows with the
+shape the header declares.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from dataclasses import dataclass, asdict
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ParameterError
 
@@ -74,6 +73,8 @@ def error_uniformity(original, reconstructed, eb: float) -> float:
     fields even small model deviations give small p-values -- compare
     magnitudes, not significance thresholds.
     """
+    from scipy import stats  # ~1.4 s to import; keep it off `import repro`
+
     if eb <= 0:
         raise ParameterError("eb must be positive")
     e = error_field(original, reconstructed).ravel()
@@ -102,6 +103,8 @@ def error_profile(original, reconstructed) -> ErrorProfile:
     For a healthy uniform-quantization codec: mean ~ 0, excess
     kurtosis ~ -1.2 (uniform), low |lag-1 autocorrelation|.
     """
+    from scipy import stats  # see error_uniformity
+
     e = error_field(original, reconstructed).ravel()
     std = float(e.std())
     if std == 0.0:

@@ -363,10 +363,12 @@ def run_field_task(
     measure the reconstruction.
 
     Importable at module top level so it pickles for worker processes.
-    With ``collect_trace=True`` the compression runs under a local
-    :class:`repro.observe.Trace`; the result's ``metrics`` dict carries
-    the aggregated stage costs and the raw span records back across
-    the process boundary.  ``profile_mem=True`` (implies
+    With ``collect_trace=True`` the compression and the measurement of
+    its reconstruction run under a local :class:`repro.observe.Trace`
+    (so serial and pool tasks alike record ``sz.reconstruct`` under
+    the task); the result's ``metrics`` dict carries the aggregated
+    stage costs and the raw span records back across the process
+    boundary.  ``profile_mem=True`` (implies
     ``collect_trace``) additionally runs under
     :class:`repro.telemetry.memory.profile_memory`, so every span
     record also carries its peak traced bytes -- the readings cross the
@@ -422,27 +424,25 @@ def run_field_task(
             if hit is not None:
                 return hit
     comp = FixedPSNRCompressor(target_psnr, refine=refine, codec=codec)
-    metrics = None
-    if collect_trace or profile_mem:
-        local = observe.Trace()
+    local = observe.Trace() if collect_trace or profile_mem else None
+    with contextlib.ExitStack() as scope:
+        if local is not None:
+            scope.enter_context(observe.use_trace(local))
         if profile_mem:
             from repro.telemetry.memory import profile_memory
 
-            with observe.use_trace(local), profile_memory():
-                blob = comp.compress(data)
-        else:
-            with observe.use_trace(local):
-                blob = comp.compress(data)
+            scope.enter_context(profile_memory())
+        blob = comp.compress(data)
+        # The bound compress derived, read back from the header, and the
+        # reconstruction without a decode (see repro.sz.compressor).
+        eb_rel = Container.from_bytes(blob).meta["bound"]
+        actual = measure_psnr(data, reconstruction(data, blob))
+    metrics = None
+    if local is not None:
         metrics = {
             "trace": local.as_dict(),
             "records": [r.as_dict() for r in local.records],
         }
-    else:
-        blob = comp.compress(data)
-    # The bound compress derived, read back from the header, and the
-    # reconstruction without a decode (see repro.sz.compressor).
-    eb_rel = Container.from_bytes(blob).meta["bound"]
-    actual = measure_psnr(data, reconstruction(data, blob))
     result = FieldResult(
         dataset=dataset,
         field=field,

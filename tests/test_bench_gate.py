@@ -9,6 +9,7 @@ CLI exit codes.
 
 import copy
 import json
+import time
 
 import pytest
 
@@ -179,6 +180,16 @@ class TestGateIntegration:
         assert main(["bench", "--dir", str(tmp_path)]) == 0
         for name in BASELINE_FILES.values():
             assert (tmp_path / name).exists()
+
+
+def test_sweep_wall_time_is_the_sweep():
+    """The sweep baseline's wall time covers the sweep, not only the
+    root spans (which were the four ``sz.reconstruct`` spans, ~2 ms of
+    a ~0.1 s sweep, so the gate missed slowdowns of up to ~100x)."""
+    t0 = time.perf_counter()
+    doc = run_sweep_bench()
+    elapsed = time.perf_counter() - t0
+    assert doc["case"]["timing"]["wall_s"] >= 0.5 * elapsed
 
 
 class TestAutotuneScenario:

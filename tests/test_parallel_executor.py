@@ -76,6 +76,26 @@ class TestSweep:
         parallel = sweep_dataset("NYX", n_workers=2, **kwargs)
         assert [r.as_dict() for r in inline] == [r.as_dict() for r in parallel]
 
+    @pytest.mark.parametrize("n_workers", [0, 2], ids=["serial", "pool"])
+    def test_traced_sweep_measures_under_each_field(self, n_workers):
+        """The measurement runs inside the task's trace: every field's
+        subtree holds its ``sz.reconstruct``, and nothing lands at the
+        caller's root (a serial sweep used to record the reconstruction
+        there, and a pool sweep dropped it)."""
+        from repro.observe import Trace, use_trace
+
+        fields = ["CLDHGH", "FLDS"]
+        tr = Trace()
+        with use_trace(tr):
+            sweep_dataset(
+                "ATM", targets=[40.0], fields=fields, scale=0.5,
+                n_workers=n_workers, collect_trace=True,
+            )
+        paths = {r.path for r in tr.records}
+        assert all(len(p) > 1 for p in paths), sorted(paths)
+        for name in fields:
+            assert (f"field:{name}", "sz.reconstruct") in paths
+
     def test_accuracy_shape_over_targets(self):
         """Higher targets give tighter control (Table II shape)."""
         results = sweep_dataset(

@@ -310,6 +310,33 @@ def test_count_that_disagrees_with_the_shape_is_bad_meta(codec, count, delta):
     assert info.value.code == ErrorCode.BAD_META
 
 
+def test_huffman_table_longer_than_the_encoder_writes_is_rejected(monkeypatch):
+    """A table with a code longer than MAX_TABLE_BITS ends in
+    DecompressionError before the payload is inflated.  Here a 19-bit
+    code beside a 1-bit one over 2**20 zero bits used to go through the
+    per-bit sequential decoder (~1.5 s), whose time grows with the
+    declared shape."""
+    from repro.encoding.huffman import MAX_TABLE_BITS, CanonicalHuffman
+
+    n = 1024 * 1024
+    table = CanonicalHuffman(np.array([0, 1]), np.array([1, MAX_TABLE_BITS + 1]))
+    c = Container.from_bytes(compress(np.zeros((4, 4)) + np.arange(4), 1e-3))
+    meta = {**c.meta, "shape": [1024, 1024], "total_bits": n, "n_escapes": 0}
+    streams = [
+        ("table", zlib.compress(table.table_bytes())),
+        ("payload", zlib.compress(bytes(n // 8), 9)),
+    ]
+    blob = Container(c.codec, meta, streams).to_bytes()
+    assert len(blob) < 1024
+
+    def sequential(*args):
+        raise AssertionError("the per-bit decoder ran on a container")
+
+    monkeypatch.setattr(CanonicalHuffman, "decode_sequential", sequential)
+    with pytest.raises(DecompressionError):
+        decompress(blob)
+
+
 @pytest.mark.parametrize("cut", [1, 8])
 def test_truncated_zlib_stream_is_a_decompression_error(cut):
     x = np.cumsum(np.random.default_rng(4).normal(size=(16, 16)), axis=0)
