@@ -47,7 +47,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.cache import blob_key, data_digest  # noqa: E402
+from repro.cache import data_digest, psnr_key  # noqa: E402
 from repro.cluster.ring import HashRing  # noqa: E402
 from repro.core.fixed_psnr import FixedPSNRCompressor  # noqa: E402
 from repro.datasets.registry import get_dataset  # noqa: E402
@@ -96,15 +96,7 @@ def spawn(args, env):
 def route_key(field: str, target: float) -> str:
     """The coordinator's route key for a cacheable PSNR compress task:
     the blob fingerprint itself (cache-owner affinity)."""
-    data = get_dataset(DATASET).field(field)
-    return blob_key(
-        data_digest(data),
-        codec="sz",
-        mode="psnr",
-        target=float(target),
-        refine=None,
-        entropy="huffman",
-    )
+    return psnr_key(data_digest(get_dataset(DATASET).field(field)), target)
 
 
 def metric_value(text: str, name: str) -> float:

@@ -8,9 +8,11 @@ Intended for CI (the ``service-smoke`` job) and local sanity::
 End-to-end exercise of the compression service as a real subprocess
 -- the exact deployment shape, signals included:
 
-1. ``fpzc serve`` starts (process pool, 2 workers) against a
-   throwaway ledger; ``/readyz`` must go 200 within the startup
-   budget.
+1. ``fpzc serve`` starts (process pool, 2 workers) against an empty
+   ledger, ``<workdir>/service_ledger.jsonl`` (and with
+   ``--expect-cache-hit`` an empty ``<workdir>/cache``): both are
+   cleared first, so runs in one workdir do not see each other's
+   entries.  ``/readyz`` must go 200 within the startup budget.
 2. A compress job (ATM/CLDHGH @ 60 dB) and an autotune job must both
    finish ``done``; the compress blob must round-trip through the
    static decompressor with the achieved PSNR the service reported,
@@ -34,6 +36,7 @@ and fails the script.
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -77,6 +80,8 @@ def run(workdir: str = ".", expect_cache_hit: bool = False) -> int:
     work = Path(workdir)
     work.mkdir(parents=True, exist_ok=True)
     ledger = str(work / "service_ledger.jsonl")
+    Path(ledger).unlink(missing_ok=True)
+    shutil.rmtree(work / "cache", ignore_errors=True)
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")

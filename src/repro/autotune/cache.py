@@ -316,6 +316,8 @@ def warm_start_from_store(
     """
     if store is None:
         return None
+    from repro.cache.record import read_meta
+
     auto_points: List[Tuple[float, float]] = []
     sibling_points: List[Tuple[float, float]] = []
     for _key, meta in store.iter_meta():
@@ -334,11 +336,9 @@ def warm_start_from_store(
         elif kind == "blob":
             if meta.get("codec") != objective.codec:
                 continue
-            metrics = meta.get("metrics") or {}
+            measured = read_meta(meta)
             point = _eq8_sibling_point(
-                objective,
-                metrics.get("achieved_psnr"),
-                metrics.get("ratio"),
+                objective, measured["achieved_psnr"], measured["ratio"]
             )
             if point is not None:
                 sibling_points.append(point)

@@ -1,10 +1,20 @@
 """Content-addressed compression cache shared by every entry point.
 
-See :mod:`repro.cache.store` for the on-disk contract and
-``docs/CACHING.md`` for the operator's view (key schema, invalidation,
-eviction, service semantics).
+See :mod:`repro.cache.store` for the on-disk contract,
+:mod:`repro.cache.record` for the blob record every entry point
+shares (the fixed-PSNR key, the entry metadata and the cache-through
+fixed-PSNR step) and ``docs/CACHING.md`` for the operator's view (key
+schema, invalidation, eviction, service semantics).
 """
 
+from repro.cache.record import (
+    BlobRecord,
+    blob_meta,
+    compress_psnr,
+    lookup_psnr,
+    psnr_key,
+    read_meta,
+)
 from repro.cache.store import (
     CACHE_SCHEMA_VERSION,
     CacheEntry,
@@ -16,11 +26,17 @@ from repro.cache.store import (
 )
 
 __all__ = [
+    "BlobRecord",
     "CACHE_SCHEMA_VERSION",
     "CacheEntry",
     "CacheStore",
     "blob_key",
+    "blob_meta",
     "cache_path",
+    "compress_psnr",
     "data_digest",
+    "lookup_psnr",
+    "psnr_key",
+    "read_meta",
     "trial_key",
 ]

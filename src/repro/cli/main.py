@@ -35,6 +35,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Optional, Sequence
@@ -96,6 +97,70 @@ def _cache_store(args):
     return CacheStore(
         root=str(cache_path(getattr(args, "cache_dir", None))),
         max_bytes=getattr(args, "cache_max_bytes", None),
+    )
+
+
+def _add_ledger_flag(p: argparse.ArgumentParser) -> None:
+    """Attach ``--ledger PATH``, the run-ledger file."""
+    p.add_argument(
+        "--ledger",
+        metavar="PATH",
+        help="run-ledger file (default .fpzc/ledger.jsonl or $FPZC_LEDGER)",
+    )
+
+
+def _add_observed_flags(p: argparse.ArgumentParser) -> None:
+    """Attach the flags of an observed run (``compress``, ``autotune``,
+    ``sweep``): the stage tree, the Perfetto export, memory profiling
+    and the run-ledger record.  ``--trace-perfetto``, ``--profile-mem``
+    and ``--trace-json`` imply ``--trace`` (:func:`_traced`)."""
+    p.add_argument(
+        "--trace",
+        action="store_true",
+        help="print the run's per-stage cost breakdown",
+    )
+    p.add_argument(
+        "--trace-perfetto",
+        metavar="PATH",
+        help="export the trace as Chrome trace-event JSON (Perfetto/"
+        "chrome://tracing); implies --trace",
+    )
+    p.add_argument(
+        "--profile-mem",
+        action="store_true",
+        help="per-span peak-memory profiling via tracemalloc "
+        "(slower; implies --trace)",
+    )
+    _add_ledger_flag(p)
+    p.add_argument(
+        "--no-ledger",
+        action="store_true",
+        help="do not append this run to the ledger",
+    )
+
+
+def _add_export_flags(p: argparse.ArgumentParser) -> None:
+    """Attach ``--trace-json`` and ``--metrics`` (``compress`` and
+    ``autotune``)."""
+    p.add_argument(
+        "--trace-json",
+        metavar="PATH",
+        help="write the full trace (schema v1 JSON) to PATH; implies --trace",
+    )
+    p.add_argument(
+        "--metrics",
+        metavar="PATH",
+        help="write the process metrics snapshot to PATH "
+        "(.prom -> Prometheus text, else JSON)",
+    )
+
+
+def _add_url_flag(p: argparse.ArgumentParser) -> None:
+    """Attach ``--url``, the service a job-client command talks to."""
+    p.add_argument(
+        "--url",
+        help="service URL (default $FPZC_SERVICE_URL or "
+        "http://127.0.0.1:8077)",
     )
 
 
@@ -188,48 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--entropy",
         choices=("huffman", "rans"),
         default="huffman",
-        help="entropy stage for the sz codec",
+        help="entropy stage for the sz codec's --abs/--rel/--pw-rel "
+        "bounds and --chunks slabs (every other mode uses Huffman)",
     )
-    p_c.add_argument(
-        "--trace",
-        action="store_true",
-        help="print a per-stage cost tree after compressing",
-    )
-    p_c.add_argument(
-        "--trace-json",
-        metavar="PATH",
-        help="write the full trace (schema v1 JSON) to PATH; implies --trace",
-    )
-    p_c.add_argument(
-        "--trace-perfetto",
-        metavar="PATH",
-        dest="trace_perfetto",
-        help="export the trace as Chrome trace-event JSON (Perfetto/"
-        "chrome://tracing); implies --trace",
-    )
-    p_c.add_argument(
-        "--profile-mem",
-        action="store_true",
-        help="per-span peak-memory profiling via tracemalloc "
-        "(slower; implies --trace)",
-    )
-    p_c.add_argument(
-        "--metrics",
-        metavar="PATH",
-        help="write the process metrics snapshot to PATH "
-        "(.prom -> Prometheus text, else JSON)",
-    )
-    p_c.add_argument(
-        "--ledger",
-        metavar="PATH",
-        help="run-ledger file for traced runs "
-        "(default .fpzc/ledger.jsonl or $FPZC_LEDGER)",
-    )
-    p_c.add_argument(
-        "--no-ledger",
-        action="store_true",
-        help="do not append this traced run to the ledger",
-    )
+    _add_observed_flags(p_c)
+    _add_export_flags(p_c)
     _add_cache_flags(p_c)
 
     p_at = sub.add_parser(
@@ -296,45 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore prior ledger runs when choosing the initial bound",
     )
     p_at.add_argument("--json", action="store_true", help="emit a JSON report")
-    p_at.add_argument(
-        "--trace",
-        action="store_true",
-        help="print the per-trial stage-cost tree after the search",
-    )
-    p_at.add_argument(
-        "--trace-json",
-        metavar="PATH",
-        help="write the full trace (schema v1 JSON) to PATH; implies --trace",
-    )
-    p_at.add_argument(
-        "--trace-perfetto",
-        metavar="PATH",
-        dest="trace_perfetto",
-        help="export the search trace as Chrome trace-event JSON "
-        "(Perfetto/chrome://tracing)",
-    )
-    p_at.add_argument(
-        "--profile-mem",
-        action="store_true",
-        help="per-span peak-memory profiling via tracemalloc "
-        "(slower; implies --trace)",
-    )
-    p_at.add_argument(
-        "--metrics",
-        metavar="PATH",
-        help="write the process metrics snapshot to PATH "
-        "(.prom -> Prometheus text, else JSON)",
-    )
-    p_at.add_argument(
-        "--ledger",
-        metavar="PATH",
-        help="run-ledger file (default .fpzc/ledger.jsonl or $FPZC_LEDGER)",
-    )
-    p_at.add_argument(
-        "--no-ledger",
-        action="store_true",
-        help="do not append this run to the ledger",
-    )
+    _add_observed_flags(p_at)
+    _add_export_flags(p_at)
     _add_cache_flags(p_at)
 
     p_d = sub.add_parser("decompress", help="decompress a container")
@@ -448,35 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--report",
         help="also write the summary to a file (.md -> Markdown, else CSV)",
     )
-    p_s.add_argument(
-        "--trace",
-        action="store_true",
-        help="collect per-stage traces and print an aggregate stage breakdown",
-    )
-    p_s.add_argument(
-        "--trace-perfetto",
-        metavar="PATH",
-        dest="trace_perfetto",
-        help="export the sweep trace (parent plus per-worker tracks) as "
-        "Chrome trace-event JSON; implies --trace",
-    )
-    p_s.add_argument(
-        "--profile-mem",
-        action="store_true",
-        help="per-span peak-memory profiling via tracemalloc "
-        "(slower; implies --trace)",
-    )
-    p_s.add_argument(
-        "--ledger",
-        metavar="PATH",
-        help="run-ledger file for traced sweeps "
-        "(default .fpzc/ledger.jsonl or $FPZC_LEDGER)",
-    )
-    p_s.add_argument(
-        "--no-ledger",
-        action="store_true",
-        help="do not append this traced sweep to the ledger",
-    )
+    _add_observed_flags(p_s)
     p_s.add_argument(
         "--cluster",
         metavar="TOPOLOGY",
@@ -510,11 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_l = sub.add_parser("ledger", help="print recent run-ledger entries")
-    p_l.add_argument(
-        "--ledger",
-        metavar="PATH",
-        help="ledger file (default .fpzc/ledger.jsonl or $FPZC_LEDGER)",
-    )
+    _add_ledger_flag(p_l)
     p_l.add_argument(
         "--limit", type=int, default=20, help="show at most N entries"
     )
@@ -525,11 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="chart PSNR conformance (achieved vs Eq. 7/8 prediction) "
         "over ledger history",
     )
-    p_dr.add_argument(
-        "--ledger",
-        metavar="PATH",
-        help="ledger file (default .fpzc/ledger.jsonl or $FPZC_LEDGER)",
-    )
+    _add_ledger_flag(p_dr)
     p_dr.add_argument(
         "--check",
         action="store_true",
@@ -568,11 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_r.add_argument(
         "--html", metavar="PATH", required=True, help="output HTML file"
     )
-    p_r.add_argument(
-        "--ledger",
-        metavar="PATH",
-        help="ledger file (default .fpzc/ledger.jsonl or $FPZC_LEDGER)",
-    )
+    _add_ledger_flag(p_r)
     p_r.add_argument(
         "--limit", type=int, default=20, help="ledger rows in the table"
     )
@@ -630,10 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-retries", type=int, default=1, dest="max_retries",
         help="per-job retry budget for failed attempts",
     )
-    p_sv.add_argument(
-        "--ledger", metavar="PATH",
-        help="ledger file (default .fpzc/ledger.jsonl or $FPZC_LEDGER)",
-    )
+    _add_ledger_flag(p_sv)
     p_sv.add_argument(
         "--no-ledger", action="store_true", dest="no_ledger",
         help="do not append job records to the run ledger",
@@ -749,14 +697,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument(
         "--out", metavar="PATH", help="write the compressed blob here"
     )
-    p_sub.add_argument(
-        "--url", help="service URL (default $FPZC_SERVICE_URL or "
-        "http://127.0.0.1:8077)",
-    )
+    _add_url_flag(p_sub)
 
     p_st = sub.add_parser("status", help="print a service job's status")
     p_st.add_argument("job", help="job id (from submit)")
-    p_st.add_argument("--url", help="service URL")
+    _add_url_flag(p_st)
 
     p_f = sub.add_parser(
         "fetch", help="download a finished service job's blob"
@@ -765,227 +710,186 @@ def build_parser() -> argparse.ArgumentParser:
     p_f.add_argument(
         "--out", metavar="PATH", required=True, help="output file"
     )
-    p_f.add_argument("--url", help="service URL")
+    _add_url_flag(p_f)
 
     p_cx = sub.add_parser("cancel", help="cancel a queued or running job")
     p_cx.add_argument("job", help="job id (from submit)")
-    p_cx.add_argument("--url", help="service URL")
+    _add_url_flag(p_cx)
     return parser
 
 
-def _compress_blob(args, data, store=None):
-    """Dispatch ``compress`` arguments to the right codec.
+#: Control modes whose achieved values ``compress`` measures (every
+#: codec but ``embedded``).
+_MEASURED = ("psnr", "nrmse", "mse", "ratio")
+#: Control modes whose value is an error bound, not a target.
+_BOUNDS = ("pw_rel", "abs", "rel")
 
-    Returns ``(blob, mode, target)`` where ``mode`` names the control
-    mode the user asked for (``"psnr"``, ``"nrmse"``, ``"mse"``,
-    ``"ratio"``, ``"rate"`` or ``"bound"``) and ``target`` is the
-    requested value in that unit (``None`` for plain error-bound runs).
-    ``store`` (a :class:`repro.cache.CacheStore`) feeds the ``--ratio``
-    autotune search's trial cache so repeated searches converge from
-    prior probes instead of from scratch.
+
+def _control(args):
+    """The control mode ``compress``'s flags ask for and its value, as
+    the cache key names them: ``psnr``/``nrmse``/``mse``/``ratio``/
+    ``rate`` with a target, ``pw_rel``/``abs``/``rel`` with a bound.
+
+    Combinations no codec takes are a
+    :class:`~repro.errors.ParameterError` before any cache lookup.
+    ``--entropy`` reaches the coder only for sz error bounds and
+    ``--chunks`` slabs; every other mode writes Huffman, so a non-default
+    ``--entropy`` there is refused rather than ignored.
     """
-    from repro.core.fixed_psnr import FixedPSNRCompressor
     from repro.errors import ParameterError
-    from repro.sz.compressor import SZCompressor
-    from repro.sz.regression import RegressionCompressor
-    from repro.transform.compressor import TransformCompressor
-    from repro.transform.embedded import EmbeddedTransformCompressor
 
+    mode, value = next(
+        (m, v)
+        for m, v in (
+            ("psnr", args.psnr),
+            ("nrmse", args.nrmse),
+            ("mse", args.mse),
+            ("ratio", args.ratio),
+            ("rate", args.bit_rate),
+            ("pw_rel", args.pw_rel_bound),
+            ("abs", args.abs_bound),
+            ("rel", args.rel_bound),
+        )
+        if v is not None
+    )
+    codec, chunked = args.codec, args.chunks >= 1
+    if chunked and codec != "sz":
+        raise ParameterError("--chunks requires --codec sz")
+    if chunked and mode not in ("psnr", "abs", "rel"):
+        raise ParameterError(
+            "--chunks supports --abs, --rel or --psnr control modes only"
+        )
+    if codec == "embedded" and mode in ("nrmse", "mse", "ratio"):
+        raise ParameterError(f"--{mode} is not supported by --codec embedded")
+    if codec == "embedded" and mode in ("abs", "rel"):
+        raise ParameterError(
+            "the embedded codec takes --bit-rate or --psnr, not error bounds"
+        )
+    if mode == "rate" and codec != "embedded":
+        raise ParameterError("--bit-rate requires --codec embedded")
+    if mode == "pw_rel" and codec != "sz":
+        raise ParameterError("--pw-rel requires --codec sz")
+    if args.entropy != "huffman" and (
+        codec != "sz" or (mode in _MEASURED and not chunked)
+    ):
+        raise ParameterError(
+            f"--entropy {args.entropy} requires --codec sz with --abs, "
+            "--rel, --pw-rel or --chunks"
+        )
+    return mode, value
+
+
+def _compress_blob(args, data, mode, value, store):
+    """Compress ``data`` as :func:`_control` resolved, in every mode
+    but the plain fixed-PSNR step (:func:`repro.cache.compress_psnr`).
+    ``store`` feeds the ``--ratio`` autotune search's trial cache so
+    repeated searches converge from prior probes."""
+    refine = "histogram" if args.refine else None
     if args.chunks >= 1:
-        return _compress_chunked_blob(args, data)
-    mode, target = "bound", None
-    if args.nrmse is not None:
-        from repro.core.modes import compress_fixed_nrmse
+        from repro.parallel.chunking import compress_chunked
 
-        if args.codec == "embedded":
-            raise ParameterError("--nrmse is not supported by --codec embedded")
-        blob = compress_fixed_nrmse(
-            data,
-            args.nrmse,
-            refine="histogram" if args.refine else None,
-            codec=args.codec,
-        )
-        mode, target = "nrmse", args.nrmse
-    elif args.mse is not None:
-        from repro.core.modes import compress_fixed_mse
+        if mode == "psnr":
+            from repro.core.fixed_psnr import FixedPSNRCompressor
 
-        if args.codec == "embedded":
-            raise ParameterError("--mse is not supported by --codec embedded")
-        blob = compress_fixed_mse(
+            comp = FixedPSNRCompressor(value, refine=refine)
+            mode, value = "rel", float(comp.derive_bound(data))
+        return compress_chunked(
             data,
-            args.mse,
-            refine="histogram" if args.refine else None,
-            codec=args.codec,
+            value,
+            mode=mode,
+            n_chunks=args.chunks,
+            n_workers=args.chunk_workers,
+            entropy=args.entropy,
         )
-        mode, target = "mse", args.mse
-    elif args.ratio is not None:
+    if args.codec == "embedded":
+        from repro.transform.embedded import EmbeddedTransformCompressor
+
+        return EmbeddedTransformCompressor(
+            mode="fixed_rate" if mode == "rate" else "fixed_psnr", rate=value
+        ).compress(data)
+    if mode in ("nrmse", "mse"):
+        from repro.core import modes
+
+        run = (
+            modes.compress_fixed_nrmse
+            if mode == "nrmse"
+            else modes.compress_fixed_mse
+        )
+        return run(data, value, refine=refine, codec=args.codec)
+    if mode == "ratio":
         from repro.autotune import autotune
 
-        if args.codec == "embedded":
-            raise ParameterError(
-                "--ratio autotuning is not supported by --codec embedded"
-            )
         result = autotune(
             data,
             "ratio",
-            args.ratio,
+            value,
             codec=args.codec,
             tol=args.tol,
             keep_blob=True,
             store=store,
         )
         print(result.report(), file=sys.stderr)
-        blob = result.blob
-        mode, target = "ratio", args.ratio
-    elif args.bit_rate is not None:
-        if args.codec != "embedded":
-            raise ParameterError("--bit-rate requires --codec embedded")
-        blob = EmbeddedTransformCompressor(
-            mode="fixed_rate", rate=args.bit_rate
-        ).compress(data)
-        mode, target = "rate", args.bit_rate
-    elif args.psnr is not None:
-        if args.codec == "embedded":
-            blob = EmbeddedTransformCompressor(
-                mode="fixed_psnr", rate=args.psnr
-            ).compress(data)
-        else:
-            comp = FixedPSNRCompressor(
-                args.psnr,
-                refine="histogram" if args.refine else None,
+        return result.blob
+    from repro.core.codecs import make_compressor
+
+    options = {"entropy": args.entropy} if args.codec == "sz" else {}
+    return make_compressor(args.codec, value, mode=mode, **options).compress(
+        data
+    )
+
+
+def _compress_through(args, data, mode, value, store):
+    """:func:`_compress_blob` through the blob cache when ``store`` is
+    given, measuring what the mode asks for.  Returns ``(blob, key,
+    hit, achieved_psnr, achieved)``; the key holds every knob that can
+    change the bytes."""
+    from repro.cache import blob_key, blob_meta, data_digest, read_meta
+
+    key = None
+    if store is not None:
+        key = blob_key(
+            data_digest(data),
+            codec=args.codec,
+            mode=mode,
+            tol=args.tol if mode == "ratio" else None,
+            refine="histogram" if args.refine else None,
+            entropy=args.entropy,
+            chunks=args.chunks or None,
+            **{("bound" if mode in _BOUNDS else "target"): value},
+        )
+        entry = store.get(key)
+        if entry is not None:
+            m = read_meta(entry.meta)
+            return entry.payload, key, True, m["achieved_psnr"], m["achieved"]
+    blob = _compress_blob(args, data, mode, value, store)
+    achieved_psnr = achieved = None
+    if mode in _MEASURED and args.codec != "embedded":
+        from repro.metrics.distortion import mse, nrmse, psnr
+        from repro.sz.compressor import reconstruction
+
+        recon = reconstruction(data, blob)
+        achieved_psnr = achieved = float(psnr(data, recon))
+        if mode == "nrmse":
+            achieved = float(nrmse(data, recon))
+        elif mode == "mse":
+            achieved = float(mse(data, recon))
+        elif mode == "ratio":
+            achieved = data.nbytes / len(blob)
+    if store is not None:
+        store.put(
+            key,
+            blob,
+            blob_meta(
+                data,
+                blob,
                 codec=args.codec,
-            )
-            blob = comp.compress(data)
-        mode, target = "psnr", args.psnr
-    elif args.pw_rel_bound is not None:
-        if args.codec != "sz":
-            raise ParameterError("--pw-rel requires --codec sz")
-        blob = SZCompressor(
-            error_bound=args.pw_rel_bound, mode="pw_rel", entropy=args.entropy
-        ).compress(data)
-    else:
-        bmode = "abs" if args.abs_bound is not None else "rel"
-        bound = args.abs_bound if args.abs_bound is not None else args.rel_bound
-        if args.codec == "sz":
-            blob = SZCompressor(
-                error_bound=bound, mode=bmode, entropy=args.entropy
-            ).compress(data)
-        elif args.codec == "transform":
-            blob = TransformCompressor(error_bound=bound, mode=bmode).compress(data)
-        elif args.codec == "regression":
-            blob = RegressionCompressor(error_bound=bound, mode=bmode).compress(data)
-        elif args.codec == "hybrid":
-            from repro.sz.hybrid import HybridCompressor
-
-            blob = HybridCompressor(error_bound=bound, mode=bmode).compress(data)
-        elif args.codec == "interp":
-            from repro.sz.interp import InterpolationCompressor
-
-            blob = InterpolationCompressor(
-                error_bound=bound, mode=bmode
-            ).compress(data)
-        else:
-            raise ParameterError(
-                "the embedded codec takes --bit-rate or --psnr, not error bounds"
-            )
-    return blob, mode, target
-
-
-def _compress_chunked_blob(args, data):
-    """``compress --chunks N``: slab-parallel compression through
-    :func:`repro.parallel.chunking.compress_chunked` (sz codec;
-    ``--abs``/``--rel``/``--psnr`` control modes)."""
-    from repro.core.fixed_psnr import FixedPSNRCompressor
-    from repro.errors import ParameterError
-    from repro.parallel.chunking import compress_chunked
-
-    if args.codec != "sz":
-        raise ParameterError("--chunks requires --codec sz")
-    kwargs = dict(
-        n_chunks=args.chunks,
-        n_workers=args.chunk_workers,
-        entropy=args.entropy,
-    )
-    if args.psnr is not None:
-        comp = FixedPSNRCompressor(
-            args.psnr, refine="histogram" if args.refine else None
+                mode=mode,
+                target=None if mode in _BOUNDS else value,
+                achieved_psnr=achieved_psnr,
+                achieved=achieved,
+            ),
         )
-        eb_rel = comp.derive_bound(data)
-        return (
-            compress_chunked(data, float(eb_rel), mode="rel", **kwargs),
-            "psnr",
-            args.psnr,
-        )
-    if args.abs_bound is not None:
-        return (
-            compress_chunked(data, args.abs_bound, mode="abs", **kwargs),
-            "bound",
-            None,
-        )
-    if args.rel_bound is not None:
-        return (
-            compress_chunked(data, args.rel_bound, mode="rel", **kwargs),
-            "bound",
-            None,
-        )
-    raise ParameterError(
-        "--chunks supports --abs, --rel or --psnr control modes only"
-    )
-
-
-def _compress_cache_key(args, data) -> str:
-    """The content-addressed cache key for this ``compress`` invocation.
-
-    Mirrors :func:`_compress_blob`'s mode dispatch so that every knob
-    that can change the output bytes (mode, target/bound, codec,
-    refinement, entropy stage, chunking, ratio tolerance) lands in the
-    key.  The fixed-PSNR key deliberately matches the one written by
-    :func:`repro.parallel.executor.sweep_dataset`, so a sweep warms the
-    cache for later single-field ``compress`` calls and vice versa.
-    """
-    from repro.cache import blob_key, data_digest
-
-    digest = data_digest(data)
-    opts = dict(
-        refine="histogram" if args.refine else None,
-        entropy=args.entropy,
-        chunks=args.chunks or None,
-    )
-    if args.psnr is not None:
-        return blob_key(
-            digest, codec=args.codec, mode="psnr",
-            target=float(args.psnr), **opts,
-        )
-    if args.nrmse is not None:
-        return blob_key(
-            digest, codec=args.codec, mode="nrmse",
-            target=float(args.nrmse), **opts,
-        )
-    if args.mse is not None:
-        return blob_key(
-            digest, codec=args.codec, mode="mse",
-            target=float(args.mse), **opts,
-        )
-    if args.ratio is not None:
-        return blob_key(
-            digest, codec=args.codec, mode="ratio",
-            target=float(args.ratio), tol=float(args.tol), **opts,
-        )
-    if args.bit_rate is not None:
-        return blob_key(
-            digest, codec=args.codec, mode="rate",
-            target=float(args.bit_rate), **opts,
-        )
-    if args.pw_rel_bound is not None:
-        return blob_key(
-            digest, codec=args.codec, mode="pw_rel",
-            bound=float(args.pw_rel_bound), **opts,
-        )
-    bmode = "abs" if args.abs_bound is not None else "rel"
-    bound = args.abs_bound if args.abs_bound is not None else args.rel_bound
-    return blob_key(
-        digest, codec=args.codec, mode=bmode, bound=float(bound), **opts,
-    )
+    return blob, key, False, achieved_psnr, achieved
 
 
 def _write_metrics(path: str) -> None:
@@ -1004,196 +908,167 @@ def _write_metrics(path: str) -> None:
     print(f"metrics written to {path}")
 
 
-def _append_ledger(args, entry) -> None:
+def _traced(args) -> bool:
+    """Whether the observed-run flags ask for a trace."""
+    return bool(
+        args.trace
+        or getattr(args, "trace_json", None)
+        or args.trace_perfetto
+        or args.profile_mem
+    )
+
+
+@contextlib.contextmanager
+def _observed(traced: bool, profile_mem: bool = False):
+    """Yield the run's :class:`repro.observe.Trace`, installed as the
+    current trace (under tracemalloc profiling with ``profile_mem``),
+    or ``None`` when not ``traced``."""
+    if not traced:
+        yield None
+        return
+    from repro.observe import Trace, use_trace
+
+    tr = Trace()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(use_trace(tr))
+        if profile_mem:
+            from repro.telemetry.memory import profile_memory
+
+            stack.enter_context(profile_memory())
+        yield tr
+
+
+def _export_trace(args, tr, out=None, process_names=None) -> None:
+    """The exports of an observed run: ``tr`` into the metrics
+    registry, its stage tree (and ``--trace-json``) to ``out`` when
+    given, and ``--trace-perfetto`` (``process_names`` names the
+    lanes)."""
+    from repro.telemetry.registry import metrics, record_trace
+
+    record_trace(tr)
+    if out is not None:
+        print(file=out)
+        print(tr.render(), file=out)
+        if getattr(args, "trace_json", None):
+            with open(args.trace_json, "w") as fh:
+                fh.write(tr.to_json())
+            print(f"trace written to {args.trace_json}", file=out)
+    if args.trace_perfetto:
+        from repro.telemetry.export import write_chrome_trace
+
+        write_chrome_trace(
+            tr,
+            args.trace_perfetto,
+            snapshot=metrics().snapshot(),
+            process_names=process_names,
+        )
+        print(
+            f"perfetto trace written to {args.trace_perfetto}",
+            file=sys.stderr,
+        )
+
+
+def _append_ledger(args, kind: str, tr, **fields) -> None:
+    """Append the observed run's ledger entry unless ``--no-ledger``."""
+    if args.no_ledger:
+        return
     from pathlib import Path
 
-    from repro.telemetry.ledger import append_entry
+    from repro.telemetry.ledger import append_entry, entry_from_trace
 
     path = append_entry(
-        entry, path=Path(args.ledger) if args.ledger else None
+        entry_from_trace(kind, tr, **fields),
+        path=Path(args.ledger) if args.ledger else None,
     )
     # stderr so `--json` stdout stays machine-parseable
     print(f"ledger entry appended to {path}", file=sys.stderr)
 
 
-def _write_perfetto(tr, path: str) -> None:
-    """Export ``tr`` as Chrome trace-event JSON plus the current
-    metric counters (open in Perfetto or chrome://tracing)."""
-    from repro.telemetry.export import write_chrome_trace
-    from repro.telemetry.registry import metrics
-
-    write_chrome_trace(tr, path, snapshot=metrics().snapshot())
-    print(f"perfetto trace written to {path}", file=sys.stderr)
-
-
-def _trace_eb_rel(tr) -> Optional[float]:
-    """The relative bound the run's ``derive_bound`` span recorded,
-    or ``None`` when the trace has no fixed-PSNR derivation."""
-    for rec in tr.records:
-        if rec.path and rec.path[-1] == "derive_bound":
-            v = rec.gauges.get("eb_rel")
-            if v is not None:
-                return float(v)
-    return None
-
-
 def _cmd_compress(args) -> int:
-    from contextlib import ExitStack
-
-    from repro.observe import Trace, use_trace
-
     data = np.load(args.input)
+    mode, value = _control(args)
+    target = None if mode in _BOUNDS else value
     store = _cache_store(args)
-    cache_key = None
-    cache_entry = None
-    if store is not None:
-        cache_key = _compress_cache_key(args, data)
-        cache_entry = store.get(cache_key)
-    cache_hit = cache_entry is not None
-    traced = (
-        args.trace or args.trace_json or args.trace_perfetto
-        or args.profile_mem
-    )
-    if cache_hit:
-        # Serve the stored bytes without touching a codec: the only
-        # span a traced warm run records is ``cache.hit``.
-        blob = cache_entry.payload
-        mode = cache_entry.meta.get("mode", "bound")
-        target = cache_entry.meta.get("target")
-        if traced:
-            tr = Trace()
-            with use_trace(tr):
-                with tr.span("cache.hit") as sp:
-                    sp.set("bytes", len(blob))
-    elif traced:
-        tr = Trace()
-        with ExitStack() as stack:
-            stack.enter_context(use_trace(tr))
-            if args.profile_mem:
-                from repro.telemetry.memory import profile_memory
+    eb_rel = None
+    with _observed(_traced(args), args.profile_mem) as tr:
+        if mode == "psnr" and args.codec != "embedded" and args.chunks < 1:
+            from repro.cache import compress_psnr
 
-                stack.enter_context(profile_memory())
-            blob, mode, target = _compress_blob(args, data, store=store)
-    else:
-        blob, mode, target = _compress_blob(args, data, store=store)
+            rec = compress_psnr(
+                data,
+                value,
+                codec=args.codec,
+                refine="histogram" if args.refine else None,
+                store=store,
+            )
+            blob, key, hit, eb_rel = rec.blob, rec.key, rec.hit, rec.eb_rel
+            achieved_psnr = achieved = rec.achieved_psnr
+        else:
+            blob, key, hit, achieved_psnr, achieved = _compress_through(
+                args, data, mode, value, store
+            )
+        if hit and tr is not None:
+            # A hit runs no codec: a traced warm run's one span.
+            with tr.span("cache.hit") as sp:
+                sp.set("bytes", len(blob))
     with open(args.output, "wb") as fh:
         fh.write(blob)
     ratio = data.nbytes / len(blob)
     print(f"{args.input}: {data.nbytes} -> {len(blob)} bytes (CR {ratio:.2f})")
 
     # When a quality (or ratio) target was requested, report how close
-    # the run actually landed, measured on the reconstruction (the
-    # lattice snap for sz, no decode; see repro.sz.compressor).  A cache
-    # hit skips the measurement too: the achieved numbers were stored
-    # with the blob when it was first compressed and the bytes are
-    # identical.
-    achieved_psnr = None
-    achieved = None
-    if cache_hit:
-        m = cache_entry.meta.get("metrics") or {}
-        achieved_psnr = m.get("achieved_psnr")
-        achieved = m.get("achieved")
-        print(f"cache: hit {cache_key[:16]} ({store.root})", file=sys.stderr)
-        if achieved_psnr is not None:
-            line = f"achieved: PSNR {achieved_psnr:.2f} dB"
-            if target is not None:
-                line += f" (target {target:g}, cached)"
-            print(line)
-    elif mode in ("psnr", "nrmse", "mse", "ratio") and args.codec != "embedded":
-        from repro.metrics.distortion import mse as measure_mse
-        from repro.metrics.distortion import nrmse as measure_nrmse
-        from repro.metrics.distortion import psnr as measure_psnr
-        from repro.sz.compressor import reconstruction
-
-        recon = reconstruction(data, blob)
-        achieved_psnr = float(measure_psnr(data, recon))
+    # the run landed, measured on the reconstruction (the lattice snap
+    # for sz, no decode; see repro.sz.compressor) -- or, on a cache
+    # hit, as recorded when the identical blob was first compressed.
+    if hit:
+        print(f"cache: hit {key[:16]} ({store.root})", file=sys.stderr)
+    if achieved_psnr is not None:
         line = f"achieved: PSNR {achieved_psnr:.2f} dB"
-        if mode == "nrmse":
-            achieved = float(measure_nrmse(data, recon))
-            line += f", NRMSE {achieved:.4g} (target {target:g})"
-        elif mode == "mse":
-            achieved = float(measure_mse(data, recon))
-            line += f", MSE {achieved:.4g} (target {target:g})"
-        elif mode == "ratio":
-            achieved = float(ratio)
-            line += f", CR {ratio:.2f} (target {target:g})"
+        if hit:
+            line += f" (target {target:g}, cached)"
         else:
-            achieved = achieved_psnr
+            if mode == "nrmse":
+                line += f", NRMSE {achieved:.4g}"
+            elif mode == "mse":
+                line += f", MSE {achieved:.4g}"
+            elif mode == "ratio":
+                line += f", CR {ratio:.2f}"
             line += f" (target {target:g})"
         print(line)
+    if store is not None and not hit:
+        print(f"cache: miss, stored {key[:16]}", file=sys.stderr)
 
-    if store is not None and not cache_hit:
-        meta = {
-            "kind": "blob",
-            "dataset": args.input,
-            "codec": args.codec,
-            "mode": mode,
-            "target": target,
-            "metrics": {
-                "achieved_psnr": achieved_psnr,
-                "achieved": achieved,
-                "ratio": float(ratio),
-                "raw_bytes": int(data.nbytes),
-                "compressed_bytes": len(blob),
-            },
-        }
-        store.put(cache_key, blob, meta)
-        print(f"cache: miss, stored {cache_key[:16]}", file=sys.stderr)
-
-    if traced:
-        from repro.telemetry.registry import record_trace
-
-        record_trace(tr)
-        print()
-        print(tr.render())
-        if args.trace_json:
-            with open(args.trace_json, "w") as fh:
-                fh.write(tr.to_json())
-            print(f"trace written to {args.trace_json}")
-        if args.trace_perfetto:
-            _write_perfetto(tr, args.trace_perfetto)
-        # Fixed-PSNR conformance: the Eq. 7/8 prediction at the derived
-        # bound next to what the run actually measured (ledger schema 3).
-        # Warm-cache runs never re-record conformance: the replayed
-        # measurement would double-count the original run's point in
-        # the drift history.
+    if tr is not None:
+        _export_trace(args, tr, sys.stdout)
         extra = {}
         if store is not None:
-            extra["cache"] = {"hit": cache_hit, "key": cache_key}
-        if not cache_hit and mode == "psnr" and achieved_psnr is not None:
-            eb_rel = _trace_eb_rel(tr)
-            if eb_rel is not None:
-                from repro.core.fixed_psnr import estimate_psnr_from_bound
-                from repro.telemetry.drift import record_conformance
+            extra["cache"] = {"hit": hit, "key": key}
+        # Fixed-PSNR conformance: the Eq. 7/8 prediction at the derived
+        # bound next to what the run measured (ledger schema 3).  Warm
+        # runs never re-record it: the replayed measurement would
+        # double-count the original run's point in the drift history.
+        if not hit and eb_rel is not None:
+            from repro.telemetry.drift import record_eq8_conformance
 
-                extra["conformance"] = record_conformance(
-                    args.input,
-                    args.codec,
-                    float(target),
-                    float(estimate_psnr_from_bound(eb_rel=eb_rel)),
-                    achieved_psnr,
-                )
-        if not args.no_ledger:
-            from repro.telemetry.ledger import entry_from_trace
-
-            _append_ledger(
-                args,
-                entry_from_trace(
-                    "compress",
-                    tr,
-                    dataset=args.input,
-                    codec=args.codec,
-                    mode=mode,
-                    target=target,
-                    achieved=achieved,
-                    target_psnr=args.psnr,
-                    achieved_psnr=achieved_psnr,
-                    ratio=ratio,
-                    raw_bytes=int(data.nbytes),
-                    compressed_bytes=len(blob),
-                    extra=extra,
-                ),
-            )
+            extra["conformance"] = record_eq8_conformance(
+                args.input, args.codec, [(value, eb_rel, achieved_psnr)]
+            )[0]
+        _append_ledger(
+            args,
+            "compress",
+            tr,
+            dataset=args.input,
+            codec=args.codec,
+            mode="bound" if mode in _BOUNDS else mode,
+            target=target,
+            achieved=achieved,
+            target_psnr=args.psnr,
+            achieved_psnr=achieved_psnr,
+            ratio=ratio,
+            raw_bytes=int(data.nbytes),
+            compressed_bytes=len(blob),
+            extra=extra,
+        )
     if args.metrics:
         _write_metrics(args.metrics)
     return 0
@@ -1203,18 +1078,14 @@ def _cmd_autotune(args) -> int:
     """Search the error-bound space for a measured target and report
     the convergence trajectory.  Exit code 0 when the search converged
     within tolerance, 1 when a budget ran out first."""
-    import json as _json
-    from contextlib import ExitStack
-
     from repro.autotune import autotune
-    from repro.observe import Trace, use_trace
 
     data = np.load(args.input)
-    for name in ("ratio", "bitrate", "ssim", "max_error"):
-        target = getattr(args, name)
-        if target is not None:
-            objective = name
-            break
+    objective, target = next(
+        (name, getattr(args, name))
+        for name in ("ratio", "bitrate", "ssim", "max_error")
+        if getattr(args, name) is not None
+    )
 
     ledger_entries = None
     if not args.no_warm_start:
@@ -1229,13 +1100,7 @@ def _cmd_autotune(args) -> int:
 
     # Always trace: the ledger record and --trace/--metrics output are
     # both built from the per-trial spans.
-    tr = Trace()
-    with ExitStack() as stack:
-        stack.enter_context(use_trace(tr))
-        if args.profile_mem:
-            from repro.telemetry.memory import profile_memory
-
-            stack.enter_context(profile_memory())
+    with _observed(True, args.profile_mem) as tr:
         result = autotune(
             data,
             objective,
@@ -1250,11 +1115,8 @@ def _cmd_autotune(args) -> int:
             store=store,
         )
 
-    from repro.telemetry.registry import record_trace
-
-    record_trace(tr)
     if args.json:
-        print(_json.dumps(result.as_dict(), indent=2, sort_keys=True))
+        print(json.dumps(result.as_dict(), indent=2, sort_keys=True))
     else:
         print(result.report())
     if args.output is not None:
@@ -1265,59 +1127,40 @@ def _cmd_autotune(args) -> int:
             f"(CR {data.nbytes / len(result.blob):.2f})",
             file=sys.stderr,
         )
-    if args.trace or args.trace_json or args.profile_mem:
-        print(file=sys.stderr)
-        print(tr.render(), file=sys.stderr)
-        if args.trace_json:
-            with open(args.trace_json, "w") as fh:
-                fh.write(tr.to_json())
-            print(f"trace written to {args.trace_json}", file=sys.stderr)
-    if args.trace_perfetto:
-        _write_perfetto(tr, args.trace_perfetto)
-    if not args.no_ledger:
-        from repro.telemetry.ledger import entry_from_trace
+    _export_trace(args, tr, sys.stderr if _traced(args) else None)
+    extra = {
+        "objective": result.objective,
+        "eb_rel": result.eb_rel,
+        "tolerance": result.tolerance,
+        "converged": result.converged,
+        "n_trials": result.n_trials,
+        "cache_hits": result.cache_hits,
+        "subsample_trials": result.subsample_trials,
+        "stop_reason": result.stop_reason,
+        "trajectory": result.search.as_dict()["trajectory"],
+    }
+    if store is not None:
+        from repro.telemetry.registry import metrics
 
-        at_extra = {
-            "objective": result.objective,
-            "eb_rel": result.eb_rel,
-            "tolerance": result.tolerance,
-            "converged": result.converged,
-            "n_trials": result.n_trials,
-            "cache_hits": result.cache_hits,
-            "subsample_trials": result.subsample_trials,
-            "stop_reason": result.stop_reason,
-            "trajectory": result.search.as_dict()["trajectory"],
+        m = metrics().get("autotune.store_hits_total")
+        extra["cache"] = {
+            "store": str(store.root),
+            "store_hits": 0 if m is None else int(m.value),
         }
-        if store is not None:
-            from repro.telemetry.registry import metrics as _metrics
-
-            m = _metrics().get("autotune.store_hits_total")
-            at_extra["cache"] = {
-                "store": str(store.root),
-                "store_hits": 0 if m is None else int(m.value),
-            }
-        _append_ledger(
-            args,
-            entry_from_trace(
-                "autotune",
-                tr,
-                dataset=args.input,
-                codec=args.codec,
-                mode=result.objective,
-                target=result.target,
-                achieved=result.achieved,
-                ratio=(
-                    float(data.nbytes) / len(result.blob)
-                    if result.blob
-                    else None
-                ),
-                raw_bytes=int(data.nbytes),
-                compressed_bytes=(
-                    len(result.blob) if result.blob else None
-                ),
-                extra=at_extra,
-            ),
-        )
+    _append_ledger(
+        args,
+        "autotune",
+        tr,
+        dataset=args.input,
+        codec=args.codec,
+        mode=result.objective,
+        target=result.target,
+        achieved=result.achieved,
+        ratio=data.nbytes / len(result.blob) if result.blob else None,
+        raw_bytes=int(data.nbytes),
+        compressed_bytes=len(result.blob) if result.blob else None,
+        extra=extra,
+    )
     if args.metrics:
         _write_metrics(args.metrics)
     return 0 if result.converged else 1
@@ -1369,16 +1212,22 @@ def _cmd_table1(_args) -> int:
     return 0
 
 
+def _write_report(path: str, summaries) -> None:
+    """Write per-target summaries to ``path`` (.md -> Markdown, else
+    CSV): ``--report`` of ``sweep`` and ``table2``."""
+    from repro.report import render_csv, render_markdown
+
+    renderer = render_markdown if path.endswith(".md") else render_csv
+    with open(path, "w") as fh:
+        fh.write(renderer(summaries))
+    print(f"\nreport written to {path}")
+
+
 def _render_sweep_output(args, results, tr) -> int:
     """The reporting tail shared by the local and cluster sweep paths:
     row table (or ``--json``), per-target summary, failure table, stage
     breakdown, optional report file.  Exit 1 when any task failed."""
-    from repro.report import (
-        render_csv,
-        render_markdown,
-        render_text,
-        summarize_by_target,
-    )
+    from repro.report import render_text, summarize_by_target
 
     ok_results = [r for r in results if r.status == "ok"]
     failed = [r for r in results if r.status != "ok"]
@@ -1417,11 +1266,29 @@ def _render_sweep_output(args, results, tr) -> int:
         print()
         print(render_stage_breakdown(results))
     if args.report and summaries:
-        renderer = render_markdown if args.report.endswith(".md") else render_csv
-        with open(args.report, "w") as fh:
-            fh.write(renderer(summaries))
-        print(f"\nreport written to {args.report}")
+        _write_report(args.report, summaries)
     return 1 if failed else 0
+
+
+def _sweep_ledger(args, tr, results, extra) -> None:
+    """Append a traced sweep's ledger entry: mean achieved PSNR and
+    ratio over the successful rows, plus ``extra``."""
+    ok = [r for r in results if r.status == "ok"]
+    _append_ledger(
+        args,
+        "sweep",
+        tr,
+        dataset=args.dataset,
+        field="*",
+        codec="sz",
+        achieved_psnr=(
+            float(np.mean([r.actual_psnr for r in ok])) if ok else None
+        ),
+        ratio=(
+            float(np.mean([r.compression_ratio for r in ok])) if ok else None
+        ),
+        extra={"targets": [float(t) for t in args.targets], **extra},
+    )
 
 
 def _cmd_sweep_cluster(args) -> int:
@@ -1440,7 +1307,7 @@ def _cmd_sweep_cluster(args) -> int:
         overrides["retry_seed"] = args.retry_seed
     config = ClusterConfig.from_topology(args.cluster, **overrides)
     tr = None
-    if args.trace or args.trace_perfetto:
+    if _traced(args):
         from repro.observe import Trace
 
         tr = Trace()
@@ -1462,63 +1329,25 @@ def _cmd_sweep_cluster(args) -> int:
         file=sys.stderr,
     )
     if tr is not None:
-        from repro.telemetry.registry import record_trace
+        from repro.cluster.router import node_lane
 
-        record_trace(tr)
-        if args.trace_perfetto:
-            from repro.cluster.router import node_lane
-            from repro.telemetry.export import write_chrome_trace
-            from repro.telemetry.registry import metrics
-
-            write_chrome_trace(
-                tr,
-                args.trace_perfetto,
-                snapshot=metrics().snapshot(),
-                process_names={
-                    node_lane(url): f"node {url}" for url in config.peers
-                },
-            )
-            print(
-                f"perfetto trace written to {args.trace_perfetto}",
-                file=sys.stderr,
-            )
-        if not args.no_ledger:
-            from repro.telemetry.ledger import entry_from_trace
-
-            ok_results = [r for r in results if r.status == "ok"]
-            # No coordinator-side conformance records: each member node
-            # already recorded its own for freshly compressed jobs, so
-            # recording here would double-count the drift history.
-            _append_ledger(
-                args,
-                entry_from_trace(
-                    "sweep",
-                    tr,
-                    dataset=args.dataset,
-                    field="*",
-                    codec="sz",
-                    achieved_psnr=(
-                        float(np.mean([r.actual_psnr for r in ok_results]))
-                        if ok_results
-                        else None
-                    ),
-                    ratio=(
-                        float(
-                            np.mean([r.compression_ratio for r in ok_results])
-                        )
-                        if ok_results
-                        else None
-                    ),
-                    extra={
-                        "targets": [float(t) for t in args.targets],
-                        "cluster": {
-                            "topology": args.cluster,
-                            "nodes": list(config.peers),
-                            "alive": alive,
-                        },
-                    },
-                ),
-            )
+        lanes = {node_lane(url): f"node {url}" for url in config.peers}
+        _export_trace(args, tr, process_names=lanes)
+        # No coordinator-side conformance records: each member node
+        # already recorded its own for freshly compressed jobs, so
+        # recording here would double-count the drift history.
+        _sweep_ledger(
+            args,
+            tr,
+            results,
+            {
+                "cluster": {
+                    "topology": args.cluster,
+                    "nodes": list(config.peers),
+                    "alive": alive,
+                }
+            },
+        )
     return _render_sweep_output(args, results, tr)
 
 
@@ -1537,42 +1366,25 @@ def _cmd_sweep(args) -> int:
             seed=args.retry_seed,
         )
     cache = _cache_store(args)
-    tr = None
-    if args.trace or args.trace_perfetto or args.profile_mem:
-        from contextlib import ExitStack
-
-        from repro.observe import Trace, use_trace
-
-        tr = Trace()
-        with ExitStack() as stack:
-            stack.enter_context(use_trace(tr))
-            if args.trace_perfetto:
-                # A parent-process span so the exported timeline always
-                # shows the coordinator track next to the worker tracks.
-                stack.enter_context(tr.span("sweep"))
-            results = sweep_dataset(
-                args.dataset,
-                targets=args.targets,
-                fields=args.fields,
-                refine="histogram" if args.refine else None,
-                n_workers=args.workers,
-                collect_trace=True,
-                profile_mem=args.profile_mem,
-                retry=retry,
-                cache=cache,
-            )
-    else:
+    # Tasks profile memory themselves (--profile-mem), so the parent
+    # only installs the trace; with --trace-perfetto a parent span keeps
+    # the coordinator track next to the worker tracks on the timeline.
+    with _observed(_traced(args)) as tr, (
+        tr.span("sweep") if args.trace_perfetto else contextlib.nullcontext()
+    ):
         results = sweep_dataset(
             args.dataset,
             targets=args.targets,
             fields=args.fields,
             refine="histogram" if args.refine else None,
             n_workers=args.workers,
+            collect_trace=tr is not None,
+            profile_mem=args.profile_mem,
             retry=retry,
             cache=cache,
         )
     ok_results = [r for r in results if r.status == "ok"]
-    failed = [r for r in results if r.status != "ok"]
+    extra = {}
     if cache is not None:
         hits = sum(1 for r in ok_results if r.cache_hit)
         print(
@@ -1580,92 +1392,46 @@ def _cmd_sweep(args) -> int:
             f"({cache.root})",
             file=sys.stderr,
         )
+        extra["cache"] = {
+            "store": str(cache.root),
+            "hits": hits,
+            "misses": len(ok_results) - hits,
+        }
     if tr is not None:
-        from repro.telemetry.registry import record_trace
+        _export_trace(args, tr)
+        # Cache hits replay previously recorded measurements, so only
+        # freshly compressed fields feed the drift history.
+        fresh = [
+            (r.target_psnr, r.eb_rel, r.actual_psnr)
+            for r in ok_results
+            if not r.cache_hit
+        ]
+        if fresh:
+            from repro.telemetry.drift import record_eq8_conformance
 
-        record_trace(tr)
-        if args.trace_perfetto:
-            _write_perfetto(tr, args.trace_perfetto)
-        if not args.no_ledger:
-            from repro.telemetry.ledger import entry_from_trace
-
-            extra = {"targets": [float(t) for t in args.targets]}
-            if cache is not None:
-                extra["cache"] = {
-                    "store": str(cache.root),
-                    "hits": sum(1 for r in ok_results if r.cache_hit),
-                    "misses": sum(
-                        1 for r in ok_results if not r.cache_hit
-                    ),
-                }
-            # Cache hits replay previously recorded measurements, so
-            # only freshly compressed fields feed the drift history.
-            fresh_results = [r for r in ok_results if not r.cache_hit]
-            if fresh_results:
-                # One conformance record per target: the mean Eq. 7/8
-                # prediction at each field's derived bound vs the mean
-                # achieved PSNR across the target's fields.
-                from repro.core.fixed_psnr import estimate_psnr_from_bound
-                from repro.telemetry.drift import record_conformance
-
-                by_target = {}
-                for r in fresh_results:
-                    by_target.setdefault(float(r.target_psnr), []).append(r)
-                extra["conformance"] = [
-                    record_conformance(
-                        args.dataset,
-                        "sz",
-                        tgt,
-                        float(np.mean([
-                            estimate_psnr_from_bound(eb_rel=r.eb_rel)
-                            for r in grp
-                        ])),
-                        float(np.mean([r.actual_psnr for r in grp])),
-                        n_fields=len(grp),
-                    )
-                    for tgt, grp in sorted(by_target.items())
-                ]
-            if retry is not None:
-                from repro.telemetry.registry import metrics as _metrics
-
-                def _ctr(name):
-                    m = _metrics().get(name)
-                    return 0 if m is None else m.value
-
-                extra["resilience"] = {
-                    "max_retries": retry.max_retries,
-                    "task_timeout": retry.task_timeout,
-                    "failed_fields": [
-                        {"field": r.field, "target": r.target_psnr,
-                         "code": r.error_code, "attempts": r.attempts}
-                        for r in failed
-                    ],
-                    "retries": _ctr("resilience.retries_total"),
-                    "timeouts": _ctr("resilience.task_timeouts_total"),
-                }
-            _append_ledger(
-                args,
-                entry_from_trace(
-                    "sweep",
-                    tr,
-                    dataset=args.dataset,
-                    field="*",
-                    codec="sz",
-                    achieved_psnr=(
-                        float(np.mean([r.actual_psnr for r in ok_results]))
-                        if ok_results
-                        else None
-                    ),
-                    ratio=(
-                        float(
-                            np.mean([r.compression_ratio for r in ok_results])
-                        )
-                        if ok_results
-                        else None
-                    ),
-                    extra=extra,
-                ),
+            extra["conformance"] = record_eq8_conformance(
+                args.dataset, "sz", fresh
             )
+        if retry is not None:
+            from repro.telemetry.registry import metrics
+
+            def _ctr(name):
+                m = metrics().get(name)
+                return 0 if m is None else m.value
+
+            extra["resilience"] = {
+                "max_retries": retry.max_retries,
+                "task_timeout": retry.task_timeout,
+                "failed_fields": [
+                    {"field": r.field, "target": r.target_psnr,
+                     "code": r.error_code, "attempts": r.attempts}
+                    for r in results
+                    if r.status != "ok"
+                ],
+                "retries": _ctr("resilience.retries_total"),
+                "timeouts": _ctr("resilience.task_timeouts_total"),
+            }
+        _sweep_ledger(args, tr, results, extra)
     return _render_sweep_output(args, results, tr)
 
 
@@ -1720,12 +1486,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_table2(args) -> int:
     from repro.parallel.executor import sweep_dataset
-    from repro.report import (
-        render_csv,
-        render_markdown,
-        render_text,
-        summarize_by_target,
-    )
+    from repro.report import render_text, summarize_by_target
 
     results = []
     for dataset in ("NYX", "ATM", "Hurricane"):
@@ -1735,10 +1496,7 @@ def _cmd_table2(args) -> int:
     summaries = summarize_by_target(results)
     print(render_text(summaries, title="Table II -- fixed-PSNR accuracy"))
     if args.report:
-        renderer = render_markdown if args.report.endswith(".md") else render_csv
-        with open(args.report, "w") as fh:
-            fh.write(renderer(summaries))
-        print(f"\nreport written to {args.report}")
+        _write_report(args.report, summaries)
     return 0
 
 
@@ -1903,11 +1661,7 @@ def _cmd_serve(args) -> int:
 
     from repro.service import ServiceConfig, run_service
 
-    cache_dir = None
-    if args.cache:
-        from repro.cache import cache_path
-
-        cache_dir = str(cache_path(args.cache_dir))
+    store = _cache_store(args)
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -1920,8 +1674,8 @@ def _cmd_serve(args) -> int:
         no_ledger=args.no_ledger,
         allow_faults=args.allow_faults,
         trace_perfetto=args.trace_perfetto,
-        cache_dir=cache_dir,
-        cache_max_bytes=args.cache_max_bytes if args.cache else None,
+        cache_dir=None if store is None else str(store.root),
+        cache_max_bytes=None if store is None else store.max_bytes,
     )
     print(
         f"fpzc service on http://{config.host}:{config.port} "
@@ -1964,16 +1718,14 @@ def _cmd_cluster(args) -> int:
         # (which may differ from config.port when it is 0).
         return run_coordinator(config)
     if args.cluster_command == "status":
-        import json as _json
-
         from repro.service.client import ServiceClient
 
         client = ServiceClient(args.url or "http://127.0.0.1:8076")
         nodes = client._json("GET", "/cluster/nodes", None)
         ring = client._json("GET", "/cluster/ring", None)
         if args.json:
-            print(_json.dumps({"nodes": nodes, "ring": ring}, indent=2,
-                              sort_keys=True))
+            print(json.dumps({"nodes": nodes, "ring": ring}, indent=2,
+                             sort_keys=True))
             return 0
         print(f"{'node':<32} {'status':<9} {'owns':>7} {'failures':>9}")
         ownership = ring.get("ownership", {})
@@ -2045,12 +1797,10 @@ def _cmd_submit(args) -> int:
 
 
 def _cmd_status(args) -> int:
-    import json as _json
-
     from repro.service.client import ServiceClient
 
     doc = ServiceClient(args.url).status(args.job)
-    print(_json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(doc, indent=2, sort_keys=True))
     return 0 if doc.get("state") in ("queued", "running", "done") else 1
 
 

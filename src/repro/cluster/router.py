@@ -2,7 +2,7 @@
 
 The router is the cluster's data path.  For every job it computes a
 **route key** -- for cacheable fixed-PSNR compress jobs the *exact*
-blob-cache fingerprint (:func:`repro.cache.blob_key` over the field's
+blob-cache fingerprint (:func:`repro.cache.psnr_key` over the field's
 :func:`~repro.cache.data_digest`), so the ring sends repeat
 submissions of the same ``(data_digest, codec, mode, target)`` to the
 node whose cache already holds the blob; for everything else a
@@ -202,15 +202,13 @@ class ClusterRouter:
                 payload.get("scale"),
             )
             if stats is not None:
-                from repro.cache import blob_key
+                from repro.cache import psnr_key
 
-                return blob_key(
+                return psnr_key(
                     stats[0],
-                    codec=str(payload.get("codec") or "sz"),
-                    mode="psnr",
-                    target=float(payload.get("target") or 0.0),
-                    refine=payload.get("refine"),
-                    entropy="huffman",
+                    float(payload.get("target") or 0.0),
+                    str(payload.get("codec") or "sz"),
+                    payload.get("refine"),
                 )
         import hashlib
         import json

@@ -378,11 +378,13 @@ def run_field_task(
     process that runs several targets of one field generates it once.
 
     ``cache`` is an optional :class:`repro.cache.CacheStore` (it
-    pickles into workers as just a path + bound): a prior run's blob
-    for the same (data, codec, target, refine) is replayed with its
-    recorded measurements instead of recompressing, and fresh blobs
-    are written through for the next run.  Cached and fresh results
-    are equal by construction (differential-tested).
+    pickles into workers as just a path + bound) that the task's
+    :func:`repro.cache.compress_psnr` step runs through: a prior run's
+    blob for the same (data, codec, target, refine) -- written by any
+    entry point -- is replayed with its recorded PSNR instead of
+    recompressing, and fresh blobs are written through for the next
+    run.  Cached and fresh results are equal by construction
+    (differential-tested).
 
     ``fault`` is an optional
     :class:`repro.resilience.inject.WorkerFault` evaluated before any
@@ -397,33 +399,10 @@ def run_field_task(
         if apply_worker_fault(fault, field, attempt) is not None:
             return POISON  # type: ignore[return-value]  (poisoned on purpose)
     # Imports inside the function keep worker start-up lean.
-    from repro.core.fixed_psnr import FixedPSNRCompressor
+    from repro.cache.record import compress_psnr
     from repro.datasets.source import load_field
-    from repro.io.container import Container
-    from repro.metrics.distortion import psnr as measure_psnr
-    from repro.sz.compressor import reconstruction
 
     data = load_field(dataset, field, scale)
-    cache_key = None
-    if cache is not None:
-        from repro.cache.store import blob_key, data_digest
-
-        # Mirrors the CLI compress key exactly (same entropy default),
-        # so `fpzc compress` of the identical field shares the entry.
-        cache_key = blob_key(
-            data_digest(data),
-            codec=codec,
-            mode="psnr",
-            target=float(target_psnr),
-            refine=refine,
-            entropy="huffman",
-        )
-        entry = cache.get(cache_key)
-        if entry is not None:
-            hit = _cached_field_result(dataset, field, target_psnr, entry)
-            if hit is not None:
-                return hit
-    comp = FixedPSNRCompressor(target_psnr, refine=refine, codec=codec)
     local = observe.Trace() if collect_trace or profile_mem else None
     with contextlib.ExitStack() as scope:
         if local is not None:
@@ -432,77 +411,28 @@ def run_field_task(
             from repro.telemetry.memory import profile_memory
 
             scope.enter_context(profile_memory())
-        blob = comp.compress(data)
-        # The bound compress derived, read back from the header, and the
-        # reconstruction without a decode (see repro.sz.compressor).
-        eb_rel = Container.from_bytes(blob).meta["bound"]
-        actual = measure_psnr(data, reconstruction(data, blob))
+        rec = compress_psnr(
+            data, target_psnr, codec=codec, refine=refine, store=cache
+        )
     metrics = None
-    if local is not None:
+    if local is not None and not rec.hit:
         metrics = {
             "trace": local.as_dict(),
             "records": [r.as_dict() for r in local.records],
         }
-    result = FieldResult(
+    return FieldResult(
         dataset=dataset,
         field=field,
         target_psnr=float(target_psnr),
-        actual_psnr=float(actual),
-        deviation=float(actual - target_psnr),
-        met=bool(actual >= target_psnr),
-        compression_ratio=data.nbytes / len(blob),
-        bit_rate=8.0 * len(blob) / data.size,
-        eb_rel=float(eb_rel),
+        actual_psnr=rec.achieved_psnr,
+        deviation=float(rec.achieved_psnr - target_psnr),
+        met=bool(rec.achieved_psnr >= target_psnr),
+        compression_ratio=data.nbytes / len(rec.blob),
+        bit_rate=8.0 * len(rec.blob) / data.size,
+        eb_rel=rec.eb_rel,
         metrics=metrics,
+        cache_hit=rec.hit,
     )
-    if cache is not None and cache_key is not None:
-        cache.put(
-            cache_key,
-            blob,
-            {
-                "kind": "blob",
-                "dataset": dataset,
-                "field": field,
-                "codec": codec,
-                "mode": "psnr",
-                "target": float(target_psnr),
-                "metrics": {
-                    "achieved_psnr": result.actual_psnr,
-                    "ratio": result.compression_ratio,
-                    "bit_rate": result.bit_rate,
-                    "eb_rel": result.eb_rel,
-                    "raw_bytes": int(data.nbytes),
-                    "compressed_bytes": len(blob),
-                },
-            },
-        )
-    return result
-
-
-def _cached_field_result(
-    dataset: str, field: str, target_psnr: float, entry
-) -> Optional[FieldResult]:
-    """Rebuild a :class:`FieldResult` from a cache entry's recorded
-    measurements, or None when the metadata is unusable (the caller
-    then recompresses -- a malformed entry must never poison a sweep).
-    """
-    m = entry.meta.get("metrics") or {}
-    try:
-        actual = float(m["achieved_psnr"])
-        return FieldResult(
-            dataset=dataset,
-            field=field,
-            target_psnr=float(target_psnr),
-            actual_psnr=actual,
-            deviation=actual - float(target_psnr),
-            met=bool(actual >= target_psnr),
-            compression_ratio=float(m["ratio"]),
-            bit_rate=float(m["bit_rate"]),
-            eb_rel=float(m["eb_rel"]),
-            cache_hit=True,
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
 
 
 def default_workers() -> int:

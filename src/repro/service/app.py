@@ -199,9 +199,9 @@ class CompressionService(HttpServer):
                 root=self.config.cache_dir,
                 max_bytes=self.config.cache_max_bytes,
             )
-        # (dataset, field, scale) -> content digest, so admission-time
-        # cache lookups hash each synthetic field at most once.
-        self._digest_memo: Dict[Tuple, str] = {}
+        # (dataset, field, scale) -> (content digest, nbytes), so
+        # admission-time cache lookups hash each field at most once.
+        self._field_memo: Dict[Tuple, Tuple[str, int]] = {}
         # cache key -> followers of the in-flight primary job with that
         # key; resolved when the primary reaches a terminal state.
         self._inflight_keys: Dict[str, List[Job]] = {}
@@ -348,23 +348,25 @@ class CompressionService(HttpServer):
             raise HttpError(404, "job kept no blob (keep_blob=false)")
         return (200, job.blob, "application/octet-stream", ())
 
-    def _field_digest(self, spec: JobSpec) -> Optional[str]:
-        """Content digest of the job's field data, memoized per
-        (dataset, field, scale).  ``None`` for fields the registry
-        cannot produce -- those jobs fail through the normal path."""
+    def _field_stats(self, spec: JobSpec) -> Optional[Tuple[str, int]]:
+        """Content digest and byte size of the job's field data,
+        memoized per (dataset, field, scale).  ``None`` for fields the
+        registry cannot produce -- those jobs fail through the normal
+        path."""
         memo_key = (spec.dataset, spec.field, spec.scale)
-        digest = self._digest_memo.get(memo_key)
-        if digest is None:
+        stats = self._field_memo.get(memo_key)
+        if stats is None:
             from repro.cache import data_digest
             from repro.datasets.registry import get_dataset
 
             try:
                 ds = get_dataset(spec.dataset, scale=spec.scale)
-                digest = data_digest(ds.field(spec.field))
+                data = ds.field(spec.field)
             except Exception:  # noqa: BLE001 -- bad dataset/field
                 return None
-            self._digest_memo[memo_key] = digest
-        return digest
+            stats = (data_digest(data), int(data.nbytes))
+            self._field_memo[memo_key] = stats
+        return stats
 
     def _cache_key(self, spec: JobSpec) -> Optional[str]:
         """The blob-cache key for a cacheable job, else ``None``.
@@ -383,19 +385,12 @@ class CompressionService(HttpServer):
             or spec.fault is not None
         ):
             return None
-        digest = self._field_digest(spec)
-        if digest is None:
+        stats = self._field_stats(spec)
+        if stats is None:
             return None
-        from repro.cache import blob_key
+        from repro.cache import psnr_key
 
-        return blob_key(
-            digest,
-            codec=spec.codec,
-            mode="psnr",
-            target=float(spec.target),
-            refine=spec.refine,
-            entropy="huffman",
-        )
+        return psnr_key(stats[0], spec.target, spec.codec, spec.refine)
 
     def _submit(self, kind: str, request: Request):
         if not self._accepting:
@@ -412,15 +407,17 @@ class CompressionService(HttpServer):
         spec.traced = self.trace is not None
         cache_key = self._cache_key(spec)
         if cache_key is not None:
-            entry = self.cache.get(cache_key)
-            if entry is not None:
+            from repro.cache import lookup_psnr
+
+            rec = lookup_psnr(self.cache, cache_key)
+            if rec is not None:
                 # Admission-time hit: the job is born terminal and the
                 # client gets the result in the submit response itself.
                 job = Job(f"j{next(self._ids):06d}", spec)
                 job.cache_key = cache_key
                 self.jobs[job.id] = job
                 self.metrics["submitted"].inc()
-                self._finish_cached(job, entry)
+                self._finish_cached(job, rec)
                 self._prune_jobs()
                 return self._json(
                     200,
@@ -713,27 +710,25 @@ class CompressionService(HttpServer):
         if not self.config.no_ledger:
             self._append_ledger(job, result, extra)
 
-    def _finish_cached(self, job: Job, entry) -> None:
-        """Complete ``job`` from a cache entry at admission time: same
+    def _finish_cached(self, job: Job, rec) -> None:
+        """Complete ``job`` from a cached
+        :class:`~repro.cache.BlobRecord` at admission time: same
         terminal bookkeeping as :meth:`_finish_ok`, blob and achieved
-        metrics replayed from the store, zero pool involvement."""
-        m = entry.meta.get("metrics") or {}
-        raw = m.get("raw_bytes")
+        PSNR replayed from the store, zero pool involvement."""
+        raw = self._field_stats(job.spec)[1]
         result: Dict = {
             "status": "ok",
             "cached": True,
-            "blob": entry.payload,
+            "blob": rec.blob,
             "mode": job.spec.mode,
             "target": float(job.spec.target),
-            "eb_rel": m.get("eb_rel"),
-            "achieved": m.get("achieved_psnr"),
-            "achieved_psnr": m.get("achieved_psnr"),
+            "eb_rel": rec.eb_rel,
+            "achieved": rec.achieved_psnr,
+            "achieved_psnr": rec.achieved_psnr,
             "converged": True,
             "raw_bytes": raw,
-            "compressed_bytes": len(entry.payload),
-            "ratio": (
-                float(raw) / len(entry.payload) if raw else None
-            ),
+            "compressed_bytes": len(rec.blob),
+            "ratio": raw / len(rec.blob),
             "seconds": 0.0,
         }
         self._finish_ok(job, result)
@@ -777,8 +772,7 @@ class CompressionService(HttpServer):
     def _conformance(self, job: Job, result: Dict):
         """The same Eq. 7/8 predicted-vs-achieved payload CLI runs
         record, so the drift monitor sees service traffic."""
-        from repro.core.fixed_psnr import estimate_psnr_from_bound
-        from repro.telemetry.drift import record_conformance
+        from repro.telemetry.drift import record_eq8_conformance
 
         spec = job.spec
         if result.get("cached"):
@@ -789,40 +783,17 @@ class CompressionService(HttpServer):
             eb_rel = result.get("eb_rel")
             achieved = result.get("achieved_psnr", result.get("achieved"))
             if eb_rel and achieved is not None:
-                return record_conformance(
-                    spec.dataset,
-                    spec.codec,
-                    float(spec.target),
-                    float(estimate_psnr_from_bound(eb_rel=float(eb_rel))),
-                    float(achieved),
-                )
+                return record_eq8_conformance(
+                    spec.dataset, spec.codec, [(spec.target, eb_rel, achieved)]
+                )[0]
         if spec.kind == "sweep":
-            rows = [
-                r for r in result.get("results", ())
-                if r.get("status") == "ok"
+            runs = [
+                (r["target_psnr"], r["eb_rel"], r["actual_psnr"])
+                for r in result.get("results", ())
+                if r.get("status") == "ok" and not r.get("cache_hit")
             ]
-            if not rows:
-                return None
-            by_target: Dict[float, List[Dict]] = {}
-            for r in rows:
-                by_target.setdefault(float(r["target_psnr"]), []).append(r)
-            out = []
-            for tgt, grp in sorted(by_target.items()):
-                predicted = sum(
-                    estimate_psnr_from_bound(eb_rel=float(r["eb_rel"]))
-                    for r in grp
-                ) / len(grp)
-                achieved = sum(
-                    float(r["actual_psnr"]) for r in grp
-                ) / len(grp)
-                out.append(
-                    record_conformance(
-                        spec.dataset, spec.codec, tgt,
-                        float(predicted), float(achieved),
-                        n_fields=len(grp),
-                    )
-                )
-            return out
+            out = record_eq8_conformance(spec.dataset, spec.codec, runs)
+            return out or None
         return None
 
     def _append_ledger(self, job: Job, result: Dict, extra: Dict) -> None:

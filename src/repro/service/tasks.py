@@ -13,11 +13,14 @@ Named fields come from the worker's per-process field source
 (:func:`repro.datasets.load_field`): the first job for a field
 generates it, later jobs in the same worker reuse the read-only array.
 
-The compress path is deliberately the **same pipeline** the CLI runs
-(:class:`repro.core.fixed_psnr.FixedPSNRCompressor` for PSNR targets,
-:func:`repro.autotune.autotune` for ratio/NRMSE/MSE targets), so a
-blob served over HTTP is bit-identical to one written by ``fpzc
-compress`` -- the differential contract the e2e tests assert.
+A PSNR job runs the fixed-PSNR step ``fpzc compress --psnr`` runs
+(:func:`repro.cache.compress_psnr`, through the shared blob cache when
+the service has one), and a ratio job the same
+:func:`repro.autotune.autotune` search as ``fpzc compress --ratio``, so
+those blobs are bit-identical to the CLI's -- the differential contract
+the e2e tests assert.  NRMSE and MSE jobs also run the autotune search,
+whereas ``fpzc compress --nrmse/--mse`` derives the bound in closed
+form (Eq. 8 via Eq. 5/4), so their blobs differ from the CLI's.
 
 ``fault`` specs (deterministic worker faults from
 :mod:`repro.resilience.inject`) only take effect when the service was
@@ -107,77 +110,22 @@ def run_compress_job(spec: Dict) -> Dict:
 
     def _run() -> Dict:
         if mode == "psnr":
-            from repro.core.fixed_psnr import FixedPSNRCompressor
+            from repro.cache.record import compress_psnr
 
-            cache_key = None
-            if cache is not None:
-                # Same key fpzc compress/sweep use, so entries flow
-                # freely between the CLI and the service.
-                from repro.cache import blob_key, data_digest
-
-                cache_key = blob_key(
-                    data_digest(data),
-                    codec=codec,
-                    mode="psnr",
-                    target=target,
-                    refine=spec.get("refine"),
-                    entropy="huffman",
-                )
-                entry = cache.get(cache_key)
-                if entry is not None:
-                    m = entry.meta.get("metrics") or {}
-                    try:
-                        achieved = float(m["achieved_psnr"])
-                        return {
-                            "blob": entry.payload,
-                            "eb_rel": (
-                                float(m["eb_rel"])
-                                if m.get("eb_rel") is not None
-                                else None
-                            ),
-                            "achieved": achieved,
-                            "achieved_psnr": achieved,
-                            "converged": True,
-                            "cached": True,
-                        }
-                    except (KeyError, TypeError, ValueError):
-                        pass  # malformed meta: recompress (and re-store)
-            from repro.io.container import Container
-
-            comp = FixedPSNRCompressor(
-                target, refine=spec.get("refine"), codec=codec
+            rec = compress_psnr(
+                data, target, codec=codec, refine=spec.get("refine"),
+                store=cache,
             )
-            blob = comp.compress(data)
-            eb_rel = float(Container.from_bytes(blob).meta["bound"])
-            achieved = float(measure_psnr(data, reconstruction(data, blob)))
-            if cache is not None:
-                cache.put(
-                    cache_key,
-                    blob,
-                    {
-                        "kind": "blob",
-                        "dataset": spec["dataset"],
-                        "field": spec["field"],
-                        "codec": codec,
-                        "mode": "psnr",
-                        "target": target,
-                        "metrics": {
-                            "achieved_psnr": achieved,
-                            "ratio": data.nbytes / len(blob),
-                            "bit_rate": 8.0 * len(blob) / data.size,
-                            "eb_rel": eb_rel,
-                            "raw_bytes": int(data.nbytes),
-                            "compressed_bytes": len(blob),
-                        },
-                    },
-                )
-            return {
-                "blob": blob,
-                "eb_rel": eb_rel,
-                "achieved": achieved,
-                "achieved_psnr": achieved,
+            out = {
+                "blob": rec.blob,
+                "eb_rel": rec.eb_rel,
+                "achieved": rec.achieved_psnr,
+                "achieved_psnr": rec.achieved_psnr,
                 "converged": True,
             }
+            if rec.hit:
+                out["cached"] = True
+            return out
         from repro.autotune import autotune
 
         result = autotune(

@@ -377,8 +377,9 @@ def run_service_bench() -> Dict:
 
 
 def run_cache_bench() -> Dict:
-    """Cold-vs-warm fixed-PSNR compression through a throwaway blob
-    cache; returns the ``BENCH_cache.json`` document.
+    """Cold-vs-warm runs of the fixed-PSNR step every entry point
+    caches through (:func:`repro.cache.compress_psnr`) on a throwaway
+    blob cache; returns the ``BENCH_cache.json`` document.
 
     Deterministic block: the cold run misses, the warm run hits, the
     warm bytes equal the cold bytes and the warm trace contains zero
@@ -390,40 +391,22 @@ def run_cache_bench() -> Dict:
     import tempfile
     import time
 
-    from repro.cache import CacheStore, blob_key, data_digest
-    from repro.core.fixed_psnr import FixedPSNRCompressor
+    from repro.cache import CacheStore, compress_psnr
     from repro.datasets.registry import get_dataset
 
     cc = CACHE_CASE
     data = get_dataset(cc["dataset"]).field(cc["field"])
     target = float(cc["target"])
 
-    def _cached_compress(store: CacheStore):
-        """The CLI's compress-through-cache path, inlined."""
-        key = blob_key(
-            data_digest(data),
-            codec=cc["codec"],
-            mode="psnr",
-            target=target,
-            refine=None,
-            entropy="huffman",
-        )
-        entry = store.get(key)
-        if entry is not None:
-            return entry.payload, True, key
-        blob = FixedPSNRCompressor(target, codec=cc["codec"]).compress(data)
-        store.put(key, blob, {"kind": "blob", "mode": "psnr"})
-        return blob, False, key
-
     with tempfile.TemporaryDirectory() as tmp:
         store = CacheStore(root=tmp)
         t0 = time.perf_counter()
-        cold_blob, cold_hit, key = _cached_compress(store)
+        cold = compress_psnr(data, target, codec=cc["codec"], store=store)
         cold_wall = time.perf_counter() - t0
         tr = observe.Trace()
         t0 = time.perf_counter()
         with observe.use_trace(tr):
-            warm_blob, warm_hit, _ = _cached_compress(store)
+            warm = compress_psnr(data, target, codec=cc["codec"], store=store)
         warm_wall = time.perf_counter() - t0
         codec_spans = sum(
             1
@@ -432,7 +415,7 @@ def run_cache_bench() -> Dict:
         )
         # Eviction under pressure: a bound smaller than the one entry
         # must leave the store empty after the next sweep.
-        tight = CacheStore(root=tmp, max_bytes=max(1, len(cold_blob) // 2))
+        tight = CacheStore(root=tmp, max_bytes=max(1, len(cold.blob) // 2))
         tight.evict()
         evicted = len(tight) == 0
     base_id = _case_id(cc["dataset"], cc["field"], cc["codec"], target)
@@ -440,16 +423,16 @@ def run_cache_bench() -> Dict:
         {
             "id": f"{base_id}/cold",
             "deterministic": {
-                "hit": bool(cold_hit),
-                "compressed_bytes": len(cold_blob),
-                "ratio": round(data.nbytes / len(cold_blob), 6),
+                "hit": cold.hit,
+                "compressed_bytes": len(cold.blob),
+                "ratio": round(data.nbytes / len(cold.blob), 6),
             },
         },
         {
             "id": f"{base_id}/warm",
             "deterministic": {
-                "hit": bool(warm_hit),
-                "identical": warm_blob == cold_blob,
+                "hit": warm.hit,
+                "identical": warm.blob == cold.blob,
                 "codec_spans": codec_spans,
             },
         },

@@ -48,6 +48,7 @@ from repro.errors import ParameterError
 __all__ = [
     "ConformancePoint",
     "record_conformance",
+    "record_eq8_conformance",
     "conformance_points",
     "SeriesVerdict",
     "DriftReport",
@@ -118,6 +119,43 @@ def record_conformance(
         "deviation_db": deviation,
         "n_fields": int(n_fields),
     }
+
+
+def record_eq8_conformance(
+    dataset: str,
+    codec: str,
+    runs: Iterable[Tuple[float, float, float]],
+) -> List[Dict]:
+    """Record the fixed-PSNR conformance of ``runs``, one
+    ``(target_psnr, eb_rel, achieved_psnr)`` triple per freshly
+    compressed field: per target, the mean Eq. 7/8 prediction at each
+    field's bound against the mean achieved PSNR.
+
+    Returns the :func:`record_conformance` payloads in target order --
+    what a sweep stores; a single run stores element 0.  Means are
+    ``sum / len`` in run order.
+    """
+    from repro.core.fixed_psnr import estimate_psnr_from_bound
+
+    by_target: Dict[float, List[Tuple[float, float]]] = {}
+    for target, eb_rel, achieved in runs:
+        by_target.setdefault(float(target), []).append(
+            (
+                float(estimate_psnr_from_bound(eb_rel=float(eb_rel))),
+                float(achieved),
+            )
+        )
+    return [
+        record_conformance(
+            dataset,
+            codec,
+            target,
+            sum(p for p, _ in pairs) / len(pairs),
+            sum(a for _, a in pairs) / len(pairs),
+            n_fields=len(pairs),
+        )
+        for target, pairs in sorted(by_target.items())
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,45 @@ class TestNewCodecs:
         assert "embedded" in capsys.readouterr().err
 
 
+class TestEntropyFlag:
+    """``--entropy rans`` is refused wherever it cannot reach the coder
+    (it used to be dropped silently, writing Huffman under a rans key)."""
+
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            ["--psnr", "60"],
+            ["--nrmse", "1e-3"],
+            ["--mse", "1e-3"],
+            ["--ratio", "8"],
+            ["--abs", "1e-3", "--codec", "transform"],
+            ["--rel", "1e-3", "--codec", "hybrid"],
+            ["--bit-rate", "4", "--codec", "embedded"],
+            ["--psnr", "60", "--codec", "embedded"],
+        ],
+    )
+    def test_rejected(self, demo_npy, tmp_path, capsys, mode):
+        out = tmp_path / "f.fpz"
+        cache = tmp_path / "cache"
+        code = main([
+            "compress", str(demo_npy), "-o", str(out), *mode,
+            "--entropy", "rans", "--cache", "--cache-dir", str(cache),
+        ])
+        assert code == 2
+        assert "--entropy rans requires --codec sz" in capsys.readouterr().err
+        assert not out.exists() and not cache.exists()
+
+    @pytest.mark.parametrize(
+        "mode", [["--rel", "1e-3"], ["--chunks", "2", "--psnr", "60"]]
+    )
+    def test_reaches_the_coder(self, demo_npy, tmp_path, mode):
+        rans, huffman = tmp_path / "r.fpz", tmp_path / "h.fpz"
+        argv = ["compress", str(demo_npy), *mode]
+        assert main([*argv, "-o", str(rans), "--entropy", "rans"]) == 0
+        assert main([*argv, "-o", str(huffman)]) == 0
+        assert rans.read_bytes() != huffman.read_bytes()
+
+
 class TestArchive:
     def test_archive_extract_roundtrip(self, tmp_path, capsys):
         arc = tmp_path / "snap.fpza"

@@ -14,6 +14,7 @@ from repro.telemetry.drift import (
     conformance_points,
     drift_report,
     record_conformance,
+    record_eq8_conformance,
 )
 from repro.telemetry.ledger import LedgerEntry, append_entry, read_entries
 from repro.telemetry.registry import MetricsRegistry
@@ -53,6 +54,22 @@ class TestRecordConformance:
         with pytest.raises(ParameterError):
             record_conformance("A", "sz", 80, 80, 80, n_fields=0,
                                registry=MetricsRegistry())
+
+
+    def test_eq8_conformance_one_record_per_target(self):
+        from repro.core.fixed_psnr import estimate_psnr_from_bound
+
+        runs = [(60.0, 1e-3, 61.0), (40.0, 1e-2, 41.0), (60, 2e-3, 62.0)]
+        out = record_eq8_conformance("ATM", "sz", runs)
+        assert [c["target_psnr"] for c in out] == [40.0, 60.0]
+        assert [c["n_fields"] for c in out] == [1, 2]
+        predicted = (
+            estimate_psnr_from_bound(eb_rel=1e-3)
+            + estimate_psnr_from_bound(eb_rel=2e-3)
+        ) / 2
+        assert out[1]["predicted_psnr"] == predicted
+        assert out[1]["achieved_psnr"] == 61.5
+        assert record_eq8_conformance("ATM", "sz", []) == []
 
 
 class TestConformancePoints:
@@ -239,6 +256,28 @@ class TestCompressRecordsConformance:
         assert all(c["dataset"] == "ATM" for c in conf)
         # The list payload reads back as one point per target.
         assert len(conformance_points([entry])) == 2
+
+    def test_cli_and_served_sweeps_record_equal_payloads(self, tmp_path):
+        from repro.service.testing import ServiceThread
+
+        fields, targets = ["CLDHGH", "FLDS"], [40.0, 60.0]
+        cli_ledger = str(tmp_path / "cli.jsonl")
+        assert main([
+            "sweep", "ATM", "--fields", *fields,
+            "--targets", *map(str, targets), "--trace", "--ledger", cli_ledger,
+        ]) == 0
+        served_ledger = str(tmp_path / "served.jsonl")
+        with ServiceThread(ledger=served_ledger) as st:
+            client = st.client()
+            job = client.submit(
+                "sweep",
+                {"dataset": "ATM", "fields": fields, "targets": targets},
+            )
+            assert client.wait(job, timeout=180)["state"] == "done"
+        (cli,), _ = read_entries(cli_ledger)
+        (served,), _ = read_entries(served_ledger)
+        assert len(cli.extra["conformance"]) == 2
+        assert served.extra["conformance"] == cli.extra["conformance"]
 
     def test_untargeted_run_has_no_conformance(self, tmp_path, smooth2d):
         npy = tmp_path / "f.npy"
