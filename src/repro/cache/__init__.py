@@ -5,38 +5,35 @@ See :mod:`repro.cache.store` for the on-disk contract,
 shares (the fixed-PSNR key, the entry metadata and the cache-through
 fixed-PSNR step) and ``docs/CACHING.md`` for the operator's view (key
 schema, invalidation, eviction, service semantics).
+
+Names load from their submodule on first use, so a process that only
+runs the fixed-PSNR step with the cache off (a sweep or service pool
+worker) never imports the store.
 """
 
-from repro.cache.record import (
-    BlobRecord,
-    blob_meta,
-    compress_psnr,
-    lookup_psnr,
-    psnr_key,
-    read_meta,
-)
-from repro.cache.store import (
-    CACHE_SCHEMA_VERSION,
-    CacheEntry,
-    CacheStore,
-    blob_key,
-    cache_path,
-    data_digest,
-    trial_key,
-)
+import importlib
 
-__all__ = [
-    "BlobRecord",
-    "CACHE_SCHEMA_VERSION",
-    "CacheEntry",
-    "CacheStore",
-    "blob_key",
-    "blob_meta",
-    "cache_path",
-    "compress_psnr",
-    "data_digest",
-    "lookup_psnr",
-    "psnr_key",
-    "read_meta",
-    "trial_key",
-]
+#: Exported name -> the submodule defining it.
+_EXPORTS = {
+    "BlobRecord": "record",
+    "blob_meta": "record",
+    "compress_psnr": "record",
+    "lookup_psnr": "record",
+    "psnr_key": "record",
+    "read_meta": "record",
+    "CACHE_SCHEMA_VERSION": "store",
+    "CacheEntry": "store",
+    "CacheStore": "store",
+    "blob_key": "store",
+    "cache_path": "store",
+    "data_digest": "store",
+    "trial_key": "store",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)

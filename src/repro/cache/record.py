@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from typing import Dict, NamedTuple, Optional
 
-from repro.cache.store import blob_key, data_digest
-
 __all__ = [
     "BlobRecord",
     "blob_meta",
@@ -62,6 +60,8 @@ def psnr_key(
 ) -> str:
     """The key of the fixed-PSNR step on the array whose
     :func:`~repro.cache.store.data_digest` is ``digest``."""
+    from repro.cache.store import blob_key
+
     return blob_key(
         digest,
         codec=codec,
@@ -162,6 +162,8 @@ def compress_psnr(
 
     key = None
     if store is not None:
+        from repro.cache.store import data_digest
+
         key = psnr_key(data_digest(data), target, codec, refine)
         hit = lookup_psnr(store, key)
         if hit is not None:
