@@ -8,8 +8,9 @@ as regression gates (generous thresholds -- CI machines vary).
 import numpy as np
 
 from benchmarks.conftest import render_table
-from repro.encoding.huffman import huffman_encode
+from repro.encoding.huffman import CanonicalHuffman, huffman_encode
 from repro.encoding.rans import rans_encode
+from repro.observe import Trace, use_trace
 from repro.sz.compressor import SZCompressor, decompress
 
 
@@ -29,6 +30,27 @@ def test_huffman_throughput(benchmark, save_result):
     out = benchmark(decode)
     assert np.array_equal(out, data)
     # vectorized decode must sustain > 2M symbols/s on any machine
+    assert data.size / benchmark.stats["mean"] > 2e6
+
+
+def test_huffman_fixed_length_decode_throughput(benchmark, save_result):
+    """Codes that never resynchronise (1M symbols of 8-bit fixed-length
+    codes): the speculative resolve hands such a stream over to the
+    all-offsets entry walkers, never settling it one segment per round.
+    (At 2**20 symbols the segment length is a multiple of 8, every
+    leader starts on a code boundary and nothing is handed over; at
+    10**6 it is not.)"""
+    data = np.arange(10**6) % 256
+    code = CanonicalHuffman(np.arange(256), np.full(256, 8))
+    payload, bits = code.encode(data)
+    trace = Trace()
+    with use_trace(trace):
+        code.decode(payload, data.size, bits)
+    (span,) = [r for r in trace.records if r.path[-1] == "huffman.decode"]
+    assert span.counters["handover_segments"] > 0
+
+    out = benchmark(code.decode, payload, data.size, bits)
+    assert np.array_equal(out, data)
     assert data.size / benchmark.stats["mean"] > 2e6
 
 

@@ -21,8 +21,9 @@ A fixed-PSNR hit needs only ``metrics.achieved_psnr`` from it: the
 ratio and bit rate follow from the payload length and the array, and
 ``eb_rel`` is the blob header's ``bound``.  So entries written with
 fewer metrics (older ``fpzc compress`` builds stored no ``bit_rate``
-or ``eb_rel``) are hits too.  An entry with no achieved PSNR is
-recompressed.
+or ``eb_rel``) are hits too.  An entry with no achieved PSNR (or an
+unreadable blob header) is deleted and recompressed, so the next
+lookup hits the entry written in its place.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ def read_meta(meta: Dict) -> Dict[str, Optional[float]]:
 
 def lookup_psnr(store, key: str) -> Optional[BlobRecord]:
     """The fixed-PSNR entry under ``key`` in ``store``, or ``None`` on a
-    miss or when the entry records no achieved PSNR."""
+    miss.  An entry that records no achieved PSNR, or whose blob header
+    is unreadable, is deleted and reported as a miss."""
     from repro.errors import ReproError
     from repro.io.container import Container
 
@@ -129,11 +131,15 @@ def lookup_psnr(store, key: str) -> Optional[BlobRecord]:
     if entry is None:
         return None
     achieved = read_meta(entry.meta)["achieved_psnr"]
-    if achieved is None:
-        return None
     try:
         eb_rel = float(Container.from_bytes(entry.payload).meta["bound"])
     except (ReproError, KeyError, TypeError, ValueError):
+        achieved = None
+    if achieved is None:
+        # Drop the entry, as the store drops one that fails its CRC:
+        # the store is write-once, so a kept entry would never be
+        # replaced by the recompressed one.
+        store.delete(key)
         return None
     return BlobRecord(entry.payload, eb_rel, achieved, True, key)
 

@@ -275,10 +275,7 @@ class CacheStore:
         entry = self._parse(key, raw)
         if entry is None:
             # Self-heal: never serve (or keep) a corrupt entry.
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            self.delete(key)
             counters["misses"].inc()
             return None
         if touch:
@@ -288,6 +285,15 @@ class CacheStore:
                 pass  # concurrently evicted; the payload is already ours
         counters["hits"].inc()
         return entry
+
+    def delete(self, key: str) -> bool:
+        """Remove the entry for ``key``; returns whether one was
+        removed."""
+        try:
+            self.path_for(key).unlink()
+        except OSError:
+            return False
+        return True
 
     @staticmethod
     def _parse(key: str, raw: bytes) -> Optional[CacheEntry]:

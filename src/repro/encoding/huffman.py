@@ -33,26 +33,36 @@ codes (paper Section II-A).  This module implements it from scratch:
   1. *Leaders.*  One walker per segment starts at its first bit,
      marks its path in a byte-per-bit mask and records its exit, its
      first position at or past the segment end.
-  2. *Entry walkers.*  The true symbol chain enters segment k at one
-     of the L = ``max_length`` bits from its start (the code that
-     crosses the boundary is at most L bits long), so a walker starts
-     at each.  It stops when it steps onto the leader's path (and
-     shares the leader's exit), onto another walker's path (and
-     shares that walker's fate), or past the segment end (its own
-     exit).  Huffman codes self-synchronise, so most walkers stop
-     within a few codes; a code that never does (fixed-length codes)
-     costs at most the L walks through the segment.
-  3. *Resolve.*  The chain starts at bit 0, and each segment's exit
-     names the next segment's entry walker, in one pass over the
-     segments.
+  2. *Speculate.*  Segment k is entered where leader k - 1 left (bit
+     0 for k = 0), and one walker per segment walks from there until
+     it steps onto its leader's path (the merge point; it shares the
+     leader's exit) or past the segment end (its own exit).  Segment
+     0's entry is right, and a right entry whose walker meets its
+     leader passes the leader's exit on as the next entry, so the
+     entries are right up to the first segment whose walker left at
+     another exit than its leader's.  Huffman codes self-synchronise,
+     so on real streams almost every walker meets its leader within a
+     few codes.
+  3. *Repair, or hand over.*  Each break corrects the next segment's
+     entry, and that segment is walked again.  When a walked-again
+     segment breaks too, the codes there do not resynchronise (each
+     further round would settle one more segment; fixed-length codes
+     never do), so every segment from the first break on goes to the
+     all-offsets entry walkers: the true chain enters segment k at one
+     of the L = ``max_length`` bits from its start, and a walker from
+     each stops on the leader's path, on another walker's path or past
+     the segment end; one pass over those segments then follows the
+     chain through the walkers' exits.
   4. *Chain.*  In each segment, the leader's marks before the point
      where the true chain joins the leader's path (the segment end if
      it never does) are cleared, and the short true prefix up to that
      point is walked again and marked.  The symbol boundaries are then
-     the marked bits.
+     the marked bits, and one value table maps each boundary's window
+     to its symbol.
 
   Every loop is bounded: each step advances at least one bit, no walk
-  goes more than L bits past its segment, and S is at most 4096.
+  goes more than L bits past its segment, S is at most 4096, and the
+  speculative walkers run at most two rounds.
   Decoding keeps one byte per payload bit (the mask) plus per-symbol
   arrays.
 
@@ -107,6 +117,8 @@ def _segment_bits(n_symbols: int, total_bits: int, max_length: int) -> int:
     perfbench codec cases, and 26 synthetic streams of 1.1-10.7 bits
     per symbol and 2e4-2e6 symbols.  There the rule's S decoded within
     4% of each stream's best S on average and within 21% at worst.
+    That fit predates the speculative resolve, which runs the L entry
+    walkers only on handed-over segments; S never changes the output.
     The clamp bounds every lock-step loop to 4096 passes.
     """
     bits_per_symbol = total_bits / n_symbols
@@ -260,6 +272,7 @@ class CanonicalHuffman:
         self.max_length = int(lengths.max())
         self._table_sym: np.ndarray | None = None
         self._table_len: np.ndarray | None = None
+        self._table_value: np.ndarray | None = None
 
     # -- construction -------------------------------------------------
 
@@ -385,7 +398,8 @@ class CanonicalHuffman:
     # -- decoding ------------------------------------------------------
 
     def _build_table(self) -> None:
-        """Build the flat ``2**max_length`` lookup table (lazily).
+        """Build the flat ``2**max_length`` lookup tables (lazily): the
+        symbol index, code length and symbol value of every window.
 
         Canonical codes in rank order own consecutive runs of the
         table, starting at entry 0, so each table is one ``np.repeat``.
@@ -404,6 +418,7 @@ class CanonicalHuffman:
         table_len[:used] = np.repeat(self.lengths[order], fill)
         self._table_sym = table_sym
         self._table_len = table_len
+        self._table_value = self.symbols[table_sym]
 
     def decode(self, payload: bytes, n_symbols: int, total_bits: int) -> np.ndarray:
         """Decode ``n_symbols`` symbols from ``payload``.
@@ -462,8 +477,9 @@ class CanonicalHuffman:
         ends = np.minimum(starts + S, T)
         K = starts.size
         # One byte per bit: 1 where a leader stepped (at the end: where
-        # the true chain did), 1 + j where entry walker j did.  A walk
-        # stops within L bits past its segment end.
+        # the true chain did), 1 + j where an entry walker j stepped
+        # after a handover.  A walk stops within L bits past its
+        # segment end.
         mark = np.zeros(T + L, dtype=np.uint8)
 
         # Leaders: one per segment, from its first bit.  Each marks its
@@ -479,61 +495,106 @@ class CanonicalHuffman:
                 keep = ~out
                 p, seg, end = p[keep], seg[keep], end[keep]
 
-        # Entry walkers.  The true chain enters segment k at one of
-        # starts[k] + j, j < L (bit 0 for k = 0).  Walker k * L + j
-        # starts there; j = 0 is the leader.  A walker stops on the
-        # leader's path (merge = that bit; it shares the leader's exit),
-        # on another walker's path (root = that walker), or at or past
-        # the segment end (its own exit; merge = the segment end).
-        root = np.arange(K * L)
-        merge = np.repeat(starts, L)
-        walker_exit = np.repeat(lead_exit, L)
-        g = root.reshape(K, L)[1:, 1:].ravel()
-        seg, j = np.divmod(g, L)
-        p, end, ids = starts[seg] + j, ends[seg], (j + 1).astype(np.uint8)
-        del seg, j
+        # Speculate: segment k is entered where leader k - 1 left (bit 0
+        # for k = 0).  Its walker stops on the leader's path (merge =
+        # that bit; it shares the leader's exit) or at or past the
+        # segment end (its own exit; merge = the segment end).  Only
+        # leaders have marked so far, so a nonzero mark before the end
+        # is the leader's path.
+        entry = np.concatenate(([0], lead_exit[:-1]))
+        until = np.empty(K, dtype=np.intp)
+        seg_exit = np.empty(K, dtype=np.intp)
         steps = 0
-        while g.size:
-            here = mark[p]
-            out = p >= end
-            stop = np.logical_or(here, out)
-            if np.count_nonzero(stop):
-                walker_exit[g[out]] = p[out]
-                merge[g[out]] = end[out]
-                lead = (here == 1) & ~out
-                merge[g[lead]] = p[lead]
-                other = (here > 1) & ~out
-                root[g[other]] = g[other] + (here[other].astype(np.intp) - ids[other])
-                keep = ~stop
-                g, p, end, ids = g[keep], p[keep], end[keep], ids[keep]
-            mark[p] = ids
-            steps += g.size
-            p = p + tlen[window(p)]
-        # A walker only stops on a bit that another walker marked in an
-        # earlier pass and then walked past, so the root links form
-        # chains of fewer than L walkers; pointer jumping takes each
-        # walker to the end of its chain.
-        for _ in range((L - 1).bit_length()):
-            root = root[root]
 
-        # Resolve, one pass over the segments: next_walker[k * L + j] is
-        # the walker of segment k + 1 by which the chain enters after
-        # walker j of segment k, since a segment's exit is the next
-        # segment's entry.
-        next_walker = memoryview(
-            (
-                walker_exit[root].reshape(K, L)[:-1]
-                + (np.arange(1, K) * (L - S))[:, None]
-            ).ravel()
-        )
-        chain = [0] * K
-        w = 0
-        for k in range(1, K):
-            w = next_walker[w]
-            chain[k] = w
-        chain = np.array(chain, dtype=np.intp)
-        entry = starts + chain % L
-        until = merge[root[chain]]
+        def speculate(seg: np.ndarray) -> None:
+            nonlocal steps
+            p, end = entry[seg], ends[seg]
+            while seg.size:
+                out = p >= end
+                stop = out | mark[p].view(bool)
+                if np.count_nonzero(stop):
+                    done, q, o = seg[stop], p[stop], out[stop]
+                    until[done] = np.where(o, end[stop], q)
+                    seg_exit[done] = np.where(o, q, lead_exit[done])
+                    keep = ~stop
+                    seg, p, end = seg[keep], p[keep], end[keep]
+                steps += seg.size
+                p = p + tlen[window(p)]
+
+        # Repair: a segment whose walker left at another exit than the
+        # next segment's entry corrects that entry, and the next segment
+        # is walked again.  Segment 0's entry is right, and a right
+        # entry whose walker meets its leader passes its leader's exit
+        # on, so the entries before the first break are right.  When a
+        # walked-again segment breaks again, the codes there do not
+        # resynchronise (each further round would settle one segment),
+        # so every segment from the first break on is handed over.
+        speculate(np.arange(K))
+        broke = np.flatnonzero(seg_exit[:-1] != entry[1:]) + 1
+        if broke.size:
+            entry[broke] = seg_exit[broke - 1]
+            speculate(broke)
+            broke = np.flatnonzero(seg_exit[:-1] != entry[1:]) + 1
+        handover = K - int(broke[0]) if broke.size else 0
+        if handover:
+            # Entry walkers on segments h onward.  The true chain enters
+            # segment k at one of starts[k] + j, j < L.  Walker k * L + j
+            # starts there; j = 0 is the leader.  A walker stops on the
+            # leader's path (merge = that bit; it shares the leader's
+            # exit), on another walker's path (root = that walker), or at
+            # or past the segment end (its own exit; merge = the segment
+            # end).
+            h = int(broke[0])
+            root = np.arange(K * L)
+            merge = np.repeat(starts, L)
+            walker_exit = np.repeat(lead_exit, L)
+            g = root.reshape(K, L)[h:, 1:].ravel()
+            seg, j = np.divmod(g, L)
+            p, end, ids = starts[seg] + j, ends[seg], (j + 1).astype(np.uint8)
+            del seg, j
+            while g.size:
+                here = mark[p]
+                out = p >= end
+                stop = np.logical_or(here, out)
+                if np.count_nonzero(stop):
+                    walker_exit[g[out]] = p[out]
+                    merge[g[out]] = end[out]
+                    lead = (here == 1) & ~out
+                    merge[g[lead]] = p[lead]
+                    other = (here > 1) & ~out
+                    root[g[other]] = g[other] + (
+                        here[other].astype(np.intp) - ids[other]
+                    )
+                    keep = ~stop
+                    g, p, end, ids = g[keep], p[keep], end[keep], ids[keep]
+                mark[p] = ids
+                steps += g.size
+                p = p + tlen[window(p)]
+            # A walker only stops on a bit that another walker marked in
+            # an earlier pass and then walked past, so the root links
+            # form chains of fewer than L walkers; pointer jumping takes
+            # each walker to the end of its chain.
+            for _ in range((L - 1).bit_length()):
+                root = root[root]
+            # Resolve, one pass over segments h onward: next_walker[k * L
+            # + j] is the walker of segment k + 1 by which the chain
+            # enters after walker j of segment k, since a segment's exit
+            # is the next segment's entry.  Segment h is entered where
+            # segment h - 1's walker left.
+            next_walker = memoryview(
+                (
+                    walker_exit[root].reshape(K, L)[:-1]
+                    + (np.arange(1, K) * (L - S))[:, None]
+                ).ravel()
+            )
+            chain = [0] * (K - h)
+            w = chain[0] = h * L + int(seg_exit[h - 1]) - h * S
+            for i in range(1, K - h):
+                w = next_walker[w]
+                chain[i] = w
+            chain = np.array(chain, dtype=np.intp)
+            entry[h:] = starts[h:] + chain % L
+            until[h:] = merge[root[chain]]
 
         # Chain: in each segment, unmark the leader's path before the
         # merge point and mark the true path from the entry up to it.
@@ -551,16 +612,29 @@ class CanonicalHuffman:
 
         sp.count("segments", K)
         sp.count("entry_walker_steps", steps)
+        sp.count("handover_segments", handover)
         positions = np.flatnonzero(mark[:T] == 1)
         del mark
         if positions.size < n_symbols:
             raise DecompressionError("Huffman stream exhausted before n_symbols")
+        # Each symbol's window, computed in place: the in-word shift,
+        # then the word's byte (positions is consumed), then the word.
         positions = positions[:n_symbols]
-        sym_idx = self._table_sym[window(positions)]
-        end = int(positions[-1]) + int(self.lengths[sym_idx[-1]])
+        last = int(positions[-1])
+        shift = np.empty(n_symbols, dtype=np.uint32)
+        np.bitwise_and(positions, 7, out=shift, casting="unsafe")
+        np.subtract(np.uint32(32 - L), shift, out=shift)
+        np.right_shift(positions, 3, out=positions)
+        win = u32.take(positions)
+        del positions
+        np.right_shift(win, shift, out=win)
+        del shift
+        np.bitwise_and(win, np.uint32((1 << L) - 1), out=win)
+        end = last + int(self.lengths[self._table_sym[win[-1]]])
         if end > T:
             raise DecompressionError("Huffman stream overruns declared bit count")
-        return self.symbols[sym_idx]
+        # Indexing, not take: take converts uint32 indices ~4x slower.
+        return self._table_value[win]
 
     def decode_sequential(
         self, payload: bytes, n_symbols: int, total_bits: int

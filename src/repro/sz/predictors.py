@@ -9,8 +9,9 @@ coordinate array ``k``:
 
 The n-dimensional **Lorenzo** predictor (SZ 1.4's default, paper
 Section II-A) is the composition of first-difference operators along
-every axis -- so its inverse is the composition of prefix sums
-(``cumsum``) along every axis.  Both directions are whole-array NumPy
+every axis -- so its inverse is the composition of prefix sums along
+every axis (``np.cumsum``, or one slab add per index along a leading
+axis with large slabs).  Both directions are whole-array NumPy
 operations: compression and decompression contain no per-element Python
 loop at all.
 
@@ -75,12 +76,37 @@ def lorenzo_difference(k: np.ndarray) -> np.ndarray:
     return q
 
 
+#: Smallest slab (elements per index of an axis) for which a prefix sum
+#: along a leading axis runs as one add per index.  ``np.cumsum`` along
+#: a leading axis strides by the slab for every element, so a 128**3
+#: int64 inverse takes 59 ms with cumsum alone and 22 ms with adds on
+#: both leading axes.  On small slabs the call per add costs more than
+#: the stride saves: a 180x360 field's inverse takes 0.49 ms either with
+#: cumsum alone or under this rule, and 0.70 ms with adds along axis 0.
+ROW_ADD_SLAB = 1024
+
+
+def _prefix_sum(v: np.ndarray, axis: int) -> None:
+    """Prefix sum of the int64 array ``v`` along ``axis``, in place: one
+    add per index along a leading axis with a large slab, else
+    ``np.cumsum``.  Integer adds are exact, so both give the same
+    values."""
+    n = v.shape[axis]
+    if axis == v.ndim - 1 or v.size < ROW_ADD_SLAB * n:
+        np.cumsum(v, axis=axis, out=v)
+        return
+    rows = np.moveaxis(v, axis, 0)
+    for i in range(1, n):
+        np.add(rows[i], rows[i - 1], out=rows[i])
+
+
 def lorenzo_reconstruct(q: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`lorenzo_difference`: cumsum along each axis."""
+    """Exact inverse of :func:`lorenzo_difference`: a prefix sum along
+    each axis."""
     k = _check_int_array(q)
     out = k.astype(np.int64, copy=True)
     for axis in range(out.ndim):
-        np.cumsum(out, axis=axis, out=out)
+        _prefix_sum(out, axis)
     return out
 
 
@@ -123,8 +149,8 @@ def _lorenzo2_difference(k: np.ndarray) -> np.ndarray:
 def _lorenzo2_reconstruct(q: np.ndarray) -> np.ndarray:
     k = _check_int_array(q).astype(np.int64, copy=True)
     for axis in range(k.ndim):
-        np.cumsum(k, axis=axis, out=k)
-        np.cumsum(k, axis=axis, out=k)
+        _prefix_sum(k, axis)
+        _prefix_sum(k, axis)
     return k
 
 

@@ -67,8 +67,12 @@ def snap_to_lattice(data: np.ndarray, anchor: float, delta: float) -> np.ndarray
 
 
 def lattice_values(k: np.ndarray, anchor: float, delta: float) -> np.ndarray:
-    """Map lattice coordinates back to values, ``anchor + delta*k``."""
-    return anchor + delta * np.asarray(k, dtype=np.float64)
+    """Map lattice coordinates back to values, ``anchor + delta*k``: the
+    same multiply, then add, on one float64 copy."""
+    out = np.array(k, dtype=np.float64)
+    out *= delta
+    out += anchor
+    return out
 
 
 class LatticeQuantizer:

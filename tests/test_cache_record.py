@@ -157,6 +157,12 @@ class TestSharedEntries:
         store.put(key, blob, {"kind": "blob", "mode": "psnr"})
         rec = compress_psnr(field, TARGET, store=store)
         assert not rec.hit and rec.blob == blob
+        # The rejected entry was replaced, so the next call hits it.
+        again = compress_psnr(field, TARGET, store=store)
+        assert again.hit and again.blob == blob
+        assert again.achieved_psnr == rec.achieved_psnr
+        meta = store.get(key).meta
+        assert meta["metrics"]["achieved_psnr"] == rec.achieved_psnr
 
 
 class TestOneKey:

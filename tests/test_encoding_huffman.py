@@ -20,6 +20,7 @@ from repro.encoding.huffman import (
     package_merge_lengths,
 )
 from repro.errors import DecompressionError, ParameterError
+from repro.observe import Trace, use_trace
 
 
 class TestOptimalLengths:
@@ -524,6 +525,80 @@ def test_invalid_streams_match_pointer_doubling(seed):
             assert isinstance(got, np.ndarray) and np.array_equal(got, want)
         else:
             assert got is want
+
+
+def _stream_with_one_run(covered):
+    """``(code, data, k)``: a stream that resynchronises at every 0 bit
+    but inside one run of a 3-bit code that covers ``covered`` whole
+    decoder segments from segment ``k`` on.
+
+    Every code of ``0``, ``10``, ``110``, ``111`` but the last ends in
+    its only 0 bit, so any two walks meet just past a 0.  The run is
+    ``111`` repeated: a walk inside it that is off the run's 3-bit grid
+    stays off it.  The run starts one, two, four or five bits before
+    segment k's first bit, so segment k's leader starts off the true
+    chain and does not meet it before the segment ends."""
+    code = CanonicalHuffman(np.arange(4), np.array([1, 2, 3, 3]))
+    seq = np.random.default_rng(5).choice(3, size=20000, p=[0.5, 0.3, 0.2])
+    cum = np.concatenate(([0], np.cumsum(code.lengths[seq])))
+    run = 0
+    for _ in range(50):
+        seg = _segment_bits(seq.size + run, int(cum[-1]) + 3 * run, 3)
+        want = -(-(covered * seg + 9) // 3)  # past the covered ends
+        if want == run:
+            break
+        run = want
+    for k in range(20, 200):
+        start = k * seg
+        off = start - cum
+        split = np.flatnonzero((off >= 1) & (off <= 5) & (off % 3 != 0))
+        if split.size:
+            i = int(split[0])
+            break
+    assert cum[i] < k * seg and cum[i] + 3 * run >= (k + covered) * seg + 3
+    data = np.concatenate((seq[:i], np.full(run, 3), seq[i:]))
+    return code, data, k
+
+
+def _decode_counters(code, payload, n, bits):
+    tr = Trace()
+    with use_trace(tr):
+        out = code.decode(payload, n, bits)
+    (rec,) = [r for r in tr.records if r.path[-1] == "huffman.decode"]
+    return out, rec.counters
+
+
+@pytest.mark.parametrize("covered", [1, 10])
+def test_non_resynchronising_run(covered):
+    """A run that covers one segment breaks the speculated entry of the
+    next segment, which is walked again (repair) with no handover; a
+    run over many segments breaks the walked-again segment too, and
+    the segments from there on go to the all-offsets entry walkers
+    (handover), while those before the run stay speculated."""
+    code, data, k = _stream_with_one_run(covered)
+    payload, bits = code.encode(data)
+    out, counters = _decode_counters(code, payload, data.size, bits)
+    assert np.array_equal(out, data)
+    assert np.array_equal(out, code.decode_sequential(payload, data.size, bits))
+    if covered == 1:
+        assert counters["handover_segments"] == 0
+    else:
+        assert 0 < counters["handover_segments"] <= counters["segments"] - k - 1
+
+
+def test_fixed_length_stream_hands_over():
+    """Codes that never resynchronise hand the stream over after one
+    repair round instead of settling one segment per round: segments 0
+    and 1 are entered right on the first pass (segment 0's leader is
+    the true chain), segment 2 after the repair, and the rest go to
+    the all-offsets entry walkers."""
+    data = np.arange(200_000) % 8
+    code = CanonicalHuffman(np.arange(8), np.full(8, 3))
+    payload, bits = code.encode(data)
+    out, counters = _decode_counters(code, payload, data.size, bits)
+    assert np.array_equal(out, data)
+    seg = _segment_bits(data.size, bits, 3)
+    assert seg % 3 and counters["handover_segments"] == counters["segments"] - 3
 
 
 def test_decode_peak_memory_per_payload_bit():

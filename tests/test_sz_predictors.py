@@ -142,3 +142,45 @@ def test_difference_matches_diff_composition(name, shape, order, rng):
     before = k.copy()
     assert np.array_equal(diff(k), _reference_difference(name, k))
     assert np.array_equal(k, before)
+
+
+def _cumsum_inverse(q, passes):
+    """The inverse as it was written before slab adds, kept literally
+    as the reference: ``passes`` in-place cumsums along each axis."""
+    k = np.asarray(q).astype(np.int64, copy=True)
+    for axis in range(k.ndim):
+        for _ in range(passes):
+            np.cumsum(k, axis=axis, out=k)
+    return k
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (1000,),
+        (180, 360),
+        (25, 125, 125),
+        (64, 64, 64),
+        (128, 128, 128),
+        (1, 64, 64),
+        (64, 1, 64),
+        (2048, 1),
+        (3, 1, 4096),
+    ],
+)
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_inverses_match_the_cumsum_composition(shape, order):
+    """Both Lorenzo inverses equal the cumsum composition on shapes on
+    both sides of the slab rule (leading axes with large slabs add
+    slab by slab), extent-1 axes and Fortran-ordered input, and leave
+    their input unwritten."""
+    rng = np.random.default_rng(sum(shape))
+    q = np.asarray(rng.integers(-40, 40, size=shape), order=order)
+    before = q.copy()
+    for name, passes in (("lorenzo", 1), ("lorenzo2", 2)):
+        got = PREDICTORS[name][2](q)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _cumsum_inverse(q, passes)), name
+        assert np.array_equal(q, before)
+    narrow = q.astype(np.int32)
+    assert np.array_equal(lorenzo_reconstruct(narrow), _cumsum_inverse(narrow, 1))

@@ -137,3 +137,18 @@ def test_snap_range_edge(sign, over):
         assert want is CompressionError and got is CompressionError
     else:
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(1000,), (180, 360), (64, 64, 64)])
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_lattice_values_match_the_expression(shape, dtype):
+    """The in-place multiply-then-add equals ``anchor + delta * k`` bit
+    for bit, in float64 and cast to float32."""
+    rng = np.random.default_rng(len(shape))
+    k = rng.integers(-(2**40), 2**40, size=shape).astype(dtype)
+    anchor, delta = float(rng.normal() * 1e3), float(rng.uniform(1e-7, 1e-2))
+    want = anchor + delta * k.astype(np.float64)
+    got = lattice_values(k, anchor, delta)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert got.astype(np.float32).tobytes() == want.astype(np.float32).tobytes()

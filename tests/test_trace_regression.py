@@ -192,8 +192,9 @@ def _huffman_round_trips():
 
 @pytest.mark.parametrize("codec", sorted(_huffman_round_trips()))
 def test_huffman_decode_span(field, codec):
-    """Decompress records ``huffman.decode`` with the stream's sizes and
-    the decoder's walk counts, identical run to run."""
+    """Decompress records ``huffman.decode`` with the stream's sizes,
+    the decoder's walk counts and the segments it handed over to the
+    all-offsets entry walkers, identical run to run."""
     compress, decompress = _huffman_round_trips()[codec]
     blob = compress(field)
     runs = []
@@ -205,7 +206,8 @@ def test_huffman_decode_span(field, codec):
     assert runs[0] == runs[1]
     for _, counters in runs[0]:
         assert set(counters) == {
-            "n_symbols", "total_bits", "segments", "entry_walker_steps"
+            "n_symbols", "total_bits", "segments", "entry_walker_steps",
+            "handover_segments",
         }
         assert 1 <= counters["n_symbols"] <= counters["total_bits"]
         assert counters["segments"] >= 1
