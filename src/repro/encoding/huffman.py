@@ -535,8 +535,8 @@ class CanonicalHuffman:
             entry[broke] = seg_exit[broke - 1]
             speculate(broke)
             broke = np.flatnonzero(seg_exit[:-1] != entry[1:]) + 1
-        handover = K - int(broke[0]) if broke.size else 0
-        if handover:
+        h = int(broke[0]) if broke.size else K
+        if h < K:
             # Entry walkers on segments h onward.  The true chain enters
             # segment k at one of starts[k] + j, j < L.  Walker k * L + j
             # starts there; j = 0 is the leader.  A walker stops on the
@@ -544,7 +544,6 @@ class CanonicalHuffman:
             # exit), on another walker's path (root = that walker), or at
             # or past the segment end (its own exit; merge = the segment
             # end).
-            h = int(broke[0])
             root = np.arange(K * L)
             merge = np.repeat(starts, L)
             walker_exit = np.repeat(lead_exit, L)
@@ -612,7 +611,7 @@ class CanonicalHuffman:
 
         sp.count("segments", K)
         sp.count("entry_walker_steps", steps)
-        sp.count("handover_segments", handover)
+        sp.count("handover_segments", K - h)
         positions = np.flatnonzero(mark[:T] == 1)
         del mark
         if positions.size < n_symbols:
