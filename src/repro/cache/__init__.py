@@ -18,6 +18,7 @@ _EXPORTS = {
     "BlobRecord": "record",
     "blob_meta": "record",
     "compress_psnr": "record",
+    "field_digest": "record",
     "lookup_psnr": "record",
     "psnr_key": "record",
     "read_meta": "record",

@@ -28,16 +28,23 @@ lookup hits the entry written in its place.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional
+import functools
+from typing import Dict, NamedTuple, Optional, Tuple
 
 __all__ = [
+    "FIELD_DIGESTS",
     "BlobRecord",
     "blob_meta",
     "compress_psnr",
+    "field_digest",
     "lookup_psnr",
     "psnr_key",
     "read_meta",
 ]
+
+#: Registry fields whose digest :func:`field_digest` keeps per process
+#: (a digest and two integers each).
+FIELD_DIGESTS = 256
 
 
 class BlobRecord(NamedTuple):
@@ -71,6 +78,32 @@ def psnr_key(
         refine=refine,
         entropy="huffman",
     )
+
+
+@functools.lru_cache(maxsize=FIELD_DIGESTS)
+def field_digest(
+    dataset: str, field: str, scale: Optional[float]
+) -> Optional[Tuple[str, int, int]]:
+    """``(data_digest, nbytes, size)`` of a registry field, or ``None``
+    when the registry cannot produce it (a job on it fails through the
+    normal path).
+
+    The service's admission check and the cluster router key a
+    fixed-PSNR job on a named field by :func:`psnr_key` of this digest,
+    without compressing it.  Each process generates a field once for
+    as long as its entry stays among the last :data:`FIELD_DIGESTS`
+    used.  The field is generated afresh, not through
+    :func:`repro.datasets.load_field`, whose cache would keep whole
+    fields in a serving parent.
+    """
+    from repro.cache.store import data_digest
+    from repro.datasets.registry import get_dataset
+
+    try:
+        data = get_dataset(dataset, scale=scale).field(field)
+    except Exception:  # noqa: BLE001 -- unknown dataset/field
+        return None
+    return data_digest(data), int(data.nbytes), int(data.size)
 
 
 def blob_meta(

@@ -42,6 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.codecs import ERROR_BOUNDED_CODECS
 from repro.errors import ReproError
 
 __all__ = ["main", "build_parser"]
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_c.add_argument(
         "--codec",
-        choices=("sz", "transform", "regression", "hybrid", "interp", "embedded"),
+        choices=ERROR_BOUNDED_CODECS + ("embedded",),
         default="sz",
         help="compression codec",
     )
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_at.add_argument(
         "--codec",
-        choices=("sz", "transform", "regression", "hybrid", "interp"),
+        choices=ERROR_BOUNDED_CODECS,
         default="sz",
         help="error-bounded codec to tune",
     )

@@ -133,7 +133,6 @@ class ClusterRouter:
         self.trace = trace
         self._client_factory = client_factory or self._default_client
         self._clients: Dict[str, object] = {}
-        self._field_memo: Dict[Tuple, Tuple[str, int, int]] = {}
         self._lock = threading.Lock()
         self.metrics = _cluster_metrics()
         self.metrics["nodes_total"].set(len(membership.peers))
@@ -167,43 +166,20 @@ class ClusterRouter:
 
     # -- route keys -----------------------------------------------------
 
-    def _field_stats(
-        self, dataset: str, field: str, scale: Optional[float]
-    ) -> Optional[Tuple[str, int, int]]:
-        """(data_digest, nbytes, size) of a registry field, memoized.
-        ``None`` when the registry cannot produce it (the job will
-        fail through the member's normal path)."""
-        memo_key = (dataset, field, scale)
-        with self._lock:
-            hit = self._field_memo.get(memo_key)
-        if hit is not None:
-            return hit
-        from repro.cache import data_digest
-        from repro.datasets.registry import get_dataset
-
-        try:
-            data = get_dataset(dataset, scale=scale).field(field)
-        except Exception:  # noqa: BLE001 -- unknown dataset/field
-            return None
-        stats = (data_digest(data), int(data.nbytes), int(data.size))
-        with self._lock:
-            self._field_memo[memo_key] = stats
-        return stats
-
     def route_key(self, kind: str, payload: Dict) -> str:
         """The ring key for a job.  Fixed-PSNR compress jobs use the
         blob-cache fingerprint itself (cache-owner affinity); other
         kinds hash their canonical spec."""
         mode = str(payload.get("mode") or "psnr")
         if kind == "compress" and mode == "psnr" and payload.get("field"):
-            stats = self._field_stats(
+            from repro.cache import field_digest, psnr_key
+
+            stats = field_digest(
                 str(payload.get("dataset") or ""),
                 str(payload["field"]),
                 payload.get("scale"),
             )
             if stats is not None:
-                from repro.cache import psnr_key
-
                 return psnr_key(
                     stats[0],
                     float(payload.get("target") or 0.0),
@@ -487,7 +463,9 @@ class ClusterRouter:
                 attempts=attempts,
             )
         result = doc["result"]
-        stats = self._field_stats(dataset, field, scale)
+        from repro.cache import field_digest
+
+        stats = field_digest(dataset, field, scale)
         size = stats[2] if stats else 0
         compressed = result.get("compressed_bytes") or 0
         actual = float(result["achieved_psnr"])

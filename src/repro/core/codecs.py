@@ -10,21 +10,25 @@ error-bounded compressor taking ``error_bound``/``mode`` and exposing
 
 from __future__ import annotations
 
+import importlib
 from typing import Tuple
 
 from repro.errors import ParameterError
 
 __all__ = ["ERROR_BOUNDED_CODECS", "make_compressor"]
 
-#: Codec names accepted by :func:`make_compressor` (the error-bounded
-#: family; the embedded codec is rate-driven and lives outside it).
-ERROR_BOUNDED_CODECS: Tuple[str, ...] = (
-    "sz",
-    "transform",
-    "regression",
-    "hybrid",
-    "interp",
-)
+#: Codec name -> (module, class) of the error-bounded compressors (the
+#: embedded codec is rate-driven and lives outside this family).
+_COMPRESSORS = {
+    "sz": ("repro.sz.compressor", "SZCompressor"),
+    "transform": ("repro.transform.compressor", "TransformCompressor"),
+    "regression": ("repro.sz.regression", "RegressionCompressor"),
+    "hybrid": ("repro.sz.hybrid", "HybridCompressor"),
+    "interp": ("repro.sz.interp", "InterpolationCompressor"),
+}
+
+#: Codec names accepted by :func:`make_compressor`.
+ERROR_BOUNDED_CODECS: Tuple[str, ...] = tuple(_COMPRESSORS)
 
 
 def make_compressor(
@@ -46,28 +50,10 @@ def make_compressor(
     Imports are local so instantiating one codec never pays for the
     others (the CLI and worker processes rely on that).
     """
-    if codec == "sz":
-        from repro.sz.compressor import SZCompressor
-
-        return SZCompressor(error_bound=error_bound, mode=mode, **options)
-    if codec == "transform":
-        from repro.transform.compressor import TransformCompressor
-
-        return TransformCompressor(error_bound=error_bound, mode=mode, **options)
-    if codec == "regression":
-        from repro.sz.regression import RegressionCompressor
-
-        return RegressionCompressor(error_bound=error_bound, mode=mode, **options)
-    if codec == "hybrid":
-        from repro.sz.hybrid import HybridCompressor
-
-        return HybridCompressor(error_bound=error_bound, mode=mode, **options)
-    if codec == "interp":
-        from repro.sz.interp import InterpolationCompressor
-
-        return InterpolationCompressor(
-            error_bound=error_bound, mode=mode, **options
+    if codec not in _COMPRESSORS:
+        raise ParameterError(
+            f"unknown codec {codec!r}; use one of {', '.join(ERROR_BOUNDED_CODECS)}"
         )
-    raise ParameterError(
-        f"unknown codec {codec!r}; use one of {', '.join(ERROR_BOUNDED_CODECS)}"
-    )
+    module, name = _COMPRESSORS[codec]
+    cls = getattr(importlib.import_module(module), name)
+    return cls(error_bound=error_bound, mode=mode, **options)

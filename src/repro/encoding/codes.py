@@ -15,8 +15,18 @@ separate predictor, quantizer, encoder and lossless modules: the seven
 quantization codecs (sz, temporal, regression, hybrid, interp, legacy
 and transform) supply only their codes, side streams and metadata.  It
 also holds what every compressor shares at its edges -- the input
-validation, and the container-header read with its checks on hostile
-metadata.
+validation, the pack step (:func:`pack`), the constant-field container
+(:func:`pack_constant`), and the container-header read with its checks
+on hostile metadata (:func:`read_header`, :func:`read_keys`).
+
+:class:`ErrorBoundedCodec` is the frame of the six error-bounded codecs
+(sz, transform, regression, hybrid, interp and legacy).  By the paper's
+Theorem 3 one fixed-PSNR contract covers them all: Eq. 8 gives a
+value-range-relative bound and each turns it into ``eb_abs =
+eb_rel * (max - min)``.  The frame holds the constructor checks, the
+header document, that conversion and both ends of the constant-field
+path; a codec keeps its predictor or transform, its side streams, its
+extra keys and its reconstruction.
 
 Stream order written here: ``table``, ``payload``, then the codec's own
 streams in the order it appended them, then ``escapes``.  Metadata:
@@ -25,7 +35,7 @@ streams in the order it appended them, then ``escapes``.  Metadata:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -34,6 +44,7 @@ from repro.encoding.huffman import MAX_TABLE_BITS, CanonicalHuffman
 from repro.encoding.lossless import (
     lossless_compress,
     lossless_decompress,
+    method_id,
     method_name,
 )
 from repro.encoding.rans import RansCoder
@@ -44,16 +55,23 @@ from repro.errors import (
     FormatError,
     ParameterError,
 )
-from repro.io.container import Container, unpack_exact_float
+from repro.io.container import Container, pack_exact_float, unpack_exact_float
+from repro.telemetry.registry import metrics as _metrics
 
 __all__ = [
     "DEFAULT_RADIUS",
     "ENTROPY_CODERS",
     "SUPPORTED_DTYPES",
+    "ErrorBoundedCodec",
+    "Header",
+    "array_shape",
     "check_count",
     "decode_codes",
     "encode_codes",
+    "pack",
+    "pack_constant",
     "read_header",
+    "read_keys",
     "validate_input",
 ]
 
@@ -105,47 +123,241 @@ def check_count(name: str, declared: int, implied: int) -> None:
         raise _bad_meta(f"{name} {declared}, the shape implies {implied}")
 
 
-def read_header(
-    blob: Union[bytes, Container], codec: int, name: str
-) -> Tuple[Container, np.dtype, Tuple[int, ...], str, Optional[float]]:
+def read_keys(meta: dict, **parsers) -> List:
+    """The values of the header keys named by ``parsers``, in order,
+    each passed through its parser (``int``,
+    :func:`~repro.io.container.unpack_exact_float`, ...).  A parser
+    given as ``(parser, default)`` reads a key that older containers
+    may lack; ``default`` stands in for it unparsed.
+
+    A missing key, or a value its parser rejects, raises
+    :class:`FormatError` with code ``BAD_META``.
+    """
+    values = []
+    for key, parser in parsers.items():
+        if isinstance(parser, tuple):
+            parser, default = parser
+            if key not in meta:
+                values.append(default)
+                continue
+        if key not in meta:
+            raise _bad_meta(f"no {key}")
+        try:
+            values.append(parser(meta[key]))
+        except (TypeError, ValueError, DecompressionError) as exc:
+            raise _bad_meta(f"{key} {meta[key]!r} ({exc})") from exc
+    return values
+
+
+def array_shape(shape) -> Tuple[int, ...]:
+    """Parser of a header's ``shape``: a non-empty list of positive JSON
+    integers whose product fits in int64."""
+    if not isinstance(shape, list) or not shape:
+        raise ValueError("not a non-empty list")
+    size = 1
+    for extent in shape:
+        # bools are ints to Python but not to JSON; floats would truncate
+        if type(extent) is not int or extent < 1:
+            raise ValueError("not a list of positive integers")
+        size *= extent
+        if size > _INT64_MAX:
+            raise ValueError("overflows int64")
+    return tuple(shape)
+
+
+def _dtype(name) -> np.dtype:
+    if name not in ("float32", "float64"):
+        raise ValueError("not a dtype compression writes")
+    return np.dtype(name)
+
+
+class Header(NamedTuple):
+    """A codec's container and the header fields every codec has."""
+
+    container: Container
+    dtype: np.dtype
+    shape: Tuple[int, ...]
+    lossless: str
+    #: A constant field's stored value; None for any other container.
+    constant: Optional[float]
+
+    def constant_field(self, dtype=None) -> np.ndarray:
+        """A constant container's array: the stored value over the
+        header's shape, in ``dtype`` (the header's by default)."""
+        return np.full(
+            self.shape, self.constant, dtype=self.dtype if dtype is None else dtype
+        )
+
+    def keys(self, **parsers) -> List:
+        """:func:`read_keys` on this container's metadata."""
+        return read_keys(self.container.meta, **parsers)
+
+
+def read_header(blob: Union[bytes, Container], codec: int, name: str) -> Header:
     """Parse a codec's container (or take an already parsed one) and
     the header fields every codec has.
 
-    Returns ``(container, dtype, shape, lossless method, constant)``,
-    where ``constant`` is the stored value of a constant field (None
-    for any other container).  The declared dtype must be one that
-    compression writes, and the shape a non-empty list of positive
-    JSON integers whose product fits in int64; anything else raises
-    :class:`FormatError` with code ``BAD_META``.
+    The declared dtype must be one that compression writes, and the
+    shape a non-empty list of positive JSON integers whose product fits
+    in int64; anything else, like a missing or malformed ``lossless``
+    or ``constant``, raises :class:`FormatError` with code
+    ``BAD_META``.
     """
     container = (
         blob if isinstance(blob, Container) else Container.from_bytes(blob)
     )
     if container.codec != codec:
         raise FormatError(f"container was not produced by the {name} codec")
-    meta = container.meta
-    dtype = meta.get("dtype")
-    if dtype not in ("float32", "float64"):
-        raise _bad_meta(f"dtype {dtype!r}")
-    shape = meta.get("shape")
-    if not isinstance(shape, list) or not shape:
-        raise _bad_meta(f"shape {shape!r}")
-    size = 1
-    for extent in shape:
-        # bools are ints to Python but not to JSON; floats would truncate
-        if type(extent) is not int or extent < 1:
-            raise _bad_meta(f"shape {shape!r}")
-        size *= extent
-        if size > _INT64_MAX:
-            raise _bad_meta(f"shape {shape!r} overflows int64")
-    try:
-        lossless = method_name(int(meta["lossless"]))
-        constant = (
-            unpack_exact_float(meta["constant"]) if "constant" in meta else None
+    return Header(
+        container,
+        *read_keys(
+            container.meta,
+            dtype=_dtype,
+            shape=array_shape,
+            lossless=lambda mid: method_name(int(mid)),
+            constant=(unpack_exact_float, None),
+        ),
+    )
+
+
+def pack(codec: int, meta: dict, streams=()) -> bytes:
+    """The pack step of every codec: serialize its container under a
+    ``pack`` span with exact byte accounting
+    (:func:`repro.observe.traced_pack`) and count the bytes in
+    ``pipeline.compressed_bytes_total``."""
+    blob = observe.traced_pack(Container(codec, meta, list(streams)))
+    _metrics().counter("pipeline.compressed_bytes_total").inc(len(blob))
+    return blob
+
+
+def pack_constant(codec: int, meta: dict, value: float, streams=()) -> bytes:
+    """The constant-field container: ``value`` stored exactly as the
+    header's ``constant``, and no codes (:meth:`Header.constant_field`
+    reads it back)."""
+    meta["constant"] = pack_exact_float(value)
+    return pack(codec, meta, streams)
+
+
+class ErrorBoundedCodec:
+    """The frame of an error-bounded codec.
+
+    A codec sets :attr:`CODEC` and :attr:`NAME`, adds its header keys
+    (:meth:`_keys`) and either implements :meth:`_encode` (its codes and
+    side streams, for :meth:`compress`) or its own ``compress``, and
+    :meth:`_decode` (its reconstruction, for :meth:`decompress`).  Both
+    directions hand the codec the bin size ``delta = 2 * eb_abs``.
+
+    Parameters
+    ----------
+    error_bound:
+        The bound: absolute with ``mode="abs"``, relative to the value
+        range with ``mode="rel"`` (see :meth:`eb_abs`).
+    mode:
+        One of :attr:`MODES`.
+    lossless, lossless_level:
+        Trailing lossless stage (``"zlib"``, GZIP's DEFLATE, or
+        ``"none"``) and its effort level.
+    quantization_radius:
+        Codes with ``|q| > radius`` take the escape path.
+    """
+
+    #: Container codec id.
+    CODEC: int
+    #: The codec's name in the error for another codec's container.
+    NAME: str
+    #: The ``mode`` values the codec takes.
+    MODES: Tuple[str, ...] = ("abs", "rel")
+
+    def __init__(
+        self,
+        error_bound: float = 1e-4,
+        mode: str = "abs",
+        lossless: str = "zlib",
+        lossless_level: int = 6,
+        quantization_radius: int = DEFAULT_RADIUS,
+    ) -> None:
+        if mode not in self.MODES:
+            raise ParameterError(f"mode must be one of {self.MODES}, got {mode!r}")
+        if not np.isfinite(error_bound) or error_bound <= 0:
+            raise ParameterError(f"error bound must be positive, got {error_bound}")
+        if quantization_radius < 1:
+            raise ParameterError("quantization radius must be >= 1")
+        self.error_bound = float(error_bound)
+        self.mode = mode
+        self.lossless = lossless
+        self.lossless_id = method_id(lossless)
+        self.lossless_level = int(lossless_level)
+        self.radius = int(quantization_radius)
+        #: set by the fixed-PSNR wrapper so the container records intent
+        self.target_psnr: Optional[float] = None
+
+    def _keys(self) -> dict:
+        """The codec's own header keys, in every container it writes."""
+        return {}
+
+    def header(self, arr: np.ndarray, value_range: float) -> dict:
+        """The header document of a container compressed from ``arr``."""
+        meta = {
+            "dtype": str(arr.dtype),
+            "shape": list(arr.shape),
+            "mode": self.mode,
+            "bound": self.error_bound,
+            "lossless": self.lossless_id,
+            "radius": self.radius,
+            "value_range": value_range,
+            **self._keys(),
+        }
+        if self.target_psnr is not None:
+            meta["target_psnr"] = float(self.target_psnr)
+        return meta
+
+    def eb_abs(self, value_range: float) -> float:
+        """The absolute bound on data whose value range is
+        ``value_range``: ``error_bound * value_range`` under
+        ``mode="rel"``, else ``error_bound``.  A constant field's range
+        of 0 keeps the bound itself, so downstream math stays finite."""
+        if self.mode == "rel" and value_range != 0.0:
+            return self.error_bound * value_range
+        return self.error_bound
+
+    def _encode(self, x: np.ndarray, delta: float, meta: dict, streams: list):
+        """The codes of the non-constant float64 array ``x`` at bin size
+        ``delta``, as a flat int64 array; side streams go to
+        ``streams``, extra keys to ``meta``."""
+        raise NotImplementedError
+
+    def compress(self, data) -> bytes:
+        """Compress ``data``; returns a serialized container."""
+        arr = validate_input(data)
+        x = arr.astype(np.float64, copy=False)
+        vr = float(x.max() - x.min())
+        meta = self.header(arr, vr)
+        if vr == 0.0:
+            return pack_constant(self.CODEC, meta, float(x.flat[0]))
+        eb_abs = self.eb_abs(vr)
+        meta["eb_abs"] = pack_exact_float(eb_abs)
+        streams: list = []
+        q = self._encode(x, 2.0 * eb_abs, meta, streams)
+        meta["n_codes"] = int(q.size)
+        encode_codes(
+            q, meta, streams, self.radius, self.lossless, self.lossless_level
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad container metadata: {exc}") from exc
-    return container, np.dtype(dtype), tuple(shape), lossless, constant
+        return pack(self.CODEC, meta, streams)
+
+    @staticmethod
+    def _decode(head: Header, delta: float) -> np.ndarray:
+        """The array of a non-constant container whose bin size is
+        ``delta``."""
+        raise NotImplementedError
+
+    @classmethod
+    def decompress(cls, blob) -> np.ndarray:
+        """Decompress a container produced by :meth:`compress`."""
+        head = read_header(blob, cls.CODEC, cls.NAME)
+        if head.constant is not None:
+            return head.constant_field()
+        (eb_abs,) = head.keys(eb_abs=unpack_exact_float)
+        return cls._decode(head, 2.0 * eb_abs)
 
 
 def encode_codes(
@@ -242,13 +454,12 @@ def decode_codes(
 ) -> np.ndarray:
     """Inverse of :func:`encode_codes`: the ``n`` codes of a container,
     escapes restored, as a flat int64 array."""
-    meta = container.meta
-    try:
-        n_escapes = int(meta["n_escapes"])
-        escape_symbol = int(meta["escape_symbol"])
-        total_bits = int(meta["total_bits"]) if entropy_id == _HUFFMAN else 0
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad container metadata: {exc}") from exc
+    n_escapes, escape_symbol = read_keys(
+        container.meta, n_escapes=int, escape_symbol=int
+    )
+    total_bits = 0
+    if entropy_id == _HUFFMAN:
+        (total_bits,) = read_keys(container.meta, total_bits=int)
 
     trace = observe.current_trace()
     with trace.span("codes.decode") as sp:
@@ -256,7 +467,7 @@ def decode_codes(
             sp.count("n_points", n)
             sp.set("coder_id", entropy_id)
         if entropy_id not in ENTROPY_CODERS.values():
-            raise FormatError(f"unknown entropy coder id {entropy_id}")
+            raise _bad_meta(f"entropy {entropy_id}")
         # Inflation is bounded by the metadata, so a bomb fails early:
         # the alphabet cannot outnumber the points (9 bytes per Huffman
         # table entry, 10 per rANS), the packer writes exactly

@@ -75,7 +75,9 @@ def unpack_exact_float(s: str) -> float:
     try:
         return float.fromhex(s)
     except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad exact-float field {s!r}") from exc
+        raise FormatError(
+            f"bad exact-float field {s!r}", code=ErrorCode.BAD_META
+        ) from exc
 
 
 class Container:

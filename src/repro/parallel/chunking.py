@@ -27,7 +27,8 @@ import numpy as np
 
 import repro.observe as observe
 from repro.telemetry.registry import THROUGHPUT_BUCKETS, metrics as _metrics
-from repro.errors import FormatError, ParameterError
+from repro.encoding.codes import array_shape, read_keys
+from repro.errors import ErrorCode, FormatError, ParameterError
 from repro.io.container import CODEC_CHUNKED, Container
 from repro.sz.compressor import SZCompressor
 
@@ -164,11 +165,7 @@ def compress_chunked(
             "chunk_rows": chunk_rows,
         }
         streams = [(f"chunk{i}", blob) for i, blob in enumerate(blobs)]
-        with trace.span("pack") as sp:
-            out = Container(CODEC_CHUNKED, meta, streams).to_bytes()
-            if trace.enabled:
-                observe.account_container_bytes(sp, streams, len(out))
-        return out
+        return observe.traced_pack(Container(CODEC_CHUNKED, meta, streams))
 
 
 def decompress_chunked(
@@ -187,15 +184,17 @@ def decompress_chunked(
     container = Container.from_bytes(blob)
     if container.codec != CODEC_CHUNKED:
         raise FormatError("container is not chunked")
-    meta = container.meta
-    try:
-        n_chunks = int(meta["n_chunks"])
-        shape = tuple(int(s) for s in meta["shape"])
-        chunk_rows = [int(r) for r in meta["chunk_rows"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad chunked metadata: {exc}") from exc
+    n_chunks, shape, chunk_rows = read_keys(
+        container.meta,
+        n_chunks=int,
+        shape=array_shape,
+        chunk_rows=lambda rows: [int(r) for r in rows],
+    )
     if len(chunk_rows) != n_chunks or sum(chunk_rows) != shape[0]:
-        raise FormatError("chunk geometry inconsistent with array shape")
+        raise FormatError(
+            "chunk geometry inconsistent with array shape",
+            code=ErrorCode.BAD_META,
+        )
     blobs = [container.stream(f"chunk{i}") for i in range(n_chunks)]
     with payload_scope(executor, n_workers) as (ex, arena):
         if arena is None:

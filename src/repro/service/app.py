@@ -199,9 +199,6 @@ class CompressionService(HttpServer):
                 root=self.config.cache_dir,
                 max_bytes=self.config.cache_max_bytes,
             )
-        # (dataset, field, scale) -> (content digest, nbytes), so
-        # admission-time cache lookups hash each field at most once.
-        self._field_memo: Dict[Tuple, Tuple[str, int]] = {}
         # cache key -> followers of the in-flight primary job with that
         # key; resolved when the primary reaches a terminal state.
         self._inflight_keys: Dict[str, List[Job]] = {}
@@ -348,26 +345,6 @@ class CompressionService(HttpServer):
             raise HttpError(404, "job kept no blob (keep_blob=false)")
         return (200, job.blob, "application/octet-stream", ())
 
-    def _field_stats(self, spec: JobSpec) -> Optional[Tuple[str, int]]:
-        """Content digest and byte size of the job's field data,
-        memoized per (dataset, field, scale).  ``None`` for fields the
-        registry cannot produce -- those jobs fail through the normal
-        path."""
-        memo_key = (spec.dataset, spec.field, spec.scale)
-        stats = self._field_memo.get(memo_key)
-        if stats is None:
-            from repro.cache import data_digest
-            from repro.datasets.registry import get_dataset
-
-            try:
-                ds = get_dataset(spec.dataset, scale=spec.scale)
-                data = ds.field(spec.field)
-            except Exception:  # noqa: BLE001 -- bad dataset/field
-                return None
-            stats = (data_digest(data), int(data.nbytes))
-            self._field_memo[memo_key] = stats
-        return stats
-
     def _cache_key(self, spec: JobSpec) -> Optional[str]:
         """The blob-cache key for a cacheable job, else ``None``.
 
@@ -385,11 +362,11 @@ class CompressionService(HttpServer):
             or spec.fault is not None
         ):
             return None
-        stats = self._field_stats(spec)
+        from repro.cache import field_digest, psnr_key
+
+        stats = field_digest(spec.dataset, spec.field, spec.scale)
         if stats is None:
             return None
-        from repro.cache import psnr_key
-
         return psnr_key(stats[0], spec.target, spec.codec, spec.refine)
 
     def _submit(self, kind: str, request: Request):
@@ -715,7 +692,10 @@ class CompressionService(HttpServer):
         :class:`~repro.cache.BlobRecord` at admission time: same
         terminal bookkeeping as :meth:`_finish_ok`, blob and achieved
         PSNR replayed from the store, zero pool involvement."""
-        raw = self._field_stats(job.spec)[1]
+        from repro.cache import field_digest
+
+        spec = job.spec
+        raw = field_digest(spec.dataset, spec.field, spec.scale)[1]
         result: Dict = {
             "status": "ok",
             "cached": True,

@@ -32,6 +32,7 @@ recomputes it from the input and the container's header; both it and
 
 from __future__ import annotations
 
+import importlib
 from typing import Optional
 
 import numpy as np
@@ -45,22 +46,16 @@ from repro.telemetry.registry import (
 from repro.encoding.codes import (
     DEFAULT_RADIUS,
     ENTROPY_CODERS,
+    ErrorBoundedCodec,
     decode_codes,
     encode_codes,
+    pack,
+    pack_constant,
     read_header,
     validate_input,
 )
-from repro.encoding.lossless import (
-    lossless_compress,
-    lossless_decompress,
-    method_id,
-)
-from repro.errors import (
-    CompressionError,
-    DecompressionError,
-    FormatError,
-    ParameterError,
-)
+from repro.encoding.lossless import lossless_compress, lossless_decompress
+from repro.errors import CompressionError, DecompressionError, ParameterError
 from repro.io.container import (
     CODEC_CHUNKED,
     CODEC_EMBEDDED,
@@ -69,6 +64,7 @@ from repro.io.container import (
     CODEC_LEGACY,
     CODEC_REGRESSION,
     CODEC_SZ,
+    CODEC_TRANSFORM,
     Container,
     pack_exact_float,
     unpack_exact_float,
@@ -85,7 +81,7 @@ from repro.sz.quantizer import LatticeQuantizer
 __all__ = ["SZCompressor", "compress", "decompress", "reconstruction"]
 
 
-class SZCompressor:
+class SZCompressor(ErrorBoundedCodec):
     """Error-bounded lossy compressor with SZ semantics.
 
     Parameters
@@ -125,6 +121,10 @@ class SZCompressor:
         own stream.
     """
 
+    CODEC = CODEC_SZ
+    NAME = "SZ"
+    MODES = ("abs", "rel", "pw_rel")
+
     def __init__(
         self,
         error_bound: float = 1e-4,
@@ -136,24 +136,13 @@ class SZCompressor:
         entropy: str = "huffman",
         fill_value: Optional[float] = None,
     ) -> None:
-        if mode not in ("abs", "rel", "pw_rel"):
-            raise ParameterError(
-                f"mode must be 'abs', 'rel' or 'pw_rel', got {mode!r}"
-            )
-        if not np.isfinite(error_bound) or error_bound <= 0:
-            raise ParameterError(f"error bound must be positive, got {error_bound}")
+        super().__init__(
+            error_bound, mode, lossless, lossless_level, quantization_radius
+        )
         if mode == "pw_rel" and error_bound >= 1.0:
             raise ParameterError("pointwise relative bound must be < 1")
-        if quantization_radius < 1:
-            raise ParameterError("quantization radius must be >= 1")
-        self.error_bound = float(error_bound)
-        self.mode = mode
         self.predictor = predictor
         self.predictor_id, self._difference, _ = predictor_by_name(predictor)
-        self.lossless = lossless
-        self.lossless_id = method_id(lossless)
-        self.lossless_level = int(lossless_level)
-        self.radius = int(quantization_radius)
         if entropy not in ENTROPY_CODERS:
             raise ParameterError(
                 f"unknown entropy coder {entropy!r}; "
@@ -163,25 +152,25 @@ class SZCompressor:
         if fill_value is not None and np.isinf(fill_value):
             raise ParameterError("fill_value must be finite or NaN")
         self.fill_value = None if fill_value is None else float(fill_value)
-        #: set by the fixed-PSNR wrapper so the container records intent
-        self.target_psnr: Optional[float] = None
+
+    def _keys(self) -> dict:
+        return {"predictor": self.predictor_id}
 
     # -- helpers --------------------------------------------------------
 
-    def resolve_error_bound(self, data: np.ndarray) -> float:
-        """Return the absolute bound the quantizer will use under
-        ``mode`` (for ``"pw_rel"`` it is the bound in the log domain)."""
-        _, x, _ = _split_fill(data, self.fill_value)
-        if self.mode == "abs":
-            return self.error_bound
+    def eb_abs(self, value_range: float) -> float:
+        """As :meth:`ErrorBoundedCodec.eb_abs`; for ``"pw_rel"`` the
+        bound in the log domain."""
         if self.mode == "pw_rel":
             return pointwise_bound_to_log_bound(self.error_bound)
-        vr = float(x.max() - x.min())
-        if vr == 0.0:
-            # Constant field: any positive bound works; pick the bound
-            # itself so downstream math stays finite.
-            return self.error_bound
-        return self.error_bound * vr
+        return super().eb_abs(value_range)
+
+    def resolve_error_bound(self, data: np.ndarray) -> float:
+        """Return the absolute bound the quantizer will use on ``data``
+        under ``mode`` (for ``"pw_rel"`` it is the bound in the log
+        domain)."""
+        _, x, _ = _split_fill(data, self.fill_value)
+        return self.eb_abs(float(x.max() - x.min()))
 
     # -- compression -----------------------------------------------------
 
@@ -223,13 +212,6 @@ class SZCompressor:
                 total_bits / q.size
             )
 
-    def _pack(self, meta, streams) -> bytes:
-        """Serialize the container, with exact byte accounting when a
-        trace is active (see :mod:`repro.observe`)."""
-        blob = observe.traced_pack(Container(CODEC_SZ, meta, streams))
-        _metrics().counter("pipeline.compressed_bytes_total").inc(len(blob))
-        return blob
-
     def compress(self, data) -> bytes:
         """Compress ``data`` and return the serialized container."""
         trace = observe.current_trace()
@@ -242,18 +224,7 @@ class SZCompressor:
                 root.count("n_points", int(arr.size))
                 root.count("raw_bytes", int(arr.nbytes))
             vr = float(x.max() - x.min())
-            meta = {
-                "dtype": str(arr.dtype),
-                "shape": list(arr.shape),
-                "mode": self.mode,
-                "bound": self.error_bound,
-                "predictor": self.predictor_id,
-                "lossless": self.lossless_id,
-                "radius": self.radius,
-                "value_range": vr,
-            }
-            if self.target_psnr is not None:
-                meta["target_psnr"] = float(self.target_psnr)
+            meta = self.header(arr, vr)
 
             streams = []
             if fill_mask is not None:
@@ -268,6 +239,7 @@ class SZCompressor:
                         ),
                     )
                 )
+            y, y_range = x, vr
             if self.mode == "pw_rel":
                 signs, y = forward_log_transform(x)
                 streams.append(
@@ -278,33 +250,19 @@ class SZCompressor:
                         ),
                     )
                 )
-                eb_abs = pointwise_bound_to_log_bound(self.error_bound)
-                if float(y.max() - y.min()) == 0.0:
-                    meta["constant"] = pack_exact_float(float(y.flat[0]))
-                    return self._pack(meta, streams)
-                self._encode_lattice(y, eb_abs, meta, streams)
-                return self._pack(meta, streams)
-
-            if vr == 0.0:
-                # Constant field: store the value exactly.
-                meta["constant"] = pack_exact_float(float(x.flat[0]))
-                return self._pack(meta, streams)
-
-            if self.mode == "abs":
-                eb_abs = self.error_bound
-            else:
-                eb_abs = self.error_bound * vr
-            self._encode_lattice(x, eb_abs, meta, streams)
-            return self._pack(meta, streams)
+                y_range = float(y.max() - y.min())
+            if y_range == 0.0:
+                return pack_constant(CODEC_SZ, meta, float(y.flat[0]), streams)
+            self._encode_lattice(y, self.eb_abs(vr), meta, streams)
+            return pack(CODEC_SZ, meta, streams)
 
     # -- decompression ----------------------------------------------------
 
     @staticmethod
     def decompress(blob: bytes) -> np.ndarray:
         """Decompress a container produced by :meth:`compress`."""
-        container, dtype, shape, lossless, constant = read_header(
-            blob, CODEC_SZ, "SZ"
-        )
+        head = read_header(blob, CODEC_SZ, "SZ")
+        container, shape, lossless = head.container, head.shape, head.lossless
         meta = container.meta
         n = int(np.prod(shape))
         signs = None
@@ -317,10 +275,9 @@ class SZCompressor:
                 raise DecompressionError("sign stream length mismatch")
             signs = signs.reshape(shape)
 
-        fill_value = None
+        (fill_value,) = head.keys(fill_value=(unpack_exact_float, None))
         fill_mask = None
-        if "fill_value" in meta:
-            fill_value = unpack_exact_float(meta["fill_value"])
+        if fill_value is not None:
             mask_blob = lossless_decompress(
                 container.stream("fillmask"), lossless,
                 max_length=(n + 7) // 8,
@@ -330,26 +287,23 @@ class SZCompressor:
                 raise DecompressionError("fill mask shorter than the array")
             fill_mask = bits[:n].astype(bool).reshape(shape)
 
-        if constant is not None:
-            values = np.full(shape, constant, dtype=np.float64)
-            return _finish(values, signs, fill_mask, fill_value, dtype)
+        if head.constant is not None:
+            values = head.constant_field(np.float64)
+            return _finish(values, signs, fill_mask, fill_value, head.dtype)
 
-        try:
-            eb_abs = unpack_exact_float(meta["eb_abs"])
-            anchor = unpack_exact_float(meta["anchor"])
-            predictor_id = int(meta["predictor"])
-            entropy_id = int(meta.get("entropy", 0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad container metadata: {exc}") from exc
-
-        _, _, reconstruct = predictor_by_id(predictor_id)
+        eb_abs, anchor, (_, _, reconstruct), entropy_id = head.keys(
+            eb_abs=unpack_exact_float,
+            anchor=unpack_exact_float,
+            predictor=predictor_by_id,
+            entropy=(int, 0),
+        )
         q = decode_codes(container, lossless, n, entropy_id).reshape(shape)
 
         trace = observe.current_trace()
         with trace.span("sz.reconstruct"):
             k = reconstruct(q)
             values = LatticeQuantizer(eb_abs, anchor).dequantize(k)
-            return _finish(values, signs, fill_mask, fill_value, dtype)
+            return _finish(values, signs, fill_mask, fill_value, head.dtype)
 
 
 def _split_fill(data, fill_value: Optional[float]):
@@ -414,6 +368,19 @@ def compress(
     return SZCompressor(error_bound=error_bound, mode=mode, **kwargs).compress(data)
 
 
+#: Container codec id -> (module, class) of its decoder.  Imported on
+#: first use: repro.parallel.chunking imports this module, and a decode
+#: needs only its own codec.
+_DECODERS = {
+    CODEC_TRANSFORM: ("repro.transform.compressor", "TransformCompressor"),
+    CODEC_REGRESSION: ("repro.sz.regression", "RegressionCompressor"),
+    CODEC_EMBEDDED: ("repro.transform.embedded", "EmbeddedTransformCompressor"),
+    CODEC_HYBRID: ("repro.sz.hybrid", "HybridCompressor"),
+    CODEC_LEGACY: ("repro.sz.legacy", "Sz11Compressor"),
+    CODEC_INTERP: ("repro.sz.interp", "InterpolationCompressor"),
+}
+
+
 def decompress(blob: bytes, n_workers: int = 0) -> np.ndarray:
     """Decompress any container produced by this package (SZ,
     transform, regression, embedded, or chunked).  ``n_workers``
@@ -422,35 +389,12 @@ def decompress(blob: bytes, n_workers: int = 0) -> np.ndarray:
     container = Container.from_bytes(blob)
     if container.codec == CODEC_SZ:
         return SZCompressor.decompress(blob)
-    # Deferred imports: repro.parallel.chunking imports this module, and
-    # a decode needs only its own codec.
     if container.codec == CODEC_CHUNKED:
         from repro.parallel.chunking import decompress_chunked
 
         return decompress_chunked(blob, n_workers=n_workers)
-    if container.codec == CODEC_REGRESSION:
-        from repro.sz.regression import RegressionCompressor
-
-        return RegressionCompressor.decompress(blob)
-    if container.codec == CODEC_HYBRID:
-        from repro.sz.hybrid import HybridCompressor
-
-        return HybridCompressor.decompress(blob)
-    if container.codec == CODEC_LEGACY:
-        from repro.sz.legacy import Sz11Compressor
-
-        return Sz11Compressor.decompress(blob)
-    if container.codec == CODEC_INTERP:
-        from repro.sz.interp import InterpolationCompressor
-
-        return InterpolationCompressor.decompress(blob)
-    if container.codec == CODEC_EMBEDDED:
-        from repro.transform.embedded import EmbeddedTransformCompressor
-
-        return EmbeddedTransformCompressor.decompress(blob)
-    from repro.transform.compressor import TransformCompressor
-
-    return TransformCompressor.decompress(blob)
+    module, name = _DECODERS[container.codec]
+    return getattr(importlib.import_module(module), name).decompress(blob)
 
 
 def reconstruction(data, blob: bytes) -> np.ndarray:
@@ -477,30 +421,25 @@ def reconstruction(data, blob: bytes) -> np.ndarray:
     container = Container.from_bytes(blob)
     if container.codec != CODEC_SZ or container.meta.get("temporal"):
         return decompress(blob)
-    _, dtype, shape, _, constant = read_header(container, CODEC_SZ, "SZ")
-    meta = container.meta
+    head = read_header(container, CODEC_SZ, "SZ")
     arr = np.asarray(data)
-    if arr.shape != shape or arr.dtype != dtype:
+    if arr.shape != head.shape or arr.dtype != head.dtype:
         raise ParameterError(
             f"data is {arr.dtype} {arr.shape}; the container holds "
-            f"{dtype} {shape}"
+            f"{head.dtype} {head.shape}"
         )
-    try:
-        fill_value = None
-        if "fill_value" in meta:
-            fill_value = unpack_exact_float(meta["fill_value"])
-        # The first (fill-replaced, log) value the encoder stored: a
-        # constant field's value, else the lattice anchor.
-        anchor = constant
-        if constant is None:
-            eb_abs = unpack_exact_float(meta["eb_abs"])
-            anchor = unpack_exact_float(meta["anchor"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad container metadata: {exc}") from exc
+    (fill_value,) = head.keys(fill_value=(unpack_exact_float, None))
+    # The first (fill-replaced, log) value the encoder stored: a
+    # constant field's value, else the lattice anchor.
+    anchor = head.constant
+    if anchor is None:
+        eb_abs, anchor = head.keys(
+            eb_abs=unpack_exact_float, anchor=unpack_exact_float
+        )
 
     _, y, fill_mask = _split_fill(arr, fill_value)
     signs = None
-    if meta.get("mode") == "pw_rel":
+    if container.meta.get("mode") == "pw_rel":
         signs, y = forward_log_transform(y)
     has_fill = fill_mask is not None
     if float(y.flat[0]) != anchor or has_fill != (fill_value is not None):
@@ -508,12 +447,12 @@ def reconstruction(data, blob: bytes) -> np.ndarray:
             "data does not match the container: its first value or its "
             "fill points differ from the header's"
         )
-    if constant is not None:
-        values = np.full(shape, constant, dtype=np.float64)
-        return _finish(values, signs, fill_mask, fill_value, dtype)
+    if head.constant is not None:
+        values = head.constant_field(np.float64)
+        return _finish(values, signs, fill_mask, fill_value, head.dtype)
 
     trace = observe.current_trace()
     with trace.span("sz.reconstruct"):
         quantizer = LatticeQuantizer(eb_abs, anchor)
         values = quantizer.dequantize(quantizer.quantize(y))
-        return _finish(values, signs, fill_mask, fill_value, dtype)
+        return _finish(values, signs, fill_mask, fill_value, head.dtype)

@@ -30,33 +30,16 @@ import math
 
 import numpy as np
 
-import repro.observe as observe
-
 from repro.encoding.codes import (
     DEFAULT_RADIUS,
+    ErrorBoundedCodec,
+    Header,
     check_count,
     decode_codes,
-    encode_codes,
-    read_header,
-    validate_input,
 )
-from repro.encoding.lossless import (
-    lossless_compress,
-    lossless_decompress,
-    method_id,
-)
-from repro.errors import (
-    CompressionError,
-    DecompressionError,
-    FormatError,
-    ParameterError,
-)
-from repro.io.container import (
-    CODEC_HYBRID,
-    Container,
-    pack_exact_float,
-    unpack_exact_float,
-)
+from repro.encoding.lossless import lossless_compress, lossless_decompress
+from repro.errors import CompressionError, DecompressionError, ParameterError
+from repro.io.container import CODEC_HYBRID, pack_exact_float, unpack_exact_float
 from repro.sz.predictors import axis_difference
 from repro.sz.quantizer import MAX_LATTICE_COORD
 from repro.sz.regression import design_matrix, fit_block_planes
@@ -88,12 +71,15 @@ def _estimated_bits(q: np.ndarray) -> np.ndarray:
     return bits.reshape(q.shape[0], -1).sum(axis=1)
 
 
-class HybridCompressor:
+class HybridCompressor(ErrorBoundedCodec):
     """Error-bounded codec with per-block Lorenzo/regression selection.
 
     Parameters mirror :class:`repro.sz.SZCompressor`; ``block_size``
     sets the tile edge (SZ 2 uses 6 for 3-D, 8 is a good 2-D default).
     """
+
+    CODEC = CODEC_HYBRID
+    NAME = "hybrid"
 
     def __init__(
         self,
@@ -104,48 +90,18 @@ class HybridCompressor:
         lossless_level: int = 6,
         quantization_radius: int = DEFAULT_RADIUS,
     ) -> None:
-        if mode not in ("abs", "rel"):
-            raise ParameterError(f"mode must be 'abs' or 'rel', got {mode!r}")
-        if not np.isfinite(error_bound) or error_bound <= 0:
-            raise ParameterError(f"error bound must be positive, got {error_bound}")
+        super().__init__(
+            error_bound, mode, lossless, lossless_level, quantization_radius
+        )
         if block_size < 2:
             raise ParameterError("block size must be >= 2")
-        if quantization_radius < 1:
-            raise ParameterError("quantization radius must be >= 1")
-        self.error_bound = float(error_bound)
-        self.mode = mode
         self.block_size = int(block_size)
-        self.lossless = lossless
-        self.lossless_id = method_id(lossless)
-        self.lossless_level = int(lossless_level)
-        self.radius = int(quantization_radius)
-        self.target_psnr = None
 
-    def compress(self, data) -> bytes:
-        """Compress ``data``; returns a serialized container."""
-        arr = validate_input(data)
-        x = arr.astype(np.float64, copy=False)
-        vr = float(x.max() - x.min())
-        meta = {
-            "dtype": str(arr.dtype),
-            "shape": list(arr.shape),
-            "mode": self.mode,
-            "bound": self.error_bound,
-            "block_size": self.block_size,
-            "lossless": self.lossless_id,
-            "radius": self.radius,
-            "value_range": vr,
-        }
-        if self.target_psnr is not None:
-            meta["target_psnr"] = float(self.target_psnr)
-        if vr == 0.0:
-            meta["constant"] = pack_exact_float(float(x.flat[0]))
-            return observe.traced_pack(Container(CODEC_HYBRID, meta, []))
+    def _keys(self) -> dict:
+        return {"block_size": self.block_size}
 
-        eb_abs = self.error_bound * vr if self.mode == "rel" else self.error_bound
-        delta = 2.0 * eb_abs
+    def _encode(self, x, delta, meta, streams) -> np.ndarray:
         anchor = float(x.flat[0])
-        meta["eb_abs"] = pack_exact_float(eb_abs)
         meta["anchor"] = pack_exact_float(anchor)
 
         d = x.ndim
@@ -177,9 +133,7 @@ class HybridCompressor:
         meta["n_blocks"] = int(n_blocks)
         meta["n_regression"] = int(use_reg.sum())
 
-        q = np.where(use_reg.reshape((-1,) + (1,) * d), q_reg, q_lor).ravel()
-
-        streams = [
+        streams.append(
             (
                 "selector",
                 lossless_compress(
@@ -188,7 +142,7 @@ class HybridCompressor:
                     self.lossless_level,
                 ),
             )
-        ]
+        )
         if use_reg.any():
             streams.append(
                 (
@@ -200,34 +154,19 @@ class HybridCompressor:
                     ),
                 )
             )
-        meta["n_codes"] = int(q.size)
-        encode_codes(
-            q, meta, streams, self.radius, self.lossless, self.lossless_level
-        )
-        return observe.traced_pack(Container(CODEC_HYBRID, meta, streams))
+        return np.where(use_reg.reshape((-1,) + (1,) * d), q_reg, q_lor).ravel()
 
     @staticmethod
-    def decompress(blob: bytes) -> np.ndarray:
-        """Decompress a container produced by :meth:`compress`."""
-        container, dtype, shape, lossless, constant = read_header(
-            blob, CODEC_HYBRID, "hybrid"
+    def _decode(head: Header, delta: float) -> np.ndarray:
+        anchor, m, n_codes, n_blocks, n_regression = head.keys(
+            anchor=unpack_exact_float,
+            block_size=int,
+            n_codes=int,
+            n_blocks=int,
+            n_regression=int,
         )
-        if constant is not None:
-            return np.full(shape, constant, dtype=dtype)
-
-        meta = container.meta
-        try:
-            eb_abs = unpack_exact_float(meta["eb_abs"])
-            anchor = unpack_exact_float(meta["anchor"])
-            m = int(meta["block_size"])
-            n_codes = int(meta["n_codes"])
-            n_blocks = int(meta["n_blocks"])
-            n_regression = int(meta["n_regression"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad container metadata: {exc}") from exc
-
+        shape, lossless, container = head.shape, head.lossless, head.container
         d = len(shape)
-        delta = 2.0 * eb_abs
         check_count("n_blocks", n_blocks, math.prod(padded_shape(shape, m)) // m**d)
         check_count("n_codes", n_codes, n_blocks * m**d)
 
@@ -267,4 +206,4 @@ class HybridCompressor:
             )
             recon[use_reg] = pred + delta * q[use_reg].astype(np.float64)
 
-        return merge_blocks(recon, m, shape).astype(dtype)
+        return merge_blocks(recon, m, shape).astype(head.dtype)

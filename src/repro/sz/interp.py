@@ -26,28 +26,14 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-import repro.observe as observe
-
 from repro.encoding.codes import (
     DEFAULT_RADIUS,
+    ErrorBoundedCodec,
+    Header,
     decode_codes,
-    encode_codes,
-    read_header,
-    validate_input,
 )
-from repro.encoding.lossless import method_id
-from repro.errors import (
-    CompressionError,
-    DecompressionError,
-    FormatError,
-    ParameterError,
-)
-from repro.io.container import (
-    CODEC_INTERP,
-    Container,
-    pack_exact_float,
-    unpack_exact_float,
-)
+from repro.errors import CompressionError, DecompressionError, ParameterError
+from repro.io.container import CODEC_INTERP, pack_exact_float, unpack_exact_float
 
 __all__ = ["InterpolationCompressor"]
 
@@ -135,7 +121,7 @@ def _coarse_grids(shape: Tuple[int, ...]) -> List[np.ndarray]:
     return [np.arange(0, extent, 2 * top) for extent in shape]
 
 
-class InterpolationCompressor:
+class InterpolationCompressor(ErrorBoundedCodec):
     """Error-bounded compressor with hierarchical interpolation
     prediction (SZ3-style).
 
@@ -148,6 +134,8 @@ class InterpolationCompressor:
         stencil fits, linear at borders) or ``"linear"``.
     """
 
+    CODEC = CODEC_INTERP
+    NAME = "interpolation"
     INTERPOLATORS = {"linear": 0, "cubic": 1}
 
     def __init__(
@@ -159,51 +147,21 @@ class InterpolationCompressor:
         lossless_level: int = 6,
         quantization_radius: int = DEFAULT_RADIUS,
     ) -> None:
-        if mode not in ("abs", "rel"):
-            raise ParameterError(f"mode must be 'abs' or 'rel', got {mode!r}")
-        if not np.isfinite(error_bound) or error_bound <= 0:
-            raise ParameterError(f"error bound must be positive, got {error_bound}")
+        super().__init__(
+            error_bound, mode, lossless, lossless_level, quantization_radius
+        )
         if interpolator not in self.INTERPOLATORS:
             raise ParameterError(
                 f"unknown interpolator {interpolator!r}; "
                 f"choose from {sorted(self.INTERPOLATORS)}"
             )
-        if quantization_radius < 1:
-            raise ParameterError("quantization radius must be >= 1")
-        self.error_bound = float(error_bound)
-        self.mode = mode
         self.interpolator = interpolator
-        self.lossless = lossless
-        self.lossless_id = method_id(lossless)
-        self.lossless_level = int(lossless_level)
-        self.radius = int(quantization_radius)
-        self.target_psnr = None
 
-    def compress(self, data) -> bytes:
-        """Compress ``data``; returns a serialized container."""
-        arr = validate_input(data)
-        x = arr.astype(np.float64, copy=False)
-        vr = float(x.max() - x.min())
-        meta = {
-            "dtype": str(arr.dtype),
-            "shape": list(arr.shape),
-            "mode": self.mode,
-            "bound": self.error_bound,
-            "interpolator": self.INTERPOLATORS[self.interpolator],
-            "lossless": self.lossless_id,
-            "radius": self.radius,
-            "value_range": vr,
-        }
-        if self.target_psnr is not None:
-            meta["target_psnr"] = float(self.target_psnr)
-        if vr == 0.0:
-            meta["constant"] = pack_exact_float(float(x.flat[0]))
-            return observe.traced_pack(Container(CODEC_INTERP, meta, []))
+    def _keys(self) -> dict:
+        return {"interpolator": self.INTERPOLATORS[self.interpolator]}
 
-        eb_abs = self.error_bound * vr if self.mode == "rel" else self.error_bound
-        delta = 2.0 * eb_abs
+    def _encode(self, x, delta, meta, streams) -> np.ndarray:
         anchor = float(x.flat[0])
-        meta["eb_abs"] = pack_exact_float(eb_abs)
         meta["anchor"] = pack_exact_float(anchor)
         cubic = self.interpolator == "cubic"
 
@@ -231,38 +189,20 @@ class InterpolationCompressor:
         q = np.concatenate(chunks)
         if q.size != x.size:
             raise CompressionError("traversal did not cover the array")
-
-        streams = []
-        meta["n_codes"] = int(q.size)
-        encode_codes(
-            q, meta, streams, self.radius, self.lossless, self.lossless_level
-        )
-        return observe.traced_pack(Container(CODEC_INTERP, meta, streams))
+        return q
 
     @staticmethod
-    def decompress(blob: bytes) -> np.ndarray:
-        """Decompress a container produced by :meth:`compress`."""
-        container, dtype, shape, lossless, constant = read_header(
-            blob, CODEC_INTERP, "interpolation"
+    def _decode(head: Header, delta: float) -> np.ndarray:
+        anchor, interpolator, n_codes = head.keys(
+            anchor=unpack_exact_float, interpolator=int, n_codes=int
         )
-        if constant is not None:
-            return np.full(shape, constant, dtype=dtype)
-
-        meta = container.meta
-        try:
-            eb_abs = unpack_exact_float(meta["eb_abs"])
-            anchor = unpack_exact_float(meta["anchor"])
-            cubic = int(meta["interpolator"]) == 1
-            n_codes = int(meta["n_codes"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad container metadata: {exc}") from exc
-
+        cubic = interpolator == 1
+        shape = head.shape
         n = int(np.prod(shape))
         if n_codes != n:
             raise DecompressionError("code count does not match the array")
-        delta = 2.0 * eb_abs
 
-        q = decode_codes(container, lossless, n_codes)
+        q = decode_codes(head.container, head.lossless, n_codes)
 
         recon = np.zeros(shape, dtype=np.float64)
         pos = 0
@@ -285,4 +225,4 @@ class InterpolationCompressor:
         _walk(shape, visit)
         if pos != n:
             raise DecompressionError("traversal did not consume every code")
-        return recon.astype(dtype)
+        return recon.astype(head.dtype)

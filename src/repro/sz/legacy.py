@@ -32,33 +32,15 @@ from __future__ import annotations
 
 import numpy as np
 
-import repro.observe as observe
-
 from repro.encoding.codes import (
-    DEFAULT_RADIUS,
+    ErrorBoundedCodec,
+    Header,
     check_count,
     decode_codes,
-    encode_codes,
-    read_header,
-    validate_input,
 )
-from repro.encoding.lossless import (
-    lossless_compress,
-    lossless_decompress,
-    method_id,
-)
-from repro.errors import (
-    CompressionError,
-    DecompressionError,
-    FormatError,
-    ParameterError,
-)
-from repro.io.container import (
-    CODEC_LEGACY,
-    Container,
-    pack_exact_float,
-    unpack_exact_float,
-)
+from repro.encoding.lossless import lossless_compress, lossless_decompress
+from repro.errors import CompressionError, DecompressionError
+from repro.io.container import CODEC_LEGACY, pack_exact_float, unpack_exact_float
 from repro.sz.quantizer import MAX_LATTICE_COORD
 
 __all__ = ["Sz11Compressor", "SEGMENT"]
@@ -86,59 +68,18 @@ def _predictions(k: np.ndarray) -> np.ndarray:
     )
 
 
-class Sz11Compressor:
+class Sz11Compressor(ErrorBoundedCodec):
     """Error-bounded compressor with SZ 1.1 curve-fitting prediction.
 
     Parameters mirror :class:`repro.sz.SZCompressor` (``mode`` is
     ``"abs"`` or ``"rel"``).
     """
 
-    def __init__(
-        self,
-        error_bound: float = 1e-4,
-        mode: str = "abs",
-        lossless: str = "zlib",
-        lossless_level: int = 6,
-        quantization_radius: int = DEFAULT_RADIUS,
-    ) -> None:
-        if mode not in ("abs", "rel"):
-            raise ParameterError(f"mode must be 'abs' or 'rel', got {mode!r}")
-        if not np.isfinite(error_bound) or error_bound <= 0:
-            raise ParameterError(f"error bound must be positive, got {error_bound}")
-        if quantization_radius < 1:
-            raise ParameterError("quantization radius must be >= 1")
-        self.error_bound = float(error_bound)
-        self.mode = mode
-        self.lossless = lossless
-        self.lossless_id = method_id(lossless)
-        self.lossless_level = int(lossless_level)
-        self.radius = int(quantization_radius)
-        self.target_psnr = None
+    CODEC = CODEC_LEGACY
+    NAME = "SZ 1.1"
 
-    def compress(self, data) -> bytes:
-        """Compress ``data``; returns a serialized container."""
-        arr = validate_input(data)
-        x = arr.astype(np.float64, copy=False)
-        vr = float(x.max() - x.min())
-        meta = {
-            "dtype": str(arr.dtype),
-            "shape": list(arr.shape),
-            "mode": self.mode,
-            "bound": self.error_bound,
-            "lossless": self.lossless_id,
-            "radius": self.radius,
-            "value_range": vr,
-        }
-        if self.target_psnr is not None:
-            meta["target_psnr"] = float(self.target_psnr)
-        if vr == 0.0:
-            meta["constant"] = pack_exact_float(float(x.flat[0]))
-            return observe.traced_pack(Container(CODEC_LEGACY, meta, []))
-
-        eb_abs = self.error_bound * vr if self.mode == "rel" else self.error_bound
-        delta = 2.0 * eb_abs
+    def _encode(self, x, delta, meta, streams) -> np.ndarray:
         anchor = float(x.flat[0])
-        meta["eb_abs"] = pack_exact_float(eb_abs)
         meta["anchor"] = pack_exact_float(anchor)
 
         flat = x.ravel()
@@ -158,7 +99,7 @@ class Sz11Compressor:
         q = np.take_along_axis(residuals, flags[None], axis=0)[0]
 
         meta["n_segments"] = int(n_seg)
-        streams = [
+        streams.append(
             (
                 "flags",
                 lossless_compress(
@@ -171,40 +112,22 @@ class Sz11Compressor:
                     self.lossless_level,
                 ),
             )
-        ]
-
-        q = q.ravel()
-        meta["n_codes"] = int(q.size)
-        encode_codes(
-            q, meta, streams, self.radius, self.lossless, self.lossless_level
         )
-        return observe.traced_pack(Container(CODEC_LEGACY, meta, streams))
+        return q.ravel()
 
     @staticmethod
-    def decompress(blob: bytes) -> np.ndarray:
-        """Decompress a container produced by :meth:`compress`."""
-        container, dtype, shape, lossless, constant = read_header(
-            blob, CODEC_LEGACY, "SZ 1.1"
+    def _decode(head: Header, delta: float) -> np.ndarray:
+        anchor, n_codes, n_seg = head.keys(
+            anchor=unpack_exact_float, n_codes=int, n_segments=int
         )
-        if constant is not None:
-            return np.full(shape, constant, dtype=dtype)
-
-        meta = container.meta
-        try:
-            eb_abs = unpack_exact_float(meta["eb_abs"])
-            anchor = unpack_exact_float(meta["anchor"])
-            n_codes = int(meta["n_codes"])
-            n_seg = int(meta["n_segments"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad container metadata: {exc}") from exc
-
-        n = int(np.prod(shape))
-        delta = 2.0 * eb_abs
+        n = int(np.prod(head.shape))
         check_count("n_segments", n_seg, -(-n // SEGMENT))
         check_count("n_codes", n_codes, n_seg * SEGMENT)
 
         flag_blob = lossless_decompress(
-            container.stream("flags"), lossless, max_length=-(-2 * n_codes // 8)
+            head.container.stream("flags"),
+            head.lossless,
+            max_length=-(-2 * n_codes // 8),
         )
         bits = np.unpackbits(np.frombuffer(flag_blob, dtype=np.uint8))
         if bits.size < 2 * n_codes:
@@ -214,7 +137,8 @@ class Sz11Compressor:
         if (flags > 2).any():
             raise DecompressionError("invalid predictor flag")
 
-        q = decode_codes(container, lossless, n_codes).reshape(n_seg, SEGMENT)
+        q = decode_codes(head.container, head.lossless, n_codes)
+        q = q.reshape(n_seg, SEGMENT)
 
         # Lane-parallel recurrence: SEGMENT Python iterations, all
         # segments advancing together.
@@ -230,4 +154,4 @@ class Sz11Compressor:
             k[:, j] = pred + q[:, j]
 
         values = anchor + delta * k.ravel()[:n].astype(np.float64)
-        return values.reshape(shape).astype(dtype)
+        return values.reshape(head.shape).astype(head.dtype)

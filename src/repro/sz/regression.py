@@ -29,33 +29,16 @@ from typing import Tuple
 
 import numpy as np
 
-import repro.observe as observe
-
 from repro.encoding.codes import (
     DEFAULT_RADIUS,
+    ErrorBoundedCodec,
+    Header,
     check_count,
     decode_codes,
-    encode_codes,
-    read_header,
-    validate_input,
 )
-from repro.encoding.lossless import (
-    lossless_compress,
-    lossless_decompress,
-    method_id,
-)
-from repro.errors import (
-    CompressionError,
-    DecompressionError,
-    FormatError,
-    ParameterError,
-)
-from repro.io.container import (
-    CODEC_REGRESSION,
-    Container,
-    pack_exact_float,
-    unpack_exact_float,
-)
+from repro.encoding.lossless import lossless_compress, lossless_decompress
+from repro.errors import CompressionError, DecompressionError, ParameterError
+from repro.io.container import CODEC_REGRESSION
 from repro.transform.blocking import merge_blocks, padded_shape, split_blocks
 
 __all__ = ["RegressionCompressor", "design_matrix", "fit_block_planes"]
@@ -103,13 +86,16 @@ def _predict(coeffs: np.ndarray, m: int, ndim: int) -> np.ndarray:
     return flat.reshape((coeffs.shape[0],) + (m,) * ndim)
 
 
-class RegressionCompressor:
+class RegressionCompressor(ErrorBoundedCodec):
     """Error-bounded compressor with per-block hyperplane prediction.
 
     Parameters mirror :class:`repro.sz.SZCompressor`; ``block_size``
     sets the regression block edge (SZ 2 uses 6 for 3-D data; 8 is a
     good 2-D default).
     """
+
+    CODEC = CODEC_REGRESSION
+    NAME = "regression"
 
     def __init__(
         self,
@@ -120,48 +106,17 @@ class RegressionCompressor:
         lossless_level: int = 6,
         quantization_radius: int = DEFAULT_RADIUS,
     ) -> None:
-        if mode not in ("abs", "rel"):
-            raise ParameterError(f"mode must be 'abs' or 'rel', got {mode!r}")
-        if not np.isfinite(error_bound) or error_bound <= 0:
-            raise ParameterError(f"error bound must be positive, got {error_bound}")
+        super().__init__(
+            error_bound, mode, lossless, lossless_level, quantization_radius
+        )
         if block_size < 2:
             raise ParameterError("block size must be >= 2")
-        if quantization_radius < 1:
-            raise ParameterError("quantization radius must be >= 1")
-        self.error_bound = float(error_bound)
-        self.mode = mode
         self.block_size = int(block_size)
-        self.lossless = lossless
-        self.lossless_id = method_id(lossless)
-        self.lossless_level = int(lossless_level)
-        self.radius = int(quantization_radius)
-        self.target_psnr = None
 
-    def compress(self, data) -> bytes:
-        """Compress ``data``; returns a serialized container."""
-        arr = validate_input(data)
-        x = arr.astype(np.float64, copy=False)
-        vr = float(x.max() - x.min())
-        meta = {
-            "dtype": str(arr.dtype),
-            "shape": list(arr.shape),
-            "mode": self.mode,
-            "bound": self.error_bound,
-            "block_size": self.block_size,
-            "lossless": self.lossless_id,
-            "radius": self.radius,
-            "value_range": vr,
-        }
-        if self.target_psnr is not None:
-            meta["target_psnr"] = float(self.target_psnr)
-        if vr == 0.0:
-            meta["constant"] = pack_exact_float(float(x.flat[0]))
-            return observe.traced_pack(Container(CODEC_REGRESSION, meta, []))
+    def _keys(self) -> dict:
+        return {"block_size": self.block_size}
 
-        eb_abs = self.error_bound * vr if self.mode == "rel" else self.error_bound
-        delta = 2.0 * eb_abs
-        meta["eb_abs"] = pack_exact_float(eb_abs)
-
+    def _encode(self, x, delta, meta, streams) -> np.ndarray:
         m = self.block_size
         blocks = split_blocks(x, m)
         coeffs = fit_block_planes(blocks, m)
@@ -172,56 +127,37 @@ class RegressionCompressor:
             raise CompressionError(
                 "error bound too small: residual codes exceed exact range"
             )
-        q = codes_f.astype(np.int64).ravel()
-
-        streams = [
+        streams.append(
             (
                 "coeffs",
                 lossless_compress(
                     coeffs.tobytes(), self.lossless, self.lossless_level
                 ),
             )
-        ]
-        meta["n_blocks"] = int(blocks.shape[0])
-        meta["n_codes"] = int(q.size)
-        encode_codes(
-            q, meta, streams, self.radius, self.lossless, self.lossless_level
         )
-        return observe.traced_pack(Container(CODEC_REGRESSION, meta, streams))
+        meta["n_blocks"] = int(blocks.shape[0])
+        return codes_f.astype(np.int64).ravel()
 
     @staticmethod
-    def decompress(blob: bytes) -> np.ndarray:
-        """Decompress a container produced by :meth:`compress`."""
-        container, dtype, shape, lossless, constant = read_header(
-            blob, CODEC_REGRESSION, "regression"
-        )
-        if constant is not None:
-            return np.full(shape, constant, dtype=dtype)
-
-        meta = container.meta
-        try:
-            eb_abs = unpack_exact_float(meta["eb_abs"])
-            m = int(meta["block_size"])
-            n_codes = int(meta["n_codes"])
-            n_blocks = int(meta["n_blocks"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad container metadata: {exc}") from exc
-
+    def _decode(head: Header, delta: float) -> np.ndarray:
+        m, n_codes, n_blocks = head.keys(block_size=int, n_codes=int, n_blocks=int)
+        shape, lossless = head.shape, head.lossless
         d = len(shape)
-        delta = 2.0 * eb_abs
         check_count("n_blocks", n_blocks, math.prod(padded_shape(shape, m)) // m**d)
         check_count("n_codes", n_codes, n_blocks * m**d)
 
         coeff_blob = lossless_decompress(
-            container.stream("coeffs"), lossless, max_length=4 * (d + 1) * n_blocks
+            head.container.stream("coeffs"),
+            lossless,
+            max_length=4 * (d + 1) * n_blocks,
         )
         coeffs = np.frombuffer(coeff_blob, dtype=np.float32)
         if coeffs.size != n_blocks * (d + 1):
             raise DecompressionError("coefficient stream length mismatch")
         coeffs = coeffs.reshape(n_blocks, d + 1)
 
-        q = decode_codes(container, lossless, n_codes)
+        q = decode_codes(head.container, lossless, n_codes)
 
         pred = _predict(coeffs, m, d)
         recon = pred + delta * q.astype(np.float64).reshape(pred.shape)
-        return merge_blocks(recon, m, shape).astype(dtype)
+        return merge_blocks(recon, m, shape).astype(head.dtype)

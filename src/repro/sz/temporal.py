@@ -30,27 +30,17 @@ from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
-import repro.observe as observe
-
 from repro.encoding.codes import (
     DEFAULT_RADIUS,
     decode_codes,
     encode_codes,
+    pack,
     read_header,
     validate_input,
 )
 from repro.encoding.lossless import method_id
-from repro.errors import (
-    DecompressionError,
-    FormatError,
-    ParameterError,
-)
-from repro.io.container import (
-    CODEC_SZ,
-    Container,
-    pack_exact_float,
-    unpack_exact_float,
-)
+from repro.errors import DecompressionError, ErrorCode, FormatError, ParameterError
+from repro.io.container import CODEC_SZ, pack_exact_float, unpack_exact_float
 from repro.sz.predictors import lorenzo_difference, lorenzo_reconstruct
 from repro.sz.quantizer import LatticeQuantizer
 
@@ -214,7 +204,14 @@ class TemporalCompressor:
         encode_codes(
             q, meta, streams, self.radius, self.lossless, self.lossless_level
         )
-        return observe.traced_pack(Container(CODEC_SZ, meta, streams))
+        return pack(CODEC_SZ, meta, streams)
+
+
+def _flag(value) -> bool:
+    """Parser of a JSON boolean header key (``bool()`` takes anything)."""
+    if type(value) is not bool:
+        raise TypeError("not a boolean")
+    return value
 
 
 class TemporalDecompressor:
@@ -230,22 +227,21 @@ class TemporalDecompressor:
 
     def push(self, blob: bytes) -> np.ndarray:
         """Decompress the next snapshot in the stream."""
-        container, dtype, shape, lossless, _ = read_header(
-            blob, CODEC_SZ, "temporal-stream"
-        )
-        meta = container.meta
-        if not meta.get("temporal"):
+        head = read_header(blob, CODEC_SZ, "temporal-stream")
+        if not head.container.meta.get("temporal"):
             raise FormatError("not a temporal-stream container")
-        try:
-            step = int(meta["step"])
-            keyframe = bool(meta["keyframe"])
-            order = int(meta.get("order", 0 if meta["keyframe"] else 1))
-            eb_abs = unpack_exact_float(meta["eb_abs"])
-            anchor = unpack_exact_float(meta["anchor"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad temporal metadata: {exc}") from exc
+        step, keyframe, eb_abs, anchor = head.keys(
+            step=int,
+            keyframe=_flag,
+            eb_abs=unpack_exact_float,
+            anchor=unpack_exact_float,
+        )
+        (order,) = head.keys(order=(int, 0 if keyframe else 1))
         if order not in (0, 1, 2):
-            raise FormatError(f"unknown temporal prediction order {order}")
+            raise FormatError(
+                f"unknown temporal prediction order {order}",
+                code=ErrorCode.BAD_META,
+            )
 
         if not keyframe:
             if self._prev_spatial is None or (
@@ -261,8 +257,8 @@ class TemporalDecompressor:
                     f"after {self._step}"
                 )
 
-        n = int(np.prod(shape))
-        q = decode_codes(container, lossless, n).reshape(shape)
+        n = int(np.prod(head.shape))
+        q = decode_codes(head.container, head.lossless, n).reshape(head.shape)
 
         if order == 0:
             spatial = q
@@ -275,7 +271,7 @@ class TemporalDecompressor:
         self._step = step
         k = lorenzo_reconstruct(spatial)
         quantizer = LatticeQuantizer(eb_abs, anchor)
-        return quantizer.dequantize(k).astype(dtype)
+        return quantizer.dequantize(k).astype(head.dtype)
 
 
 def compress_series(snapshots: Iterable[np.ndarray], **options) -> List[bytes]:

@@ -21,23 +21,16 @@ import numpy as np
 import repro.observe as observe
 from repro.encoding.codes import (
     DEFAULT_RADIUS,
+    ErrorBoundedCodec,
+    Header,
     decode_codes,
     encode_codes,
-    read_header,
+    pack,
+    pack_constant,
     validate_input,
 )
-from repro.encoding.lossless import method_id
-from repro.errors import (
-    CompressionError,
-    FormatError,
-    ParameterError,
-)
-from repro.io.container import (
-    CODEC_TRANSFORM,
-    Container,
-    pack_exact_float,
-    unpack_exact_float,
-)
+from repro.errors import CompressionError, ParameterError
+from repro.io.container import CODEC_TRANSFORM, pack_exact_float, unpack_exact_float
 from repro.telemetry.registry import RATIO_BUCKETS, metrics as _metrics
 from repro.transform.blocking import merge_blocks, split_blocks
 from repro.transform.dct import block_inverse, block_transform, dct_matrix
@@ -48,7 +41,7 @@ __all__ = ["TransformCompressor"]
 _MAX_COEFF_CODE = 2**52
 
 
-class TransformCompressor:
+class TransformCompressor(ErrorBoundedCodec):
     """Block-DCT codec with uniform coefficient quantization.
 
     Parameters
@@ -71,6 +64,8 @@ class TransformCompressor:
         applies identically.
     """
 
+    CODEC = CODEC_TRANSFORM
+    NAME = "transform"
     #: transform ids stored in the container
     TRANSFORMS = {"dct": 0, "haar": 1}
 
@@ -84,21 +79,12 @@ class TransformCompressor:
         quantization_radius: int = DEFAULT_RADIUS,
         transform: str = "dct",
     ) -> None:
-        if mode not in ("abs", "rel"):
-            raise ParameterError(f"mode must be 'abs' or 'rel', got {mode!r}")
-        if not np.isfinite(error_bound) or error_bound <= 0:
-            raise ParameterError(f"error bound must be positive, got {error_bound}")
+        super().__init__(
+            error_bound, mode, lossless, lossless_level, quantization_radius
+        )
         if block_size < 2:
             raise ParameterError("block size must be >= 2")
-        if quantization_radius < 1:
-            raise ParameterError("quantization radius must be >= 1")
-        self.error_bound = float(error_bound)
-        self.mode = mode
         self.block_size = int(block_size)
-        self.lossless = lossless
-        self.lossless_id = method_id(lossless)
-        self.lossless_level = int(lossless_level)
-        self.radius = int(quantization_radius)
         if transform not in self.TRANSFORMS:
             raise ParameterError(
                 f"unknown transform {transform!r}; "
@@ -107,7 +93,9 @@ class TransformCompressor:
         if transform == "haar" and (block_size & (block_size - 1)) != 0:
             raise ParameterError("the Haar transform needs a power-of-two block")
         self.transform = transform
-        self.target_psnr = None
+
+    def _keys(self) -> dict:
+        return {"block_size": self.block_size}
 
     @staticmethod
     def _matrix(transform_id: int, m: int) -> np.ndarray:
@@ -116,12 +104,6 @@ class TransformCompressor:
 
             return haar_matrix(m)
         return dct_matrix(m)
-
-    def _pack(self, meta, streams) -> bytes:
-        """Serialize the container with byte accounting when traced."""
-        blob = observe.traced_pack(Container(CODEC_TRANSFORM, meta, streams))
-        _metrics().counter("pipeline.compressed_bytes_total").inc(len(blob))
-        return blob
 
     def compress(self, data) -> bytes:
         """Compress ``data``; returns a serialized container."""
@@ -134,23 +116,11 @@ class TransformCompressor:
             x = arr.astype(np.float64, copy=False)
             lo, hi = float(x.min()), float(x.max())
             vr = hi - lo
-            meta = {
-                "dtype": str(arr.dtype),
-                "shape": list(arr.shape),
-                "mode": self.mode,
-                "bound": self.error_bound,
-                "block_size": self.block_size,
-                "lossless": self.lossless_id,
-                "radius": self.radius,
-                "value_range": vr,
-            }
-            if self.target_psnr is not None:
-                meta["target_psnr"] = float(self.target_psnr)
+            meta = self.header(arr, vr)
             if vr == 0.0:
-                meta["constant"] = pack_exact_float(lo)
-                return self._pack(meta, [])
+                return pack_constant(CODEC_TRANSFORM, meta, lo)
 
-            eb_abs = self.error_bound * vr if self.mode == "rel" else self.error_bound
+            eb_abs = self.eb_abs(vr)
             delta = 2.0 * eb_abs
             center = 0.5 * (lo + hi)
             meta["eb_abs"] = pack_exact_float(eb_abs)
@@ -183,32 +153,20 @@ class TransformCompressor:
             _metrics().histogram(
                 "transform.quantization.hit_ratio", RATIO_BUCKETS
             ).observe(1.0 - n_escapes / q.size)
-            return self._pack(meta, streams)
+            return pack(CODEC_TRANSFORM, meta, streams)
 
     @staticmethod
-    def decompress(blob: bytes) -> np.ndarray:
-        """Decompress a container produced by :meth:`compress`."""
-        container, dtype, shape, lossless, constant = read_header(
-            blob, CODEC_TRANSFORM, "transform"
+    def _decode(head: Header, delta: float) -> np.ndarray:
+        center, m, n_codes, transform_id = head.keys(
+            center=unpack_exact_float,
+            block_size=int,
+            n_codes=int,
+            transform=(int, 0),
         )
-        if constant is not None:
-            return np.full(shape, constant, dtype=dtype)
+        q = decode_codes(head.container, head.lossless, n_codes)
 
-        meta = container.meta
-        try:
-            eb_abs = unpack_exact_float(meta["eb_abs"])
-            center = unpack_exact_float(meta["center"])
-            m = int(meta["block_size"])
-            n_codes = int(meta["n_codes"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad container metadata: {exc}") from exc
-
-        delta = 2.0 * eb_abs
-        q = decode_codes(container, lossless, n_codes)
-
-        d = len(shape)
-        transform_id = int(meta.get("transform", 0))
+        d = len(head.shape)
         T = TransformCompressor._matrix(transform_id, m)
         coeffs = (q.astype(np.float64) * delta).reshape((-1,) + (m,) * d)
         blocks = block_inverse(coeffs, T)
-        return (merge_blocks(blocks, m, shape) + center).astype(dtype)
+        return (merge_blocks(blocks, m, head.shape) + center).astype(head.dtype)

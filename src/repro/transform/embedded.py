@@ -26,25 +26,20 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-import repro.observe as observe
-
-from repro.encoding.codes import check_count, read_header, validate_input
+from repro.encoding.codes import (
+    check_count,
+    pack,
+    pack_constant,
+    read_header,
+    validate_input,
+)
 from repro.encoding.lossless import (
     lossless_compress,
     lossless_decompress,
     method_id,
 )
-from repro.errors import (
-    DecompressionError,
-    FormatError,
-    ParameterError,
-)
-from repro.io.container import (
-    CODEC_EMBEDDED,
-    Container,
-    pack_exact_float,
-    unpack_exact_float,
-)
+from repro.errors import DecompressionError, ParameterError
+from repro.io.container import CODEC_EMBEDDED, pack_exact_float, unpack_exact_float
 from repro.transform.blocking import merge_blocks, padded_shape, split_blocks
 from repro.transform.dct import block_dct, block_idct
 
@@ -180,8 +175,7 @@ class EmbeddedTransformCompressor:
             "value_range": vr,
         }
         if vr == 0.0:
-            meta["constant"] = pack_exact_float(lo)
-            return observe.traced_pack(Container(CODEC_EMBEDDED, meta, []))
+            return pack_constant(CODEC_EMBEDDED, meta, lo)
 
         center = 0.5 * (lo + hi)
         meta["center"] = pack_exact_float(center)
@@ -209,7 +203,7 @@ class EmbeddedTransformCompressor:
             spent += len(blob)
             emitted += 1
         meta["n_streams"] = emitted
-        return observe.traced_pack(Container(CODEC_EMBEDDED, meta, streams))
+        return pack(CODEC_EMBEDDED, meta, streams)
 
     @staticmethod
     def decompress(blob: bytes, max_planes: Optional[int] = None) -> np.ndarray:
@@ -221,23 +215,18 @@ class EmbeddedTransformCompressor:
         touching the remaining bytes -- the defining capability of
         embedded coding.  ``None`` uses everything present.
         """
-        container, dtype, shape, lossless, constant = read_header(
-            blob, CODEC_EMBEDDED, "embedded"
+        head = read_header(blob, CODEC_EMBEDDED, "embedded")
+        if head.constant is not None:
+            return head.constant_field()
+        center, scale, m, n_planes_total, n_coeffs, n_streams = head.keys(
+            center=unpack_exact_float,
+            scale=unpack_exact_float,
+            block_size=int,
+            n_planes_total=int,
+            n_coeffs=int,
+            n_streams=int,
         )
-        if constant is not None:
-            return np.full(shape, constant, dtype=dtype)
-
-        meta = container.meta
-        try:
-            center = unpack_exact_float(meta["center"])
-            scale = unpack_exact_float(meta["scale"])
-            m = int(meta["block_size"])
-            n_planes_total = int(meta["n_planes_total"])
-            n_coeffs = int(meta["n_coeffs"])
-            n_streams = int(meta["n_streams"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad container metadata: {exc}") from exc
-
+        shape = head.shape
         check_count("n_coeffs", n_coeffs, math.prod(padded_shape(shape, m)))
         if max_planes is not None:
             if max_planes < 1:
@@ -246,7 +235,9 @@ class EmbeddedTransformCompressor:
             n_streams = min(n_streams, 1 + max_planes)
         planes = [
             lossless_decompress(
-                container.stream(f"plane{i}"), lossless, max_length=-(-n_coeffs // 8)
+                head.container.stream(f"plane{i}"),
+                head.lossless,
+                max_length=-(-n_coeffs // 8),
             )
             for i in range(n_streams)
         ]
@@ -254,4 +245,4 @@ class EmbeddedTransformCompressor:
         d = len(shape)
         coeffs = values.reshape((-1,) + (m,) * d)
         blocks = block_idct(coeffs, m)
-        return (merge_blocks(blocks, m, shape) + center).astype(dtype)
+        return (merge_blocks(blocks, m, shape) + center).astype(head.dtype)

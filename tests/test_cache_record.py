@@ -200,6 +200,59 @@ class TestOneKey:
         assert keys == [expected] * 5
 
 
+class TestFieldDigest:
+    def test_admissions_and_route_key_generate_a_field_once(
+        self, tmp_path, monkeypatch, field
+    ):
+        """Two admission-time hits and a route key for one registry
+        field generate it once in this process, under the key
+        compress_psnr stored the field's blob at."""
+        from repro.cache.record import field_digest
+        from repro.cluster.membership import Membership
+        from repro.cluster.ring import HashRing
+        from repro.cluster.router import ClusterRouter
+        from repro.datasets.registry import Dataset
+        from repro.service.testing import ServiceThread
+
+        rec = compress_psnr(
+            field, TARGET, store=CacheStore(root=str(tmp_path / "c"))
+        )
+        calls = []
+        generate = Dataset.field
+
+        def counted(self, name):
+            calls.append(name)
+            return generate(self, name)
+
+        monkeypatch.setattr(Dataset, "field", counted)
+        field_digest.cache_clear()
+        payload = {
+            "dataset": DATASET, "field": FIELD, "mode": "psnr",
+            "target": TARGET, "codec": "sz",
+        }
+        with ServiceThread(
+            no_ledger=True, cache_dir=str(tmp_path / "c")
+        ) as st:
+            client = st.client()
+            docs = [client.submit_doc("compress", payload) for _ in range(2)]
+        assert [doc.get("cached") for doc in docs] == [True, True]
+        router = ClusterRouter(
+            HashRing(("http://n1:1",)),
+            Membership(("http://n1:1",), probe=lambda url: True),
+        )
+        assert router.route_key("compress", payload) == rec.key
+        assert calls == [FIELD]
+
+    def test_memo_is_bounded(self):
+        from repro.cache.record import FIELD_DIGESTS, field_digest
+
+        field_digest.cache_clear()
+        for i in range(FIELD_DIGESTS + 8):
+            assert field_digest(f"NO-SUCH-DATASET-{i}", FIELD, None) is None
+            assert field_digest.cache_info().currsize <= FIELD_DIGESTS
+        assert field_digest.cache_info().currsize == FIELD_DIGESTS
+
+
 class TestMetadata:
     def test_written_document_reads_back(self, field):
         blob = FixedPSNRCompressor(TARGET).compress(field)

@@ -157,6 +157,86 @@ def test_hostile_header_metadata_is_a_format_error(codec, constant, hostile):
     assert info.value.code == ErrorCode.BAD_META
 
 
+#: The Huffman tail's keys, read by every quantization decoder.
+_TAIL = "n_escapes escape_symbol total_bits"
+
+#: Every header key each decoder reads besides dtype and shape: the
+#: keys a container must have, then the keys it may lack (older
+#: containers, constant fields, fields without fill points).
+_READ_KEYS = {
+    "sz": (f"lossless eb_abs anchor predictor {_TAIL}",
+           "entropy constant fill_value"),
+    "transform": (f"lossless eb_abs center block_size n_codes {_TAIL}",
+                  "transform constant"),
+    "regression": (f"lossless eb_abs block_size n_codes n_blocks {_TAIL}",
+                   "constant"),
+    "hybrid": ("lossless eb_abs anchor block_size n_codes n_blocks "
+               f"n_regression {_TAIL}", "constant"),
+    "interp": (f"lossless eb_abs anchor interpolator n_codes {_TAIL}",
+               "constant"),
+    "legacy": (f"lossless eb_abs anchor n_codes n_segments {_TAIL}",
+               "constant"),
+    "temporal": (f"lossless step keyframe eb_abs anchor {_TAIL}", "order"),
+    "embedded": ("lossless center scale block_size n_planes_total n_coeffs "
+                 "n_streams", "constant"),
+    "chunked": ("shape n_chunks chunk_rows", ""),
+}
+
+
+def _keyed_container(codec, key):
+    """A well-formed ``codec`` container whose header has ``key``."""
+    rng = np.random.default_rng(4)
+    x = np.cumsum(rng.normal(size=(16, 16)), axis=0)
+    if key == "constant":
+        x = np.full((16, 16), 2.5)
+    if codec == "chunked":
+        blob = compress(x, 1e-3, n_chunks=2)
+    elif key == "fill_value":
+        x[::5, ::3] = -999.0
+        blob = compress(x, 1e-3, fill_value=-999.0)
+    else:
+        blob = _header_codecs()[codec][0](x)
+    c = Container.from_bytes(blob)
+    assert key in c.meta
+    return c
+
+
+@pytest.mark.parametrize(
+    "codec, key, fault",
+    [
+        (codec, key, fault)
+        for codec, (required, optional) in _READ_KEYS.items()
+        for key, faults in [(k, ("missing", "malformed")) for k in required.split()]
+        + [(k, ("malformed",)) for k in optional.split()]
+        for fault in faults
+    ],
+)
+def test_every_header_key_fault_is_bad_meta(codec, key, fault):
+    """A header key a decoder reads that is missing, or holds a value
+    of the wrong kind, ends in FormatError(BAD_META) for every codec
+    (each codec's own key read used to raise with no code)."""
+    c = _keyed_container(codec, key)
+    meta = {k: v for k, v in c.meta.items() if k != key}
+    if fault == "malformed":
+        meta[key] = "zz"
+    blob = Container(c.codec, meta, c.streams).to_bytes()
+    decompress_fn = (
+        _header_codecs()[codec][1] if codec in _header_codecs() else decompress
+    )
+    with pytest.raises(FormatError) as info:
+        decompress_fn(blob)
+    assert info.value.code == ErrorCode.BAD_META
+
+
+@pytest.mark.parametrize("rows", [[8, 7], [8, 8, 0], [16]])
+def test_chunk_geometry_off_the_shape_is_bad_meta(rows):
+    c = _keyed_container("chunked", "chunk_rows")
+    blob = Container(c.codec, {**c.meta, "chunk_rows": rows}, c.streams)
+    with pytest.raises(FormatError) as info:
+        decompress(blob.to_bytes())
+    assert info.value.code == ErrorCode.BAD_META
+
+
 @pytest.mark.parametrize("extra", [-1, 1, 8], ids=["short", "odd", "long"])
 @pytest.mark.parametrize(
     "codec", sorted(set(_header_codecs()) - {"embedded"})
