@@ -140,7 +140,7 @@ def read_keys(meta: dict, **parsers) -> List:
             if key not in meta:
                 values.append(default)
                 continue
-        if key not in meta:
+        elif key not in meta:
             raise _bad_meta(f"no {key}")
         try:
             values.append(parser(meta[key]))
@@ -336,7 +336,7 @@ class ErrorBoundedCodec:
             return pack_constant(self.CODEC, meta, float(x.flat[0]))
         eb_abs = self.eb_abs(vr)
         meta["eb_abs"] = pack_exact_float(eb_abs)
-        streams: list = []
+        streams = []
         q = self._encode(x, 2.0 * eb_abs, meta, streams)
         meta["n_codes"] = int(q.size)
         encode_codes(
