@@ -228,6 +228,21 @@ def test_every_header_key_fault_is_bad_meta(codec, key, fault):
     assert info.value.code == ErrorCode.BAD_META
 
 
+@pytest.mark.parametrize(
+    "codec, key, value",
+    [("sz", "predictor", 99), ("sz", "lossless", 99), ("sz", "entropy", 9),
+     ("temporal", "order", 5)],
+)
+def test_unknown_id_is_bad_meta(codec, key, value):
+    """An id no compression writes is a header-key fault too (an unknown
+    predictor id used to raise ParameterError, the others no code)."""
+    c = _keyed_container(codec, key)
+    blob = Container(c.codec, {**c.meta, key: value}, c.streams).to_bytes()
+    with pytest.raises(FormatError) as info:
+        _header_codecs()[codec][1](blob)
+    assert info.value.code == ErrorCode.BAD_META
+
+
 @pytest.mark.parametrize("rows", [[8, 7], [8, 8, 0], [16]])
 def test_chunk_geometry_off_the_shape_is_bad_meta(rows):
     c = _keyed_container("chunked", "chunk_rows")
