@@ -144,16 +144,15 @@ def _strided_subsample(data: np.ndarray, target_elements: int) -> np.ndarray:
 def _probe_task(spec: Dict, payload, eb_rel: float):
     """Module-level trial evaluation for worker processes: rebuild the
     objective from its picklable spec and run one trial.  ``payload``
-    is any :mod:`repro.parallel.shm` array payload -- a plain ndarray
-    on the pickle path, a zero-copy ref on the shm path."""
-    from repro.parallel.shm import open_payload
+    is what :meth:`repro.parallel.shm.ShmArena.share` returned for the
+    field: its key, or the field itself."""
+    from repro.parallel.shm import resolve
 
     obj = get_objective(
         spec["name"], spec["target"], codec=spec["codec"],
         **spec["codec_options"],
     )
-    with open_payload(payload) as data:
-        return obj.evaluate(data, eb_rel)
+    return obj.evaluate(resolve(payload), eb_rel)
 
 
 def _prefill_probes(
@@ -171,10 +170,9 @@ def _prefill_probes(
     parallel and feed the cache (speculative FRaZ-style fan-out).
 
     The fan runs on ``executor``, or on a per-call pool of
-    ``n_workers``.  Every probe evaluates the *same* array, so when the
-    probes go to worker processes and shared memory works here, the
-    field is shared once and each worker attaches to it -- the fan's
-    payload cost does not scale with the number of bounds.
+    ``n_workers``.  Every probe evaluates the *same* array: the workers
+    of a per-call fork pool read it from the memory they inherit, and a
+    caller's process executor receives it by pickle with each probe.
     """
     from repro.parallel.executor import payload_scope
 
@@ -199,7 +197,7 @@ def _prefill_probes(
         return
     spec = objective.spec()
     with payload_scope(executor, n_workers) as (ex, arena):
-        payload = data if arena is None else arena.share(data)
+        payload = arena.share(data)
         trials = ex.map(_probe_task, [(spec, payload, b) for b in todo])
     for t in trials:
         cache.put(fp, objective.codec, objective.name, t)
@@ -251,9 +249,9 @@ def autotune(
         and finally the objective's model-based default guess.
     n_workers:
         Parallel pre-probe fan-out on a per-call pool of this many
-        processes (0 = inline, no fan).  A process pool receives the
-        field through :mod:`repro.parallel.shm` when shared memory
-        works here, by pickle otherwise; results are identical.
+        processes (0 = inline, no fan).  Its forked workers read the
+        field from the memory they inherit; results are identical on
+        every path.
     executor:
         An optional long-lived
         :class:`repro.parallel.executor.Executor`; the probe fan then

@@ -568,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--pool",
         choices=("process", "thread", "inline"),
         default="process",
-        help="worker pool kind (process pools use the shm data plane)",
+        help="worker pool kind",
     )
     p_sv.add_argument(
         "--queue-limit", type=int, default=64, dest="queue_limit",

@@ -64,6 +64,7 @@ __all__ = [
     "SUPPORTED_DTYPES",
     "ErrorBoundedCodec",
     "Header",
+    "array_dtype",
     "array_shape",
     "check_count",
     "decode_codes",
@@ -165,7 +166,8 @@ def array_shape(shape) -> Tuple[int, ...]:
     return tuple(shape)
 
 
-def _dtype(name) -> np.dtype:
+def array_dtype(name) -> np.dtype:
+    """Parser of a header's ``dtype``: one that compression writes."""
     if name not in ("float32", "float64"):
         raise ValueError("not a dtype compression writes")
     return np.dtype(name)
@@ -212,7 +214,7 @@ def read_header(blob: Union[bytes, Container], codec: int, name: str) -> Header:
         container,
         *read_keys(
             container.meta,
-            dtype=_dtype,
+            dtype=array_dtype,
             shape=array_shape,
             lossless=lambda mid: method_name(int(mid)),
             constant=(unpack_exact_float, None),

@@ -47,9 +47,6 @@ class ErrorCode:
     TASK_TIMEOUT = "task_timeout"
     POISONED_RESULT = "poisoned_result"
 
-    SHM_RELEASED = "shm_released"
-    SHM_UNAVAILABLE = "shm_unavailable"
-
     CONNECT_FAILED = "connect_failed"
     NODE_UNAVAILABLE = "node_unavailable"
 
@@ -68,8 +65,6 @@ class ErrorCode:
         TASK_FAILED,
         TASK_TIMEOUT,
         POISONED_RESULT,
-        SHM_RELEASED,
-        SHM_UNAVAILABLE,
         CONNECT_FAILED,
         NODE_UNAVAILABLE,
     )
@@ -121,21 +116,13 @@ class TaskError(ReproError):
 
 
 class TransportError(ReproError):
-    """A data-plane transport failed in a way the caller must handle.
+    """Network transport to a compression service node failed
+    (connection refused/reset, dead or mid-restart server).
 
-    Two domains share this type:
-
-    * Shared memory misuse (double release, use after close, attaching
-      an unlinked segment) -- carries :data:`ErrorCode.SHM_RELEASED` or
-      :data:`ErrorCode.SHM_UNAVAILABLE`.  Transport *fallbacks* (shm
-      missing, payload too small/large) never raise -- they silently
-      degrade to pickle and count a metric.
-    * Network transport to a compression service node (connection
-      refused/reset, dead or mid-restart server) -- carries
-      :data:`ErrorCode.CONNECT_FAILED`, or
-      :data:`ErrorCode.NODE_UNAVAILABLE` when a cluster router
-      exhausted every ring successor.  The cluster failover layer
-      treats exactly this type as "try the next node"; HTTP-level
-      errors (4xx/5xx responses) stay :class:`ServiceError` and are
-      never failed over blindly.
+    Carries :data:`ErrorCode.CONNECT_FAILED`, or
+    :data:`ErrorCode.NODE_UNAVAILABLE` when a cluster router exhausted
+    every ring successor.  The cluster failover layer treats exactly
+    this type as "try the next node"; HTTP-level errors (4xx/5xx
+    responses) stay :class:`ServiceError` and are never failed over
+    blindly.
     """

@@ -91,8 +91,8 @@ class SpanRecord:
     ``t_start``/``pid``/``tid`` place the span on a timeline: the
     ``time.perf_counter`` reading when the span opened and the OS
     process/thread that ran it.  They exist so exported traces (Chrome
-    trace-event JSON, see :mod:`repro.telemetry.export`) render pool-
-    and shm-mode sweeps as parallel per-process tracks; like
+    trace-event JSON, see :mod:`repro.telemetry.export`) render
+    pool-mode sweeps as parallel per-process tracks; like
     ``duration_s`` they are wall-clock data and **never** enter the
     deterministic views.  Records deserialized from an older producer
     default all three to 0.

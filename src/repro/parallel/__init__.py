@@ -9,9 +9,9 @@ decompositions that workload needs:
   the Table II / Figure 2 benchmarks;
 * :mod:`repro.parallel.chunking` -- *intra-field* slab decomposition so
   a single huge array compresses in parallel and streams;
-* :mod:`repro.parallel.shm` -- the zero-copy shared-memory data plane
-  that chunked compression and the autotune probe fan-out move user
-  arrays over (with graceful fallback to the pickle channel).
+* :mod:`repro.parallel.shm` -- how chunked compression and the
+  autotune probe fan-out hand user arrays to their tasks: through the
+  memory a per-call fork pool inherits, or by pickle.
 
 Every one of them runs on a :class:`~repro.parallel.executor.Executor`,
 the only source of worker pools: the caller's, or a per-call one.
@@ -24,12 +24,7 @@ from repro.parallel.executor import (
     sweep_dataset,
 )
 from repro.parallel.chunking import compress_chunked, decompress_chunked
-from repro.parallel.shm import (
-    ShmArena,
-    ShmArrayRef,
-    open_payload,
-    shm_available,
-)
+from repro.parallel.shm import ShmArena
 
 __all__ = [
     "Executor",
@@ -39,7 +34,4 @@ __all__ = [
     "compress_chunked",
     "decompress_chunked",
     "ShmArena",
-    "ShmArrayRef",
-    "open_payload",
-    "shm_available",
 ]

@@ -21,13 +21,13 @@ Correctness notes:
 from __future__ import annotations
 
 import time
-from typing import List
+from typing import List, Union
 
 import numpy as np
 
 import repro.observe as observe
 from repro.telemetry.registry import THROUGHPUT_BUCKETS, metrics as _metrics
-from repro.encoding.codes import array_shape, read_keys
+from repro.encoding.codes import array_dtype, array_shape, read_keys
 from repro.errors import ErrorCode, FormatError, ParameterError
 from repro.io.container import CODEC_CHUNKED, Container
 from repro.sz.compressor import SZCompressor
@@ -35,49 +35,54 @@ from repro.sz.compressor import SZCompressor
 __all__ = ["compress_chunked", "decompress_chunked"]
 
 
-def _compress_slab(payload, eb_abs, options, traced, prefix):
-    """Compress one slab; returns ``(blob_payload, records_or_None)``.
+def _compress_slab(payload, eb_abs, options, traced):
+    """Compress one slab; returns ``(blob, records_or_None)``.
 
-    The slab arrives as any :mod:`repro.parallel.shm` array payload --
-    a plain ndarray on the pickle path, a zero-copy
-    :class:`~repro.parallel.shm.ShmSliceRef` on the shm path -- and
-    the compressed stream goes back the same way: published into a
-    segment under the caller's arena prefix when large enough,
-    returned as plain bytes otherwise.
+    ``payload`` is what :meth:`repro.parallel.shm.ShmArena.share`
+    returned for the slab: its key, or the slab itself.
 
     When tracing is requested the slab runs under its own local
     :class:`repro.observe.Trace` (a worker process cannot write to the
     parent's trace), and the picklable span records travel back with
     the blob for the parent to merge.
     """
-    from repro.parallel.shm import open_payload, publish_bytes
+    from repro.parallel.shm import resolve
 
     comp = SZCompressor(error_bound=eb_abs, mode="abs", **options)
-    with open_payload(payload) as data:
-        if not traced:
-            return publish_bytes(prefix, comp.compress(data)), None
-        local = observe.Trace()
-        with observe.use_trace(local):
-            blob = comp.compress(data)
-    records = [r.as_dict() for r in local.records]
-    return publish_bytes(prefix, blob), records
+    data = resolve(payload)
+    if not traced:
+        return comp.compress(data), None
+    local = observe.Trace()
+    with observe.use_trace(local):
+        blob = comp.compress(data)
+    return blob, [r.as_dict() for r in local.records]
 
 
-def _decompress_slab(payload, prefix):
-    """Decompress one chunk blob (bytes or a shared uint8 payload) and
-    send the reconstructed slab back as an array payload: published to
-    a segment under the arena prefix when the call has one, a plain
-    (pickled) ndarray otherwise."""
-    from repro.parallel.shm import open_payload, publish_array
+def _place(part: np.ndarray, rows: np.ndarray) -> None:
+    """Write a decoded slab into its rows of the output, once it is
+    exactly the shape and dtype the outer header gives those rows."""
+    if part.shape != rows.shape or part.dtype != rows.dtype:
+        raise FormatError(
+            f"bad container metadata: a chunk decodes to {part.dtype} "
+            f"{part.shape}, but the header's rows for it are "
+            f"{rows.dtype} {rows.shape}",
+            code=ErrorCode.BAD_META,
+        )
+    rows[...] = part
 
-    if isinstance(payload, (bytes, bytearray)):
-        part = SZCompressor.decompress(bytes(payload))
-    else:
-        with open_payload(payload) as buf:
-            # The codec's parser wants a bytes object; this one copy
-            # replaces the two the pickle channel used to make.
-            part = SZCompressor.decompress(buf.tobytes())
-    return publish_array(prefix, part)
+
+def _decompress_slab(blob: bytes, rows):
+    """Decode one chunk.  ``rows`` is the key of the chunk's rows of
+    the output on the inherit path, where the slab is written in place;
+    it is ``None`` on the pickle path, where the slab goes back to the
+    parent."""
+    from repro.parallel.shm import resolve
+
+    part = SZCompressor.decompress(blob)
+    if rows is None:
+        return part
+    _place(part, resolve(rows))
+    return None
 
 
 def compress_chunked(
@@ -95,17 +100,13 @@ def compress_chunked(
     dependency-free); positive values use a per-call process pool, and
     ``executor`` runs the slabs on a long-lived
     :class:`repro.parallel.executor.Executor` instead (``n_workers``
-    is then taken from it).  When the slabs go to worker processes and
-    shared memory works here, the whole array is placed in **one**
-    per-call segment and each worker reads its slab through a
-    zero-copy :class:`~repro.parallel.shm.ShmSliceRef`; compressed
-    streams travel back through segments too.  Otherwise, and for
-    payloads the size/capacity guard turns away, they go by pickle.
-    The output container is bit-identical across data planes and
-    worker counts.
+    is then taken from it).  The workers of a per-call fork pool read
+    their slabs from the memory they inherit, with no copy; a caller's
+    process executor receives each slab by pickle
+    (:func:`repro.parallel.executor.payload_scope`).  The output
+    container is bit-identical across paths and worker counts.
     """
     from repro.parallel.executor import payload_scope
-    from repro.parallel.shm import take_bytes
 
     trace = observe.current_trace()
     with trace.span("chunked.compress") as root:
@@ -127,20 +128,12 @@ def compress_chunked(
             eb_abs = probe.resolve_error_bound(arr)
             slabs = np.array_split(arr, n_chunks, axis=0)
             chunk_rows = [int(s.shape[0]) for s in slabs]
-            if arena is None:
-                payloads, prefix = slabs, None
-            else:
-                base = arena.share(np.ascontiguousarray(arr))
-                payloads = arena.slice_refs(base, chunk_rows)
-                prefix = arena.prefix
+            tasks = [
+                (arena.share(slab), eb_abs, compressor_options, trace.enabled)
+                for slab in slabs
+            ]
             t0 = time.perf_counter()
-            results = ex.map(
-                _compress_slab,
-                [
-                    (payload, eb_abs, compressor_options, trace.enabled, prefix)
-                    for payload in payloads
-                ],
-            )
+            results = ex.map(_compress_slab, tasks)
             elapsed = time.perf_counter() - t0
             if elapsed > 0:
                 # Wall-clock-derived, hence excluded from deterministic
@@ -150,14 +143,14 @@ def compress_chunked(
                     THROUGHPUT_BUCKETS,
                     deterministic=False,
                 ).observe(arr.nbytes / 1e6 / elapsed)
-            blobs: List[bytes] = []
-            for blob_payload, records in results:
-                blobs.append(take_bytes(blob_payload))
-                if records:
-                    # Same "slab" prefix for every worker: repeated paths
-                    # aggregate, and the tree stays stable across worker
-                    # counts and scheduling.
-                    trace.merge(records, prefix=("slab",))
+        blobs: List[bytes] = []
+        for blob, records in results:
+            blobs.append(blob)
+            if records:
+                # Same "slab" prefix for every worker: repeated paths
+                # aggregate, and the tree stays stable across worker
+                # counts and scheduling.
+                trace.merge(records, prefix=("slab",))
         meta = {
             "dtype": str(arr.dtype),
             "shape": list(arr.shape),
@@ -169,24 +162,33 @@ def compress_chunked(
 
 
 def decompress_chunked(
-    blob: bytes, n_workers: int = 0, executor=None
+    blob: Union[bytes, Container], n_workers: int = 0, executor=None
 ) -> np.ndarray:
-    """Decompress a CHUNKED container back into one array.
+    """Decompress a CHUNKED container (its bytes, or the parsed
+    container) back into one array.
 
-    Slabs decode on the pool :func:`compress_chunked` would use.  When
-    they go to worker processes and shared memory works here, chunk
-    streams go out and reconstructed slabs come back through per-call
-    segments (the parent adopts each slab and concatenates the
-    read-only views).
+    The output is allocated once, from the outer header, and each slab
+    is checked against its rows before it is written.  A slab whose
+    shape or dtype disagrees with the header, or a header size that
+    cannot be allocated, raises :class:`FormatError` with code
+    ``BAD_META``.
+
+    Slabs decode on the pool :func:`compress_chunked` would use.  On a
+    per-call fork pool the output is one anonymous shared mapping and
+    each worker writes its own rows; on a caller's process executor the
+    slabs come back by pickle and the parent copies each into its rows.
     """
     from repro.parallel.executor import payload_scope
 
-    container = Container.from_bytes(blob)
+    container = (
+        blob if isinstance(blob, Container) else Container.from_bytes(blob)
+    )
     if container.codec != CODEC_CHUNKED:
         raise FormatError("container is not chunked")
-    n_chunks, shape, chunk_rows = read_keys(
+    n_chunks, dtype, shape, chunk_rows = read_keys(
         container.meta,
         n_chunks=int,
+        dtype=array_dtype,
         shape=array_shape,
         chunk_rows=lambda rows: [int(r) for r in rows],
     )
@@ -196,19 +198,21 @@ def decompress_chunked(
             code=ErrorCode.BAD_META,
         )
     blobs = [container.stream(f"chunk{i}") for i in range(n_chunks)]
+    bounds = np.cumsum([0, *chunk_rows])
     with payload_scope(executor, n_workers) as (ex, arena):
-        if arena is None:
-            payloads, prefix = blobs, None
-        else:
-            payloads = [
-                arena.share(np.frombuffer(b, dtype=np.uint8)) for b in blobs
-            ]
-            prefix = arena.prefix
-        raw = ex.map(_decompress_slab, [(p, prefix) for p in payloads])
-        parts = raw if arena is None else [arena.adopt_array(p) for p in raw]
-        for part, rows in zip(parts, chunk_rows):
-            if part.shape[0] != rows:
-                raise FormatError("slab shape mismatch")
-        # np.concatenate copies, so the result owns its memory and the
-        # adopted segments can be unlinked when the scope closes.
-        return np.concatenate(parts, axis=0)
+        try:
+            out = arena.empty(shape, dtype)
+        except (MemoryError, OSError, OverflowError, ValueError) as exc:
+            raise FormatError(
+                f"bad container metadata: no {dtype} array of shape "
+                f"{list(shape)} can be allocated ({exc})",
+                code=ErrorCode.BAD_META,
+            ) from exc
+        rows = [out[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        # Registered before the first submit, which forks a per-call pool.
+        targets = [arena.share(r) if arena.inherit else None for r in rows]
+        parts = ex.map(_decompress_slab, zip(blobs, targets))
+    for part, r in zip(parts, rows):
+        if part is not None:
+            _place(part, r)
+    return out

@@ -85,8 +85,7 @@ class Executor:
             r1 = sweep_dataset("ATM", [60.0], executor=ex)
             r2 = sweep_dataset("ATM", [80.0], executor=ex)   # no new pool
 
-    ``kind`` selects the pool flavour: ``"process"`` (the default; the
-    only kind whose calls move user arrays over the shm data plane),
+    ``kind`` selects the pool flavour: ``"process"`` (the default),
     ``"thread"`` (same results, zero-copy by construction -- what the
     service uses in tests and benches to avoid process spawn cost), or
     ``"inline"`` (no pool at all; ``n_workers <= 0`` forces it).
@@ -95,7 +94,10 @@ class Executor:
     multi-threaded process is unsafe (and a ``DeprecationWarning`` on
     3.12+).
 
-    Results are bit-identical across kinds and data planes.
+    A call that moves user arrays hands them to a per-call fork pool's
+    workers through the memory they inherit, and to a caller's process
+    executor by pickle (:func:`payload_scope`).  Results are
+    bit-identical across kinds and paths.
     """
 
     _KINDS = ("process", "thread", "inline")
@@ -123,6 +125,17 @@ class Executor:
     @property
     def inline(self) -> bool:
         return self.kind == "inline"
+
+    @property
+    def forks(self) -> bool:
+        """Whether this is a process pool whose workers are forked from
+        this process, and so start with a copy of its memory."""
+        import multiprocessing
+
+        if self.kind != "process":
+            return False
+        ctx = multiprocessing.get_context(self.start_method)
+        return ctx.get_start_method() == "fork"
 
     def _check_open(self) -> None:
         if self._closed:
@@ -227,23 +240,23 @@ def executor_scope(
 @contextlib.contextmanager
 def payload_scope(executor: Optional[Executor], n_workers: int):
     """:func:`executor_scope` for calls that move user arrays: yields
-    ``(executor, arena)``, where ``arena`` is a per-call
-    :class:`~repro.parallel.shm.ShmArena` when the executor is a
-    process pool and shared memory works here, and ``None`` (payloads
-    go by pickle) otherwise.  The arena is closed after a per-call pool
-    has shut down, so it also reclaims segments that workers of a
-    failed call publish late."""
-    from repro.parallel.shm import ShmArena, shm_available
+    ``(executor, arena)``, where ``arena`` is the call's
+    :class:`~repro.parallel.shm.ShmArena`.
 
-    arena = None
-    try:
-        with executor_scope(executor, n_workers) as ex:
-            if ex.kind == "process" and shm_available():
-                arena = ShmArena()
+    The path follows from whether the pool is per-call and from its
+    start method.  Tasks inherit the call's arrays when they run
+    inline, on threads, or on a per-call pool that forks (its workers
+    start at the first submit, after the call has registered its
+    arrays).  They receive them by pickle on a caller's process
+    executor, whose workers may predate the call, and on a pool that
+    does not fork."""
+    from repro.parallel.shm import ShmArena
+
+    with executor_scope(executor, n_workers) as ex:
+        forked = executor is None and ex.forks
+        inherit = forked or ex.kind != "process"
+        with ShmArena(inherit=inherit, forked=forked) as arena:
             yield ex, arena
-    finally:
-        if arena is not None:
-            arena.close()
 
 
 @dataclass(frozen=True)

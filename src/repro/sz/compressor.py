@@ -33,7 +33,7 @@ recomputes it from the input and the container's header; both it and
 from __future__ import annotations
 
 import importlib
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -259,8 +259,9 @@ class SZCompressor(ErrorBoundedCodec):
     # -- decompression ----------------------------------------------------
 
     @staticmethod
-    def decompress(blob: bytes) -> np.ndarray:
-        """Decompress a container produced by :meth:`compress`."""
+    def decompress(blob: Union[bytes, Container]) -> np.ndarray:
+        """Decompress a container produced by :meth:`compress` (its
+        bytes, or the parsed container)."""
         head = read_header(blob, CODEC_SZ, "SZ")
         container, shape, lossless = head.container, head.shape, head.lossless
         meta = container.meta
@@ -381,20 +382,25 @@ _DECODERS = {
 }
 
 
-def decompress(blob: bytes, n_workers: int = 0) -> np.ndarray:
+def decompress(
+    blob: Union[bytes, Container], n_workers: int = 0
+) -> np.ndarray:
     """Decompress any container produced by this package (SZ,
-    transform, regression, embedded, or chunked).  ``n_workers``
-    applies only to chunked containers, whose slabs can be decoded in
-    parallel."""
-    container = Container.from_bytes(blob)
+    transform, regression, embedded, or chunked), given its bytes or
+    the parsed container.  The container is parsed once and handed to
+    its codec.  ``n_workers`` applies only to chunked containers, whose
+    slabs can be decoded in parallel."""
+    container = (
+        blob if isinstance(blob, Container) else Container.from_bytes(blob)
+    )
     if container.codec == CODEC_SZ:
-        return SZCompressor.decompress(blob)
+        return SZCompressor.decompress(container)
     if container.codec == CODEC_CHUNKED:
         from repro.parallel.chunking import decompress_chunked
 
-        return decompress_chunked(blob, n_workers=n_workers)
+        return decompress_chunked(container, n_workers=n_workers)
     module, name = _DECODERS[container.codec]
-    return getattr(importlib.import_module(module), name).decompress(blob)
+    return getattr(importlib.import_module(module), name).decompress(container)
 
 
 def reconstruction(data, blob: bytes) -> np.ndarray:
@@ -420,7 +426,7 @@ def reconstruction(data, blob: bytes) -> np.ndarray:
     """
     container = Container.from_bytes(blob)
     if container.codec != CODEC_SZ or container.meta.get("temporal"):
-        return decompress(blob)
+        return decompress(container)
     head = read_header(container, CODEC_SZ, "SZ")
     arr = np.asarray(data)
     if arr.shape != head.shape or arr.dtype != head.dtype:

@@ -20,7 +20,7 @@ One complete ``"X"`` (duration) event per :class:`SpanRecord`:
   monotonic clock, so spans recorded in *worker processes* land on the
   same timeline as the parent's,
 * ``pid``/``tid`` -- the **real** OS ids captured when the span
-  closed, which is what makes a pool- or shm-mode sweep render as
+  closed, which is what makes a pool-mode sweep render as
   parallel per-worker tracks instead of one serial lane,
 * ``args`` -- the span's exact counters and gauges.
 

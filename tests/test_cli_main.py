@@ -500,10 +500,8 @@ class TestAutotuneCommand:
 
 class TestTransportFlags:
     def test_chunked_compress_identical_across_transports(
-        self, demo_npy, tmp_path, monkeypatch
+        self, demo_npy, tmp_path
     ):
-        import repro.parallel.shm as shm
-
         def run(label, workers):
             out = tmp_path / f"{label}.fpzc"
             code = main(
@@ -516,11 +514,8 @@ class TestTransportFlags:
             assert code == 0
             return out.read_bytes()
 
-        serial = run("serial", "0")
-        shared = run("default", "2")
-        # A zero size-guard cap sends every payload by pickle.
-        monkeypatch.setattr(shm, "MAX_SHARE_BYTES", 0)
-        assert serial == shared == run("pickle", "2")
+        # The per-call pool's workers inherit the array.
+        assert run("serial", "0") == run("pool", "2")
 
     def test_chunked_decompress_with_workers(self, demo_npy, tmp_path):
         out = tmp_path / "c.fpzc"

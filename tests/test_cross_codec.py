@@ -102,3 +102,35 @@ def test_family_bound_property(name, seed, eb):
     x = np.cumsum(np.cumsum(rng.normal(size=(14, 18)), 0), 1)
     recon = decompress(CODEC_MAKERS[name](eb, "abs").compress(x))
     assert max_abs_error(x, recon) <= eb * (1 + 1e-9) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "codec, parses",
+    [("sz", 1), ("transform", 1), ("regression", 1), ("hybrid", 1),
+     ("interp", 1), ("chunked", 5)],
+)
+def test_decompress_parses_each_container_once(codec, parses, smooth2d,
+                                               monkeypatch):
+    """The dispatcher hands the container it parsed to the codec: one
+    parse per decompress, plus one per chunk of a 4-chunk container
+    (each codec used to parse twice, and the chunked outer container
+    twice)."""
+    from repro.core.codecs import make_compressor
+    from repro.core.fixed_psnr import FixedPSNRCompressor
+    from repro.io.container import Container
+    from repro.parallel.chunking import compress_chunked
+
+    if codec == "chunked":
+        blob = compress_chunked(smooth2d, 1e-3, mode="rel", n_chunks=4)
+    else:
+        blob = make_compressor(codec, 1e-3).compress(smooth2d)
+    parse = Container.from_bytes.__func__
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(1)
+        return parse(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Container, "from_bytes", classmethod(counted))
+    FixedPSNRCompressor.decompress(blob)
+    assert len(calls) == parses

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import repro.parallel.executor as executor_module
-from repro.errors import ParameterError
+from repro.errors import ErrorCode, ParameterError
 from repro.parallel.executor import (
     Executor,
     FieldResult,
@@ -285,6 +285,76 @@ class TestPoolLifecycle:
             assert seen[0] is seen[1] is ex.pool
         for pool in built:
             pool.shutdown()
+
+
+@pytest.mark.fault
+class TestSweepFaults:
+    """Faults in pool workers degrade the sweep per task."""
+
+    KW = dict(targets=[60.0], fields=["temperature", "baryon_density"])
+    FAST = dict(backoff_base=0.01, backoff_max=0.05, jitter=0.0, seed=0)
+
+    def _retry(self, **kw):
+        from repro.resilience.retry import RetryPolicy
+
+        return RetryPolicy(**{**self.FAST, **kw})
+
+    def test_exhausted_crash_degrades(self):
+        from repro.resilience.inject import WorkerFault
+
+        fault = WorkerFault(
+            "exception", fields=("temperature",), fail_attempts=99
+        )
+        results = sweep_dataset(
+            "NYX",
+            n_workers=WORKERS,
+            retry=self._retry(max_retries=1),
+            fault=fault,
+            **self.KW,
+        )
+        by_field = {r.field: r for r in results}
+        assert by_field["temperature"].status == "failed"
+        assert by_field["temperature"].error_code == ErrorCode.TASK_FAILED
+        assert by_field["baryon_density"].ok
+
+    def test_hang_timeout_degrades(self):
+        from repro.resilience.inject import WorkerFault
+
+        fault = WorkerFault(
+            "hang", fields=("temperature",), hang_seconds=8.0,
+            fail_attempts=99,
+        )
+        # One worker per field: the deadline clock starts at submit,
+        # so a narrower pool would charge the healthy field for the
+        # time it spends queued behind the hung one.
+        results = sweep_dataset(
+            "NYX",
+            n_workers=len(self.KW["fields"]),
+            retry=self._retry(max_retries=0, task_timeout=2.0),
+            fault=fault,
+            **self.KW,
+        )
+        by_field = {r.field: r for r in results}
+        assert by_field["temperature"].status == "failed"
+        assert by_field["temperature"].error_code == ErrorCode.TASK_TIMEOUT
+        assert by_field["baryon_density"].ok
+
+    def test_poison_degrades(self):
+        from repro.resilience.inject import WorkerFault
+
+        fault = WorkerFault(
+            "poison", fields=("temperature",), fail_attempts=99
+        )
+        results = sweep_dataset(
+            "NYX",
+            n_workers=WORKERS,
+            retry=self._retry(max_retries=0),
+            fault=fault,
+            **self.KW,
+        )
+        failed = [r for r in results if not r.ok]
+        assert len(failed) == 1
+        assert failed[0].error_code == ErrorCode.POISONED_RESULT
 
 
 ENTRY_POINTS = [

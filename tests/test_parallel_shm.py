@@ -1,84 +1,71 @@
-"""The differential wall around the shared-memory data plane.
+"""The differential wall around how parallel calls hand arrays to tasks.
 
-The data plane is an implementation detail: every entry point that
-moves a user array to workers (chunked compress/decompress, the
-autotune probe fan-out) must produce **bit-identical** output whether
-payloads move inline, over the pickle channel, or through
-:mod:`repro.parallel.shm` -- across codecs, dtypes and awkward shapes.
-A pooled call picks shm on its own; the pickle arm is forced by
-setting the size guard's ``MAX_SHARE_BYTES`` to 0, which turns every
-payload away.  These tests pin that contract (container bytes and
-per-stream CRCs, not just reconstructions), plus the arena lifecycle,
-the fallback guards, and fault-time cleanup.  (Sweeps ship field names
-only; their differential suite is ``tests/test_field_source.py``.)
+Every entry point that moves a user array to its tasks (chunked
+compress/decompress, the autotune probe fan-out) must produce
+**bit-identical** output on each of four executors:
+
+* ``inline`` (``n_workers=0``) and ``thread``: the tasks read the
+  caller's memory;
+* ``per-call`` (``n_workers=N``): the call's own pool, whose workers
+  inherit the call's arrays where the pool forks (the inherit path);
+* ``caller``: a running process :class:`Executor` the caller passes,
+  whose workers receive the arrays by pickle (the pickle path).
+
+The executor alone picks the path, so these tests need no knob.  They
+pin container bytes and decoded arrays, plus the arena's table and a
+process that leaves no resource tracker warning and no ``/dev/shm``
+entry.  (Sweeps ship field names only;
+their differential suite is ``tests/test_field_source.py``.)
 
 ``FPZC_TEST_WORKERS`` sets the pool width (CI's ``parallel-matrix``
 job runs this module at 1, 2 and 4 workers); the default is 2.
+
+Run as a script, ``PYTHONPATH=src python tests/test_parallel_shm.py
+{per-call,caller}`` runs the resource-tracker repro once.
 """
 
 import contextlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.parallel.shm as shm
-from repro.errors import ErrorCode, ParameterError, TransportError
+from repro.errors import ParameterError
 from repro.io.container import Container
 from repro.parallel.chunking import compress_chunked, decompress_chunked
-from repro.parallel.executor import sweep_dataset
-from repro.parallel.shm import (
-    InlineArrayRef,
-    ShmArena,
-    ShmArrayRef,
-    ShmBytesRef,
-    ShmSliceRef,
-    open_payload,
-    publish_array,
-    publish_bytes,
-    shm_available,
-    shm_dir_entries,
-    take_bytes,
-)
+from repro.parallel.executor import Executor, payload_scope, sweep_dataset
+from repro.parallel.shm import ShmArena, resolve
 
 WORKERS = int(os.environ.get("FPZC_TEST_WORKERS", "2"))
 
-needs_shm = pytest.mark.skipif(
-    not shm_available(), reason="POSIX shared memory unavailable"
-)
+EXECUTORS = ["inline", "thread", "per-call", "caller"]
+
+#: Whether a per-call pool forks here (the default on Linux).
+FORKS = Executor(n_workers=1).forks
 
 
 @pytest.fixture(autouse=True)
-def _zero_leaked_segments():
-    """Every test in this module must leave ``/dev/shm`` as it found
-    it -- the acceptance criterion's 'zero leaked segments' clause."""
-    before = set(shm_dir_entries("fpz"))
+def _no_key_left():
+    """Every call drops the keys it registered."""
     yield
-    import gc
-
-    gc.collect()
-    leaked = set(shm_dir_entries("fpz")) - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+    assert shm._SHARED == {}
 
 
 @contextlib.contextmanager
-def _pickle_arm():
-    """Inside the block the size guard turns every payload away, so a
-    pooled call moves all of them over the pickle channel."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(shm, "MAX_SHARE_BYTES", 0)
-        yield
-
-
-def _counter(name):
-    from repro.telemetry.registry import metrics
-
-    m = metrics().get(name)
-    return 0 if m is None else m.value
-
-
-def _shared_bytes() -> int:
-    return _counter("shm.bytes_shared_total")
+def _on(kind):
+    """The keyword arguments that run one call on executor ``kind``."""
+    if kind == "inline":
+        yield {}
+    elif kind == "per-call":
+        yield {"n_workers": WORKERS}
+    else:
+        pool = "thread" if kind == "thread" else "process"
+        with Executor(n_workers=WORKERS, kind=pool) as ex:
+            yield {"executor": ex}
 
 
 def _field(shape, dtype, seed=0):
@@ -90,211 +77,123 @@ def _field(shape, dtype, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# arena + ref mechanics
+# the arena
 # ---------------------------------------------------------------------------
 
 
-@needs_shm
 class TestArenaLifecycle:
-    def test_share_roundtrip_readonly(self):
-        x = _field((64, 64), np.float64)
-        with ShmArena() as arena:
-            ref = arena.share(x)
-            assert isinstance(ref, ShmArrayRef)
-            with ref.open() as view:
-                assert np.array_equal(view, x)
-                assert not view.flags.writeable
-                with pytest.raises(ValueError):
-                    view[0, 0] = 1.0
-
-    def test_double_release_is_typed_error(self):
-        # take_bytes drains a worker-published segment and unlinks it;
-        # draining it a second time must not crash or resurrect it.
-        blob = os.urandom(shm.MIN_SHARE_BYTES + 17)
-        with ShmArena() as arena:
-            payload = publish_bytes(arena.prefix, blob)
-            assert take_bytes(payload) == blob
-            with pytest.raises(TransportError) as exc:
-                take_bytes(payload)
-            assert exc.value.code == ErrorCode.SHM_RELEASED
-            assert shm_dir_entries(arena.prefix) == []
+    def test_share_gives_a_key_only_where_tasks_inherit(self):
+        x = _field((8, 8), np.float64)
+        with ShmArena(inherit=True) as arena:
+            key = arena.share(x)
+            assert not isinstance(key, np.ndarray)
+            assert resolve(key) is x
+        with pytest.raises(KeyError):
+            resolve(key)
+        with ShmArena(inherit=False) as arena:
+            assert arena.share(x) is x
+            assert resolve(x) is x
 
     def test_share_after_close_is_typed_error(self):
-        arena = ShmArena()
+        arena = ShmArena(inherit=True)
         arena.close()
-        with pytest.raises(TransportError) as exc:
-            arena.share(np.zeros((64, 64)))
-        assert exc.value.code == ErrorCode.SHM_RELEASED
-
-    def test_close_is_idempotent_and_detaches_finalizer(self):
-        arena = ShmArena()
-        arena.share(_field((64, 64), np.float64))
-        assert arena.finalizer_alive
-        arena.close()
-        assert not arena.finalizer_alive
-        arena.close()  # no error
-        assert shm_dir_entries(arena.prefix) == []
-
-    def test_attach_after_unlink_is_typed_error(self):
-        arena = ShmArena()
-        ref = arena.share(_field((64, 64), np.float64))
-        arena.close()
-        with pytest.raises(TransportError) as exc:
-            with ref.open():
-                pass
-        assert exc.value.code == ErrorCode.SHM_RELEASED
-
-    def test_finalizer_sweeps_dropped_arena(self):
-        import gc
-
-        arena = ShmArena()
-        prefix = arena.prefix
-        arena.share(_field((64, 64), np.float64))
-        assert shm_dir_entries(prefix)
-        del arena
-        gc.collect()
-        assert shm_dir_entries(prefix) == []
-
-    def test_close_sweeps_worker_published_orphans(self):
-        arena = ShmArena()
-        payload = publish_array(
-            arena.prefix, _field((64, 64), np.float64)
-        )
-        assert isinstance(payload, ShmArrayRef)
-        assert shm_dir_entries(arena.prefix)
-        arena.close()  # nobody adopted it -> the prefix sweep reclaims
-        assert shm_dir_entries(arena.prefix) == []
-
-    def test_slice_refs_cover_array(self):
-        x = _field((97, 53), np.float64)
-        rows = [25, 24, 24, 24]
-        with ShmArena() as arena:
-            ref = arena.share(x)
-            parts = arena.slice_refs(ref, rows)
-            assert all(isinstance(p, ShmSliceRef) for p in parts)
-            recon = []
-            for p in parts:
-                with p.open() as v:
-                    recon.append(np.array(v))
-            assert np.array_equal(np.concatenate(recon), x)
-
-    def test_publish_and_take_bytes(self):
-        blob = os.urandom(shm.MIN_SHARE_BYTES + 17)
-        with ShmArena() as arena:
-            payload = publish_bytes(arena.prefix, blob)
-            assert isinstance(payload, ShmBytesRef)
-            assert take_bytes(payload) == blob  # also unlinks
-
-    def test_adopt_published_array(self):
-        x = _field((64, 64), np.float64)
-        with ShmArena() as arena:
-            payload = publish_array(arena.prefix, x)
-            adopted = arena.adopt_array(payload)
-            assert np.array_equal(adopted, x)
-            assert not adopted.flags.writeable
-
-
-class TestFallbackGuards:
-    def test_tiny_payload_stays_inline(self):
-        with ShmArena() as arena:
-            ref = arena.share(np.zeros(4))
-            assert isinstance(ref, InlineArrayRef)
-
-    def test_zero_d_payload_stays_inline(self):
-        with ShmArena() as arena:
-            ref = arena.share(np.float64(3.5))
-            assert isinstance(ref, InlineArrayRef)
-            with open_payload(ref) as v:
-                assert float(v) == 3.5
-
-    def test_oversize_guard_falls_back(self, monkeypatch):
-        # Simulates the >2 GiB-index / constrained-tmpfs guard without
-        # allocating gigabytes: any payload above the cap must degrade
-        # to pickle transport, never fail.
-        monkeypatch.setattr(shm, "MAX_SHARE_BYTES", 1024)
-        with ShmArena() as arena:
-            ref = arena.share(_field((64, 64), np.float64))
-            assert isinstance(ref, InlineArrayRef)
-
-    def test_disabled_arena_shares_inline(self):
-        with ShmArena(enabled=False) as arena:
-            ref = arena.share(_field((64, 64), np.float64))
-            assert isinstance(ref, InlineArrayRef)
-
-    def test_publish_respects_guard(self, monkeypatch):
-        monkeypatch.setattr(shm, "MAX_SHARE_BYTES", 1024)
-        out = publish_array("fpzguardtest", _field((64, 64), np.float64))
-        assert isinstance(out, np.ndarray)
-        blob = b"x" * (1 << 20)
-        assert publish_bytes("fpzguardtest", blob) is blob
-
-    def test_open_payload_rejects_non_payloads(self):
+        arena.close()  # idempotent
         with pytest.raises(ParameterError):
-            with open_payload("not an array"):
-                pass
+            arena.share(np.zeros((64, 64)))
+
+    @pytest.mark.parametrize(
+        "kind, inherit, forked",
+        [
+            ("inline", True, False),
+            ("thread", True, False),
+            ("per-call", FORKS, FORKS),
+            ("caller", False, False),
+        ],
+    )
+    def test_path_follows_the_executor(self, kind, inherit, forked):
+        with _on(kind) as kw:
+            ex, n_workers = kw.get("executor"), kw.get("n_workers", 0)
+            with payload_scope(ex, n_workers) as (_, arena):
+                assert (arena.inherit, arena.forked) == (inherit, forked)
+
+    def test_a_pool_that_does_not_fork_gets_pickle(self):
+        with Executor(n_workers=WORKERS, start_method="spawn") as ex:
+            assert not ex.forks
+            with payload_scope(ex, 0) as (_, arena):
+                assert not arena.inherit
+
+    def test_forked_output_is_one_shared_mapping(self):
+        import mmap
+
+        with ShmArena(inherit=True, forked=True) as arena:
+            out = arena.empty((5, 3), np.float32)
+        assert isinstance(out.base, mmap.mmap)
+        assert out.shape == (5, 3) and out.dtype == np.float32
+        assert out.flags.c_contiguous and out.flags.writeable
 
 
 # ---------------------------------------------------------------------------
-# differential: every data plane, bit-identical output
+# differential: every executor, bit-identical output
 # ---------------------------------------------------------------------------
+
+
+SHAPES = [
+    ((97, 53), np.float32),   # prime-sized rows, uneven slabs
+    ((97, 53), np.float64),
+    ((61,), np.float64),      # 1-d, prime length
+    ((16, 7, 11), np.float32),
+]
+
+
+def _fortran_field():
+    return np.asfortranarray(_field((97, 53), np.float32, seed=5))
 
 
 class TestChunkedDifferential:
-    SHAPES = [
-        ((97, 53), np.float32),   # prime-sized rows, uneven slabs
-        ((97, 53), np.float64),
-        ((61,), np.float64),      # 1-d, prime length
-        ((16, 7, 11), np.float32),
-    ]
-
     @pytest.mark.parametrize("shape,dtype", SHAPES)
     def test_container_bytes_identical_across_transports(self, shape, dtype):
-        data = _field(shape, dtype, seed=hash((shape, str(dtype))) % 2**32)
+        data = _field(shape, dtype, seed=len(shape))
         kwargs = dict(mode="rel", n_chunks=4)
         serial = compress_chunked(data, 1e-3, **kwargs)
-        before = _shared_bytes()
-        with _pickle_arm():
-            pickled = compress_chunked(
-                data, 1e-3, n_workers=WORKERS, **kwargs
-            )
-        assert _shared_bytes() == before
-        shared = compress_chunked(data, 1e-3, n_workers=WORKERS, **kwargs)
-        if shm_available() and data.nbytes >= shm.MIN_SHARE_BYTES:
-            assert _shared_bytes() > before
-        assert serial == pickled == shared
-        # Same bytes implies same CRCs, but assert the stream level
-        # explicitly so a future container change can't mask a drift.
-        crcs = Container.from_bytes(serial).stream_crcs()
-        assert crcs == Container.from_bytes(shared).stream_crcs()
-        assert len(crcs) == 4
+        assert len(Container.from_bytes(serial).streams) == 4
+        for kind in EXECUTORS:
+            with _on(kind) as kw:
+                got = compress_chunked(data, 1e-3, **kwargs, **kw)
+            assert got == serial, kind
+
+    def test_fortran_order_input_identical_across_transports(self):
+        data = _fortran_field()
+        serial = compress_chunked(data, 1e-3, mode="rel", n_chunks=4)
+        assert serial == compress_chunked(
+            np.ascontiguousarray(data), 1e-3, mode="rel", n_chunks=4
+        )
+        for kind in EXECUTORS:
+            with _on(kind) as kw:
+                got = compress_chunked(
+                    data, 1e-3, mode="rel", n_chunks=4, **kw
+                )
+            assert got == serial, kind
 
     def test_decompress_identical_across_transports(self):
-        data = _field((97, 53), np.float64, seed=7)
-        blob = compress_chunked(data, 1e-3, mode="rel", n_chunks=4)
-        serial = decompress_chunked(blob)
-        with _pickle_arm():
-            pickled = decompress_chunked(blob, n_workers=WORKERS)
-        shared = decompress_chunked(blob, n_workers=WORKERS)
-        assert serial.dtype == pickled.dtype == shared.dtype
-        assert np.array_equal(serial, pickled)
-        assert np.array_equal(serial, shared)
-        assert np.max(np.abs(shared - data)) <= 1e-3 * np.ptp(data) * (1 + 1e-9)
-
-    def test_oversize_guard_path_still_bit_identical(self, monkeypatch):
-        # Force every share over the capacity guard: the pool must
-        # degrade to pickle payloads and still produce the same bytes.
-        data = _field((97, 53), np.float64, seed=9)
-        want = compress_chunked(data, 1e-3, mode="rel", n_chunks=4)
-        monkeypatch.setattr(shm, "MAX_SHARE_BYTES", 256)
-        got = compress_chunked(
-            data, 1e-3, mode="rel", n_chunks=4, n_workers=WORKERS
-        )
-        assert got == want
+        fields = [_field(s, d, seed=i) for i, (s, d) in enumerate(SHAPES)]
+        for data in [*fields, _fortran_field()]:
+            blob = compress_chunked(data, 1e-3, mode="rel", n_chunks=4)
+            serial = decompress_chunked(blob)
+            assert serial.dtype == data.dtype and serial.shape == data.shape
+            bound = 1e-3 * float(np.ptp(data)) * (1 + 1e-6)
+            assert np.max(np.abs(serial - data)) <= bound
+            for kind in EXECUTORS:
+                with _on(kind) as kw:
+                    got = decompress_chunked(blob, **kw)
+                assert got.dtype == serial.dtype, kind
+                assert got.flags.c_contiguous and got.flags.writeable, kind
+                np.testing.assert_array_equal(got, serial, err_msg=kind)
 
     def test_zero_d_input_rejected_everywhere(self):
-        for kwargs in ({}, dict(n_workers=WORKERS)):
-            with pytest.raises(ParameterError):
-                compress_chunked(np.float64(1.0), 1e-3, **kwargs)
+        for kind in EXECUTORS:
+            with _on(kind) as kw:
+                with pytest.raises(ParameterError):
+                    compress_chunked(np.float64(1.0), 1e-3, **kw)
 
     def test_module_compress_routes_chunked(self):
         from repro.sz.compressor import compress, decompress
@@ -316,141 +215,69 @@ class TestAutotuneDifferential:
     def test_probe_fanout_matches_across_transports(self):
         from repro.autotune.driver import autotune
 
-        # Large enough for the size guard to let the field into shm.
-        data = _field((128, 128), np.float32, seed=11)
+        # Above the subsample threshold, so the fan runs twice per call:
+        # on the subsample and on the full field.
+        data = _field((400, 400), np.float32, seed=11)
 
         def key(r):
             return (r.eb_rel, r.n_trials, r.achieved, r.converged)
 
-        inline = autotune(data, "ratio", 8.0, n_workers=0, keep_blob=False)
-        before = _shared_bytes()
-        with _pickle_arm():
-            pickled = autotune(
-                data, "ratio", 8.0, n_workers=WORKERS, keep_blob=False
-            )
-        assert _shared_bytes() == before
-        shared = autotune(
-            data, "ratio", 8.0, n_workers=WORKERS, keep_blob=False
-        )
-        if shm_available():
-            assert _shared_bytes() - before == data.nbytes
-        assert key(inline) == key(pickled) == key(shared)
+        want = key(autotune(data, "ratio", 8.0, keep_blob=False))
+        for kind in EXECUTORS:
+            with _on(kind) as kw:
+                got = autotune(data, "ratio", 8.0, keep_blob=False, **kw)
+            assert key(got) == want, kind
 
 
 # ---------------------------------------------------------------------------
-# resilience: faults in pool workers degrade per task and leave no
-# segment behind
+# process hygiene
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.fault
-class TestShmFaultCleanup:
-    KW = dict(targets=[60.0], fields=["temperature", "baryon_density"])
-    FAST = dict(backoff_base=0.01, backoff_max=0.05, jitter=0.0, seed=0)
-
-    def _retry(self, **kw):
-        from repro.resilience.retry import RetryPolicy
-
-        return RetryPolicy(**{**self.FAST, **kw})
-
-    def test_exhausted_crash_degrades_and_cleans_up(self):
-        from repro.resilience.inject import WorkerFault
-
-        fault = WorkerFault(
-            "exception", fields=("temperature",), fail_attempts=99
+def _tracker_repro(path: str) -> None:
+    """A sweep on a caller's fork executor, then chunked compress and
+    decompress of a 512x512 field on a per-call pool (``path ==
+    "per-call"``) or on that executor (``"caller"``).  With named
+    segments, the workers each started their own resource tracker and
+    the caller's variant printed 16 tracker warnings at exit."""
+    data = _field((512, 512), np.float32)
+    with Executor(n_workers=2) as ex:
+        sweep_dataset(
+            "ATM", targets=[60.0], fields=["CLDHGH", "FLDS"], executor=ex
         )
-        results = sweep_dataset(
-            "NYX",
-            n_workers=WORKERS,
-            retry=self._retry(max_retries=1),
-            fault=fault,
-            **self.KW,
+        kw = {"executor": ex} if path == "caller" else {"n_workers": 2}
+        blob = compress_chunked(data, 1e-3, mode="rel", n_chunks=4, **kw)
+        out = decompress_chunked(blob, **kw)
+    assert np.array_equal(out, decompress_chunked(blob))
+
+
+def _shm_entries():
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:
+        return set()
+
+
+class TestProcessHygiene:
+    @pytest.mark.parametrize("path", ["per-call", "caller"])
+    def test_no_resource_tracker_and_no_segment(self, path):
+        import repro
+
+        before = _shm_entries()
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", __file__, path],
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+            },
+            capture_output=True,
+            text=True,
+            timeout=300,
         )
-        by_field = {r.field: r for r in results}
-        assert by_field["temperature"].status == "failed"
-        assert by_field["temperature"].error_code == ErrorCode.TASK_FAILED
-        assert by_field["baryon_density"].ok
-        # leak check is the module-level autouse fixture
-
-    def test_hang_timeout_degrades_and_cleans_up(self):
-        from repro.resilience.inject import WorkerFault
-
-        fault = WorkerFault(
-            "hang", fields=("temperature",), hang_seconds=8.0,
-            fail_attempts=99,
-        )
-        # One worker per field: the deadline clock starts at submit,
-        # so a narrower pool would charge the healthy field for the
-        # time it spends queued behind the hung one.
-        results = sweep_dataset(
-            "NYX",
-            n_workers=len(self.KW["fields"]),
-            retry=self._retry(max_retries=0, task_timeout=2.0),
-            fault=fault,
-            **self.KW,
-        )
-        by_field = {r.field: r for r in results}
-        assert by_field["temperature"].status == "failed"
-        assert by_field["temperature"].error_code == ErrorCode.TASK_TIMEOUT
-        assert by_field["baryon_density"].ok
-        assert not shm_dir_entries("fpz")
-
-    def test_poison_degrades_and_cleans_up(self):
-        from repro.resilience.inject import WorkerFault
-
-        fault = WorkerFault(
-            "poison", fields=("temperature",), fail_attempts=99
-        )
-        results = sweep_dataset(
-            "NYX",
-            n_workers=WORKERS,
-            retry=self._retry(max_retries=0),
-            fault=fault,
-            **self.KW,
-        )
-        failed = [r for r in results if not r.ok]
-        assert len(failed) == 1
-        assert failed[0].error_code == ErrorCode.POISONED_RESULT
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
+        assert _shm_entries() <= before
 
 
-# ---------------------------------------------------------------------------
-# telemetry
-# ---------------------------------------------------------------------------
-
-
-@needs_shm
-class TestTransportTelemetry:
-    def test_share_counts_bytes_and_segments(self):
-        x = _field((64, 64), np.float64)
-        shared0 = _counter("shm.bytes_shared_total")
-        created0 = _counter("shm.segments_created_total")
-        released0 = _counter("shm.segments_released_total")
-        with ShmArena() as arena:
-            arena.share(x)
-        assert _counter("shm.bytes_shared_total") - shared0 == x.nbytes
-        assert _counter("shm.segments_created_total") - created0 == 1
-        assert _counter("shm.segments_released_total") - released0 == 1
-
-    def test_guard_fallback_counts(self, monkeypatch):
-        monkeypatch.setattr(shm, "MAX_SHARE_BYTES", 1024)
-        fallbacks0 = _counter("shm.fallbacks_total")
-        moved0 = _counter("shm.bytes_moved_total")
-        x = _field((64, 64), np.float64)
-        with ShmArena() as arena:
-            arena.share(x)
-        assert _counter("shm.fallbacks_total") - fallbacks0 == 1
-        assert _counter("shm.bytes_moved_total") - moved0 == x.nbytes
-
-    def test_transport_spans_recorded(self):
-        import repro.observe as observe
-
-        tr = observe.Trace()
-        x = _field((64, 64), np.float64)
-        with observe.use_trace(tr):
-            with ShmArena() as arena:
-                ref = arena.share(x)
-                with ref.open():
-                    pass
-        paths = {p[-1] for p in tr.aggregate()}
-        assert "transport.share" in paths
-        assert "transport.attach" in paths
+if __name__ == "__main__":
+    _tracker_repro(sys.argv[1])

@@ -19,6 +19,7 @@ from repro.core.fixed_psnr import FixedPSNRCompressor
 from repro.errors import DecompressionError, ErrorCode, FormatError, ReproError
 from repro.io.archive import read_archive_field, read_archive_index, write_archive
 from repro.io.container import Container
+from repro.parallel.chunking import decompress_chunked
 from repro.sz.compressor import compress, decompress
 
 
@@ -179,7 +180,7 @@ _READ_KEYS = {
     "temporal": (f"lossless step keyframe eb_abs anchor {_TAIL}", "order"),
     "embedded": ("lossless center scale block_size n_planes_total n_coeffs "
                  "n_streams", "constant"),
-    "chunked": ("shape n_chunks chunk_rows", ""),
+    "chunked": ("dtype shape n_chunks chunk_rows", ""),
 }
 
 
@@ -249,6 +250,39 @@ def test_chunk_geometry_off_the_shape_is_bad_meta(rows):
     blob = Container(c.codec, {**c.meta, "chunk_rows": rows}, c.streams)
     with pytest.raises(FormatError) as info:
         decompress(blob.to_bytes())
+    assert info.value.code == ErrorCode.BAD_META
+
+
+@pytest.mark.parametrize("path", ["inline", "pool", "executor"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("shape", [97, 60]),
+        ("shape", [97, 53, 2]),
+        ("dtype", "float64"),
+        ("shape", [97, 2**50]),
+        ("shape", [97, 2**56]),
+    ],
+    ids=["wider", "deeper", "dtype", "unallocatable", "overflowing"],
+)
+def test_chunked_header_that_disagrees_with_its_slabs_is_bad_meta(
+    key, value, path
+):
+    """The outer header sizes the output, and each slab must fill its
+    rows exactly; a header the slabs contradict, or whose size no array
+    can have, is a header fault on every path (the first three used to
+    decode silently to the slabs' own 97x53 float32 array)."""
+    from repro.parallel.executor import Executor
+
+    x = np.cumsum(np.random.default_rng(5).normal(size=(97, 53)), axis=0)
+    c = Container.from_bytes(compress(x.astype(np.float32), 1e-3, n_chunks=4))
+    blob = Container(c.codec, {**c.meta, key: value}, c.streams).to_bytes()
+    with pytest.raises(FormatError) as info:
+        if path == "executor":
+            with Executor(n_workers=2) as ex:
+                decompress_chunked(blob, executor=ex)
+        else:
+            decompress(blob, n_workers=2 if path == "pool" else 0)
     assert info.value.code == ErrorCode.BAD_META
 
 

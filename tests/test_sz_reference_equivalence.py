@@ -96,28 +96,27 @@ def test_equivalence_property(seed, shape, eb):
 
 class TestTransportEquivalence:
     """The reference-equivalence contract extended to the data plane:
-    chunk-parallel compression over shm or pickle must serialize to the
-    *same container bytes* (and therefore the same stream CRCs) as the
-    serial path, on every field character the suite models.  A pooled
-    call picks shm on its own; a zero size-guard cap forces pickle."""
+    chunk-parallel compression whose workers inherit the array or
+    receive it by pickle must serialize to the *same container bytes*
+    (and therefore the same stream CRCs) as the serial path, on every
+    field character the suite models.  A per-call pool inherits; a
+    caller's process executor receives its slabs by pickle."""
 
     @pytest.mark.parametrize("field_name", ["smooth2d", "rough2d", "intermittent2d"])
-    def test_chunked_bytes_match_across_transports(
-        self, field_name, request, monkeypatch
-    ):
-        import repro.parallel.shm as shm
+    def test_chunked_bytes_match_across_transports(self, field_name, request):
         from repro.io.container import Container
         from repro.parallel.chunking import compress_chunked
+        from repro.parallel.executor import Executor
 
         data = request.getfixturevalue(field_name)
         serial = compress_chunked(data, 1e-3, mode="rel", n_chunks=3)
         shared = compress_chunked(
             data, 1e-3, mode="rel", n_chunks=3, n_workers=2
         )
-        monkeypatch.setattr(shm, "MAX_SHARE_BYTES", 0)
-        pickled = compress_chunked(
-            data, 1e-3, mode="rel", n_chunks=3, n_workers=2
-        )
+        with Executor(n_workers=2) as ex:
+            pickled = compress_chunked(
+                data, 1e-3, mode="rel", n_chunks=3, executor=ex
+            )
         assert serial == pickled == shared
         assert (
             Container.from_bytes(serial).stream_crcs()
