@@ -426,15 +426,20 @@ def encode_codes(
                 )
                 return n_escapes, None, coder_id
 
-        code = CanonicalHuffman.from_data(q, bounds=bounds)
-        payload, total_bits = code.encode(q, bounds=bounds)
+        # Codes shifted to start at 0 serve both the histogram and the
+        # encoder's lookup, which would each subtract the minimum from
+        # every code; the table is written with the codes' own values.
+        lo, hi = bounds
+        shifted = q - lo if lo else q
+        code = CanonicalHuffman.from_data(shifted, bounds=(0, hi - lo))
+        payload, total_bits = code.encode(shifted, bounds=(0, hi - lo))
+        del shifted
+        table = CanonicalHuffman(code.symbols + lo, code.lengths).table_bytes()
         meta["total_bits"] = total_bits
         if trace.enabled:
             sp.count("total_bits", int(total_bits))
         streams.insert(0, ("payload", lossless_compress(payload, lossless, level)))
-        streams.insert(
-            0, ("table", lossless_compress(code.table_bytes(), lossless, level))
-        )
+        streams.insert(0, ("table", lossless_compress(table, lossless, level)))
     return n_escapes, total_bits, coder_id
 
 

@@ -19,10 +19,14 @@ codes (paper Section II-A).  This module implements it from scratch:
   word-level packer :func:`repro.encoding.bitio.pack_aligned`.  The
   lookup gathers from dense value -> (code, length) tables under the
   same span test as the histogram, and binary-searches the sorted
-  alphabet otherwise (any int64 alphabet is allowed).  When two codes
-  fit in the packer's 57 bits (always, for codes :meth:`from_data`
-  builds), each pair of consecutive symbols is fused into one code
-  before packing, which halves every packer pass;
+  alphabet otherwise (any int64 alphabet is allowed).  When three
+  codes fit in the packer's 57 bits (always, for codes
+  :meth:`from_data` builds: ``3 * MAX_TABLE_BITS <= 57``), each run of
+  three consecutive symbols is fused into one code before packing, so
+  every packer pass works on a third of the symbols; pairs are fused
+  when only two fit.  A histogram and a lookup over data whose minimum
+  is 0 index by the data itself, so a caller that shifts its data to
+  start at 0 once saves each of them a subtraction pass;
 * segment-parallel decoding, whose work is per symbol rather than
   per bit.  The payload is cut into segments of S bits
   (:func:`_segment_bits` derives S from the stream) and walkers in
@@ -316,7 +320,7 @@ class CanonicalHuffman:
             if hi - lo < flat.size:
                 # The span test of encode's dense tables: one counting
                 # pass over a table no larger than the input.
-                counts = np.bincount(flat - lo, minlength=hi - lo + 1)
+                counts = np.bincount(flat - lo if lo else flat, minlength=hi - lo + 1)
                 symbols = np.flatnonzero(counts)
                 counts = counts[symbols]
                 symbols += lo
@@ -364,7 +368,8 @@ class CanonicalHuffman:
                 length_of = np.zeros(span, dtype=np.uint8)
                 aligned_of[rel] = aligned
                 length_of[rel] = lengths
-                aligned, lengths, idx = aligned_of, length_of, flat - lo
+                aligned, lengths = aligned_of, length_of
+                idx = flat - lo if lo else flat
             else:
                 # Wide alphabets (any int64 values): binary search.
                 idx = np.searchsorted(self.symbols, flat)
@@ -373,19 +378,19 @@ class CanonicalHuffman:
                 ] != flat)
                 if bad.any():
                     raise ParameterError("data contains symbols outside the alphabet")
-            if 2 * self.max_length <= 57:
-                # Fuse symbols 2i and 2i + 1 into one code of at most 57
-                # bits; an odd last symbol stays alone.  A missing value
-                # (length 0) is looked for in both halves first.
-                codes, code_lengths = aligned[idx[0::2]], lengths[idx[0::2]]
-                second, second_lengths = aligned[idx[1::2]], lengths[idx[1::2]]
-                missing = min(code_lengths.min(), second_lengths.min(initial=1)) == 0
-                m = second.size
-                codes[:m] |= second >> code_lengths[:m]
-                code_lengths[:m] += second_lengths
-            else:
-                codes, code_lengths = aligned[idx], lengths[idx]
-                missing = code_lengths.min() == 0
+            # Fuse each run of `group` consecutive symbols (3i, 3i + 1,
+            # 3i + 2 when three codes fit in the packer's 57 bits) into
+            # one code; a short last run fuses fewer.  A missing value
+            # (length 0) is looked for in every position first.
+            group = next(g for g in (3, 2, 1) if g * self.max_length <= 57)
+            codes, code_lengths = aligned[idx[0::group]], lengths[idx[0::group]]
+            missing = code_lengths.min() == 0
+            for j in range(1, group):
+                nxt, nxt_lengths = aligned[idx[j::group]], lengths[idx[j::group]]
+                missing |= nxt_lengths.min(initial=1) == 0
+                m = nxt.size
+                codes[:m] |= nxt >> code_lengths[:m]
+                code_lengths[:m] += nxt_lengths
             if missing:
                 raise ParameterError("data contains symbols outside the alphabet")
             payload, total_bits = pack_aligned(codes, code_lengths)

@@ -170,7 +170,7 @@ class SZCompressor(ErrorBoundedCodec):
         under ``mode`` (for ``"pw_rel"`` it is the bound in the log
         domain)."""
         _, x, _ = _split_fill(data, self.fill_value)
-        return self.eb_abs(float(x.max() - x.min()))
+        return self.eb_abs(_value_range(x))
 
     # -- compression -----------------------------------------------------
 
@@ -223,7 +223,7 @@ class SZCompressor(ErrorBoundedCodec):
             if trace.enabled:
                 root.count("n_points", int(arr.size))
                 root.count("raw_bytes", int(arr.nbytes))
-            vr = float(x.max() - x.min())
+            vr = _value_range(x)
             meta = self.header(arr, vr)
 
             streams = []
@@ -309,11 +309,17 @@ class SZCompressor(ErrorBoundedCodec):
 
 def _split_fill(data, fill_value: Optional[float]):
     """Separate the fill mask from the data; returns ``(input array,
-    float64 array with fill replaced, mask or None)``."""
+    array with fill replaced, mask or None)``.
+
+    Without a fill value the second array is the input itself, float32
+    or float64: what reads it -- :func:`_value_range`, the lattice snap
+    and the log transform -- computes in float64 from either, so a
+    float32 field is never copied whole to float64.  With one, it is a
+    float64 copy."""
     arr = validate_input(data, finite=fill_value is None)
-    x = arr.astype(np.float64, copy=False)
     if fill_value is None:
-        return arr, x, None
+        return arr, arr, None
+    x = arr.astype(np.float64, copy=False)
     mask = _fill_mask(arr, fill_value)
     valid = x[~mask]
     if valid.size and not np.all(np.isfinite(valid)):
@@ -326,6 +332,12 @@ def _split_fill(data, fill_value: Optional[float]):
     x = x.copy()
     x[mask] = replacement
     return arr, x, mask
+
+
+def _value_range(x: np.ndarray) -> float:
+    """``max - min`` of ``x`` in float64 (a float32 array's extremes
+    are exact in float64)."""
+    return float(x.max()) - float(x.min())
 
 
 def _finish(values, signs, fill_mask, fill_value, dtype) -> np.ndarray:

@@ -63,11 +63,24 @@ def _block_lorenzo_rec(q: np.ndarray) -> np.ndarray:
     return out
 
 
+#: ``log2(2m + 1)`` for every magnitude ``m`` below the table's size
+#: (32 KiB), computed by the same float64 expression the selector
+#: applies to larger magnitudes, so a lookup gives the same bits.
+_LOG2_COST = np.log2(2.0 * np.arange(4096, dtype=np.float64) + 1.0)
+
+
 def _estimated_bits(q: np.ndarray) -> np.ndarray:
     """Per-block estimated code length: sum(log2(2|q|+1)) over the
-    block (the Elias-gamma-style proxy SZ 2 uses for selection)."""
-    mag = np.abs(q.astype(np.float64))
-    bits = np.log2(2.0 * mag + 1.0)
+    block (the Elias-gamma-style proxy SZ 2 uses for selection).
+
+    Each term is read from :data:`_LOG2_COST` by ``|q|``, or computed
+    when ``|q|`` is past it; the terms and their per-block summation
+    order are those of the formula on every element."""
+    mag = np.abs(q)
+    bits = _LOG2_COST.take(mag, mode="clip")
+    if mag.max() >= _LOG2_COST.size:
+        big = mag >= _LOG2_COST.size
+        bits[big] = np.log2(2.0 * mag[big] + 1.0)
     return bits.reshape(q.shape[0], -1).sum(axis=1)
 
 

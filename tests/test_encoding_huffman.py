@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.encoding.bitio import pack_codes, unpack_bits
+from repro.encoding.bitio import pack_aligned, pack_codes, unpack_bits
 from repro.encoding.huffman import (
     MAX_TABLE_BITS,
     CanonicalHuffman,
@@ -336,18 +336,39 @@ def _test_code(longest):
     return CanonicalHuffman(np.arange(lengths.size) * 3 - 7, lengths)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 1000, 1001])
-@pytest.mark.parametrize("longest", [1, 18, 28, 29])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 1001, 1002])
+@pytest.mark.parametrize("longest", [*range(1, 21), 28, 29])
 def test_encode_matches_per_symbol_pack(n, longest):
-    """Encode (left-aligned lookup, fused pairs when 2L <= 57) emits the
-    bits of ``pack_codes`` over the per-symbol codes: for odd and even
-    n and for one symbol, on the search route (n below the span) and
-    the dense one, with codes either side of the pairing limit."""
+    """Encode (left-aligned lookup, fused triples when 3L <= 57, pairs
+    when 2L <= 57) emits the bits of ``pack_codes`` over the per-symbol
+    codes: for n = 0, 1 and 2 mod 3 and for one symbol, on the search
+    route (n below the span) and the dense one, for every length a
+    built code can have and either side of each fusion limit."""
     code = _test_code(longest)
     idx = np.random.default_rng(n + longest).integers(0, code.symbols.size, size=n)
     idx[: min(n, 3)] = code.symbols.size - 1  # the longest codes
     want = pack_codes(code.codes[idx], code.lengths[idx])
     assert code.encode(code.symbols[idx]) == want
+
+
+@pytest.mark.parametrize(
+    "longest, group", [(1, 3), (18, 3), (19, 3), (20, 2), (28, 2), (29, 1)]
+)
+def test_encode_fuses_as_many_codes_as_fit(monkeypatch, longest, group):
+    """The packer gets one code per run of three symbols up to L = 19,
+    per pair up to L = 28 and per symbol beyond."""
+    import repro.encoding.huffman as huffman
+
+    seen = []
+
+    def spy(codes, lengths):
+        seen.append(codes.size)
+        return pack_aligned(codes, lengths)
+
+    monkeypatch.setattr(huffman, "pack_aligned", spy)
+    code = _test_code(longest)
+    code.encode(np.resize(code.symbols, 1001))
+    assert seen == [-(-1001 // group)]
 
 
 @pytest.mark.parametrize("position", [0, 5, 10], ids=["first", "second", "tail"])

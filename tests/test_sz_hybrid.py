@@ -147,3 +147,27 @@ def test_hybrid_bound_property(seed, shape, eb):
     comp = HybridCompressor(eb, mode="abs", block_size=4)
     recon = decompress(comp.compress(x))
     assert max_abs_error(x, recon) <= eb * (1 + 1e-9) + 1e-12
+
+
+def _formula_bits(q):
+    """The selector's cost as the formula, on float64 copies."""
+    mag = np.abs(q.astype(np.float64))
+    return np.log2(2.0 * mag + 1.0).reshape(q.shape[0], -1).sum(axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([(1, 4), (7, 4, 4), (9, 3, 3, 3)]),
+    st.sampled_from([1, 40, 4095, 4096, 5000, 2**40, 2**52]),
+)
+def test_estimated_bits_is_the_formula(seed, shape, largest):
+    """The table lookup gives the formula's per-block sums bit for bit,
+    with magnitudes below, at and far past the end of the table."""
+    from repro.sz.hybrid import _LOG2_COST, _estimated_bits
+
+    q = np.random.default_rng(seed).integers(-largest, largest + 1, size=shape)
+    q.flat[0] = largest if seed % 2 else -largest
+    got = _estimated_bits(q)
+    assert got.tobytes() == _formula_bits(q).tobytes()
+    assert _LOG2_COST.size == 4096
