@@ -32,6 +32,8 @@ Layout and guarantees
   container format version (:data:`repro.io.container.VERSION`), so a
   format bump invalidates every prior entry *by key miss* -- stale
   blobs are never replayed, and the orphaned files age out via LRU.
+  The schema is bumped too when the encoder's bytes change on purpose
+  under the same format version.
 
 ``cache.*`` metrics (hits/misses/evictions/bytes) are registered
 ``deterministic=False``: a persistent store makes hit counts depend on
@@ -66,8 +68,12 @@ __all__ = [
 
 #: Version of the on-disk entry format *and* the key document schema.
 #: Bumping it orphans every existing entry (keys miss; LRU sweeps the
-#: files), which is exactly the invalidation a layout change needs.
-CACHE_SCHEMA_VERSION = 1
+#: files), which is exactly the invalidation a layout change needs --
+#: and the one a change to the bytes the encoder writes needs, since a
+#: key pins its blob bit for bit.  2: high-rate Huffman payloads are
+#: deflated with zlib's run-length strategy, so a schema-1 blob's ratio
+#: and bit rate differ from a fresh compress of the same key.
+CACHE_SCHEMA_VERSION = 2
 
 #: Entry file magic + fixed header: magic, schema, meta length.
 _MAGIC = b"FPZE"

@@ -4,6 +4,16 @@ The paper's SZ applies GZIP to the Huffman-encoded bytes (Section
 II-A step 3).  GZIP's algorithm is DEFLATE, which is what :mod:`zlib`
 implements; we expose it behind a small method registry so other
 lossless back-ends could be slotted in.
+
+DEFLATE runs either at the codec's zlib level with the default
+strategy, or with zlib's run-length strategy (``Z_RLE``), which looks
+for repeats of the previous byte only and skips the LZ77 search.  The
+caller picks: :func:`repro.encoding.codes.encode_codes` deflates a
+high-rate Huffman payload with ``rle=True`` (see
+:data:`~repro.encoding.codes.RLE_BITS_PER_SYMBOL`) and every other
+stream as before.  Both are ordinary zlib streams under the container's
+one ``zlib`` id, so the reader does not know which was used; a
+``Z_RLE`` stream's header reads ``78 01``, a level-6 one's ``78 9c``.
 """
 
 from __future__ import annotations
@@ -21,11 +31,14 @@ METHODS = {"none": 0, "zlib": 1}
 _IDS = {v: k for k, v in METHODS.items()}
 
 
-def lossless_compress(data: bytes, method: str = "zlib", level: int = 6) -> bytes:
+def lossless_compress(
+    data: bytes, method: str = "zlib", level: int = 6, rle: bool = False
+) -> bytes:
     """Compress ``data`` with the named lossless back-end.
 
     ``level`` follows zlib semantics (1 fastest .. 9 best); ignored for
-    ``"none"``.
+    ``"none"``.  ``rle=True`` deflates with zlib's run-length strategy,
+    whose output does not depend on ``level``.
     """
     if method not in METHODS:
         raise ParameterError(f"unknown lossless method {method!r}")
@@ -35,7 +48,13 @@ def lossless_compress(data: bytes, method: str = "zlib", level: int = 6) -> byte
         raise ParameterError("zlib level must be in [1, 9]")
     trace = observe.current_trace()
     with trace.span("lossless") as sp:
-        out = zlib.compress(bytes(data), level)
+        if rle:
+            deflater = zlib.compressobj(
+                level, zlib.DEFLATED, zlib.MAX_WBITS, 8, zlib.Z_RLE
+            )
+            out = deflater.compress(data) + deflater.flush()
+        else:
+            out = zlib.compress(bytes(data), level)
         if trace.enabled:
             sp.count("bytes_in", len(data))
             sp.count("bytes_out", len(out))

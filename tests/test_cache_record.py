@@ -165,6 +165,31 @@ class TestSharedEntries:
         assert meta["metrics"]["achieved_psnr"] == rec.achieved_psnr
 
 
+    def test_entry_of_the_previous_encoder_misses(
+        self, tmp_path, field, monkeypatch
+    ):
+        """An entry written under cache schema 1 holds a blob whose
+        Huffman payload was deflated at level 6, as every payload was
+        before the run-length rule.  Its ratio and bit rate differ from
+        a fresh compress, so it is not replayed: the fresh blob is
+        stored and hit from then on."""
+        import repro.cache.store as store_module
+        import repro.encoding.codes as codes
+
+        store = CacheStore(root=str(tmp_path / "cache"))
+        with monkeypatch.context() as m:
+            m.setattr(store_module, "CACHE_SCHEMA_VERSION", 1)
+            m.setattr(codes, "RLE_BITS_PER_SYMBOL", float("inf"))
+            old = run_field_task(DATASET, FIELD, TARGET, cache=store)
+        fresh = run_field_task(DATASET, FIELD, TARGET)
+        assert old != fresh and old.bit_rate != fresh.bit_rate
+        cold = run_field_task(DATASET, FIELD, TARGET, cache=store)
+        warm = run_field_task(DATASET, FIELD, TARGET, cache=store)
+        assert (cold.cache_hit, warm.cache_hit) == (False, True)
+        assert cold == fresh and warm == fresh
+        assert len(list(store.iter_meta())) == 1
+
+
 class TestOneKey:
     def test_every_path_builds_the_same_key(self, tmp_path, field_npy, capsys):
         from repro.cluster.membership import Membership

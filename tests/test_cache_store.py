@@ -286,5 +286,5 @@ class TestCachePathResolution:
         with pytest.raises(ParameterError):
             CacheStore(root=str(tmp_path), max_bytes=-1)
 
-    def test_schema_version_is_one(self):
-        assert CACHE_SCHEMA_VERSION == 1
+    def test_schema_version_is_two(self):
+        assert CACHE_SCHEMA_VERSION == 2

@@ -190,11 +190,11 @@ def _digests(case: Case) -> Tuple[str, str]:
 #: (container SHA-256, decoded-array SHA-256) per case.
 DIGESTS: Dict[str, Tuple[str, str]] = {
     "chunked-f32": (
-        "547c8306ff0112d13fac57fa14d4bc091a004919b67fd366d8bf11e645670605",
+        "8fd49b6da08b6ce3834d273fd2999c14cbc03019af53f941e798da6d98181e95",
         "79f5c0e6c2c5e6a49941395b71247fb4c456d1e710df3bf8bd7d8f4cd2627310",
     ),
     "chunked-f64": (
-        "93cb2b81ffe6d504ec02d465e058cb0492fd9aaa61c3bfd1d56d83ca4566c286",
+        "375b18a7c21bd75319473c56e23afb214c3317803eec8c48451adc147767a180",
         "b0e551233971b82724ddf56b1a151328ea7ca0e1e8e8b55c46d3135209b7533a",
     ),
     "embedded-f32-psnr-constant": (
@@ -230,7 +230,7 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "1567bb5e2f67284ce3fea6814e3d67269d4d245005b9dd0a01687e615131c810",
     ),
     "hybrid-f32-3d": (
-        "564456185a5ee020b5a70f925ee0d0a519fae99238890cf76d3baf5428036dee",
+        "9303074f8c3d659fa42f500ee6481e0d24d6403102f36f7bc91c216b2fbca716",
         "15b9dbb5e866d4f8ca7e2703b2a12fdcb78e98bbbe2a72cdbe065b33c3572497",
     ),
     "hybrid-f32-r3-constant": (
@@ -238,7 +238,7 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "442225f1879a6ad94db0797b3aa3b6edfedf2fc77a0d348bae5fb731aaa62a69",
     ),
     "hybrid-f32-r3-smooth": (
-        "6067145ff06836efdc4024730b1d861ce3d1aedca31c4b1fd0059c605c44f3bf",
+        "1428087bfa540d4dec10bd2a0b2eceff11000b915cc8e4f4211d17f9a68f3b76",
         "ed3a831b26a34bf6baf2e5f497ad6818097753a6621652b03349f13487ea1e1a",
     ),
     "hybrid-f32-r32767-constant": (
@@ -246,11 +246,11 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "442225f1879a6ad94db0797b3aa3b6edfedf2fc77a0d348bae5fb731aaa62a69",
     ),
     "hybrid-f32-r32767-smooth": (
-        "6aeb4aa675145ea814ee456226cc6a917183194f40ab8058da95d3cfd9992e2a",
+        "a383fc4ad2b04c5c165bc9e6e5bcd3f78c0b682cce0fe0cfd65f592bb17b4845",
         "ed3a831b26a34bf6baf2e5f497ad6818097753a6621652b03349f13487ea1e1a",
     ),
     "hybrid-f64-3d": (
-        "e1e05ec03e59d2bcaf192ce96e129f280cc299850c169354550e7e70e297b514",
+        "2e5342dfbffc617f3cdf3e1bf7c36e34eafa9959eb21560b3e427ee934036edf",
         "600f49ff3b39c06a0391b61382bbb85a3b7a440f0a80f548b76c897e9494338a",
     ),
     "hybrid-f64-r3-constant": (
@@ -258,7 +258,7 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "ed7192c250c194b53dcc2f5d40c99af0c7f552a3cd4558e30d05319dd8c36c59",
     ),
     "hybrid-f64-r3-smooth": (
-        "2c2c0b4b4fa2ef85f186eac7b946aa558ce126a7439461cacaa7d47f8dcaed74",
+        "bc4c3d0cf8ab744a3aad01544e3bad0f1131387c2a0f261af4bcdf121ea8bcea",
         "fffd53f8f28dc4be3ca2802c57a75402c693199c273ceb58cafbf4725ac19ad9",
     ),
     "hybrid-f64-r32767-constant": (
@@ -266,11 +266,11 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "ed7192c250c194b53dcc2f5d40c99af0c7f552a3cd4558e30d05319dd8c36c59",
     ),
     "hybrid-f64-r32767-smooth": (
-        "96abf864ec533d87a0e65a8b164e947c12af4c8436232b90f2ce91ffd5ae83fd",
+        "13b647f1e83568978b6f2c0f09cf6a35bdb5450dc795ece61906e596028cfc96",
         "fffd53f8f28dc4be3ca2802c57a75402c693199c273ceb58cafbf4725ac19ad9",
     ),
     "interp-f32-3d": (
-        "3f03003c0d6767c76009923ee30e69d19e3269e1c499a15a8069f06b5db70f23",
+        "dd3633611d0bf00b5afe4582e8e88ca2039d20a8beb1210662f8356c17188e66",
         "1815a116710fb057a1f03a6bbca0bb9b7f40fc27c7d2f96ddbd86e43ab4ad4b4",
     ),
     "interp-f32-r3-constant": (
@@ -286,11 +286,11 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "442225f1879a6ad94db0797b3aa3b6edfedf2fc77a0d348bae5fb731aaa62a69",
     ),
     "interp-f32-r32767-smooth": (
-        "e8b5366e65c8587c2992a681b36708fee12763fc9b00f7b9a29be4cd6d0de35c",
+        "6435fe10d2bd06cbc5d03c033c09a3c3a02a938851c6b846009a706838f5cdb3",
         "6be7f1d0c5957f30ba88e624d6efd444c18e808bf54b7551c5f1682871bbd5b5",
     ),
     "interp-f64-3d": (
-        "2e9a4bde8fe98565d963231314e1cadb0371cfe3268abfe792448eaded556499",
+        "8659807ec2c52b476232a3264660e283c00ead082ef688514ba1ec3e5f310986",
         "d4445df862138439280b191a4a9e490354e8bdc60083c329cd313bcb903906d5",
     ),
     "interp-f64-r3-constant": (
@@ -306,11 +306,11 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "ed7192c250c194b53dcc2f5d40c99af0c7f552a3cd4558e30d05319dd8c36c59",
     ),
     "interp-f64-r32767-smooth": (
-        "a8ffd4bc69ab76ebd6522889ed2db70c7f243179694706ea7d4a2ecab708220a",
+        "d9c5801b6d4cc5938f3beed7c1d55e5c708e54eaf42729785c6965e7ae6428c4",
         "598c1d4e27b234ed6a0d117de2dd4925ff835a7676237a64580b1d7b69144d4e",
     ),
     "legacy-f32-3d": (
-        "5bba4905a548ba0956c366673b2635fbc323540cd86ad36fa8d8cb2cd1697d0d",
+        "97f3c4034a5e6211aa0d61d3f09e500e67673822080d1dc1045309413f9da678",
         "15b9dbb5e866d4f8ca7e2703b2a12fdcb78e98bbbe2a72cdbe065b33c3572497",
     ),
     "legacy-f32-r3-constant": (
@@ -318,7 +318,7 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "442225f1879a6ad94db0797b3aa3b6edfedf2fc77a0d348bae5fb731aaa62a69",
     ),
     "legacy-f32-r3-smooth": (
-        "c43bd523a04e06b2b76982c2637d592cb8b66a3d1136ee9625fc4a9699355c40",
+        "1178ec50318b81453082b32b2f598b9d59f176186bf3692ff90ceaf33a50c191",
         "ed3a831b26a34bf6baf2e5f497ad6818097753a6621652b03349f13487ea1e1a",
     ),
     "legacy-f32-r32767-constant": (
@@ -326,11 +326,11 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "442225f1879a6ad94db0797b3aa3b6edfedf2fc77a0d348bae5fb731aaa62a69",
     ),
     "legacy-f32-r32767-smooth": (
-        "f7328d38f0c2d2a585b73e7cef79f2610a0e49487ec754ca6f556074e0e31ad5",
+        "56938f35faad8d1e164d1b311197a7760a04be05e91cf7c37010b589da7fe35a",
         "ed3a831b26a34bf6baf2e5f497ad6818097753a6621652b03349f13487ea1e1a",
     ),
     "legacy-f64-3d": (
-        "d3f3084d157bda57887e26bcbe0e86dafd44fff9816d7699f0e9747513f9ae6f",
+        "89a7796eb455c8a9a0c8058aac5d8f29a631ef87a3d80935eca0ff881b8a3af9",
         "600f49ff3b39c06a0391b61382bbb85a3b7a440f0a80f548b76c897e9494338a",
     ),
     "legacy-f64-r3-constant": (
@@ -338,7 +338,7 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "ed7192c250c194b53dcc2f5d40c99af0c7f552a3cd4558e30d05319dd8c36c59",
     ),
     "legacy-f64-r3-smooth": (
-        "888e4e49b5ac5c7c9595d1b925424a377a3e85a74234c08f8d9a6e4877bca615",
+        "d14feba0b014cb7253864f3dc69b16a96a053cf069d23e1530e8f61960eb4d81",
         "fffd53f8f28dc4be3ca2802c57a75402c693199c273ceb58cafbf4725ac19ad9",
     ),
     "legacy-f64-r32767-constant": (
@@ -346,11 +346,11 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "ed7192c250c194b53dcc2f5d40c99af0c7f552a3cd4558e30d05319dd8c36c59",
     ),
     "legacy-f64-r32767-smooth": (
-        "5f62f65d4e3788259ce92e32393d4878237eae0d4b1fd4e8abccc8079eb68fe9",
+        "087727e60969f0b805e563a94a468f46b2b7704597b7454f7e1621591a953273",
         "fffd53f8f28dc4be3ca2802c57a75402c693199c273ceb58cafbf4725ac19ad9",
     ),
     "regression-f32-3d": (
-        "d6cbcfef46e8fdea25fb6a11b1676e3bd7588e16d35eee3ca5015d0c450c8e1d",
+        "2e82e607e34aca3a8d88716799fab13ee9e77d252d24ec39b3d403e9a7ba1185",
         "3fb57fc402ec20065d60b35087c1566c7f2d4cc64c896bc924bb3d1a3ea1af00",
     ),
     "regression-f32-r3-constant": (
@@ -366,11 +366,11 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "442225f1879a6ad94db0797b3aa3b6edfedf2fc77a0d348bae5fb731aaa62a69",
     ),
     "regression-f32-r32767-smooth": (
-        "a10faa9ce4ab15ab67e95b717596b3f70dde8e6050f9fe0bb4a747c2e5482eaf",
+        "fac89af08e20335c1d9c5bd1fee91c9d239cf0d8d5e0ec8164b0b732185c1d08",
         "4c1181c404d3af7675035450c10669e4f7f7e80061f42b2473a8515f72c442bf",
     ),
     "regression-f64-3d": (
-        "fada4f36dcabf0e3721f8508d9fb55d4aef0b8ceea58528922e2540e2d4095bf",
+        "b1a73505f93805ec045515a76ee7e2e25c0a789671bfe7e84c875c2c0c5879bf",
         "37b6e188ce58e015dbd043b9a69df45383f7b745d012cb734720a4cb99aae53d",
     ),
     "regression-f64-r3-constant": (
@@ -386,15 +386,15 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "ed7192c250c194b53dcc2f5d40c99af0c7f552a3cd4558e30d05319dd8c36c59",
     ),
     "regression-f64-r32767-smooth": (
-        "a96e6b47f12a4d9f0b7d70293b8041a9798436115f81b4d379cb66afe8fb903c",
+        "cd09a60c547308d1a77c97f37d5f420f640d9864496fb1b817c5a9821321e4dd",
         "8f8eda8588d5d0f8b0eaf72770c73e518a0c26420ae2e72b6726bab840c04dcc",
     ),
     "sz-f32-3d": (
-        "713b98084bd62b0aed42562aac0409d75c47ca6c3e6b42dd3a560bbca07f1fd9",
+        "5c576c170de7d53927440104e5f10dfacdb543178d0b35c6b69a91aa0595a89c",
         "15b9dbb5e866d4f8ca7e2703b2a12fdcb78e98bbbe2a72cdbe065b33c3572497",
     ),
     "sz-f32-fill": (
-        "fe6150beeda690f0289579464b49bf40ef820636e90117f592b2b196077b2be2",
+        "cd41c2e984e35b282c69066094b49a05394406de77b3ea571d358c484f4e8150",
         "91d07e599faafe5927d67c4f4c102543f1274169d8685d28e283c1bec34da089",
     ),
     "sz-f32-fill-constant": (
@@ -406,11 +406,11 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "ed3a831b26a34bf6baf2e5f497ad6818097753a6621652b03349f13487ea1e1a",
     ),
     "sz-f32-lorenzo1d": (
-        "5f8cf7ab5bda79225fd7b905e1a9c6c66906a06c17a72ba36a09a5c89a856442",
+        "4749816f7edf5981724d3a779675b5e5bc0269b861e05ed6806de2cbd1456276",
         "ed3a831b26a34bf6baf2e5f497ad6818097753a6621652b03349f13487ea1e1a",
     ),
     "sz-f32-nanfill": (
-        "f3f4d4007b22ad4df2a16e51e29665a3b2180dab936910736617514168ce5dda",
+        "28dce5cf48c4bae3c19928d9264127b70de554c122ce1357d98920d3ac564d84",
         "d17dd6feb9abfc71c4793d6655abe72f4e557e39259b281ade696c64411dabcf",
     ),
     "sz-f32-nanfill-constant": (
@@ -422,7 +422,7 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "ed3a831b26a34bf6baf2e5f497ad6818097753a6621652b03349f13487ea1e1a",
     ),
     "sz-f32-pw_rel": (
-        "88d664186ef7cbce016f472c2783fd2a20c341a27b0abd3c06e72bde41d1738b",
+        "def46dfcbc644450a084e10216b2fe04a3e4c50601b6fc0d47007c3e809f35a7",
         "b225b3f839de54860ec120b4a5bbdd8267842d3e829ee794d72b1329eb0363ff",
     ),
     "sz-f32-pw_rel-constant": (
@@ -438,7 +438,7 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "442225f1879a6ad94db0797b3aa3b6edfedf2fc77a0d348bae5fb731aaa62a69",
     ),
     "sz-f32-r3-smooth": (
-        "b8a98ba4a495bb7691fefc21175b571c2b67c0a77a96905d9a655e0b189b499f",
+        "6523e074f89cef4cfb16fda2c1950c452e8938959ffa25cc447ad51adc6da037",
         "ed3a831b26a34bf6baf2e5f497ad6818097753a6621652b03349f13487ea1e1a",
     ),
     "sz-f32-r32767-constant": (
@@ -446,7 +446,7 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "442225f1879a6ad94db0797b3aa3b6edfedf2fc77a0d348bae5fb731aaa62a69",
     ),
     "sz-f32-r32767-smooth": (
-        "e98f4133c01e376312fbc4008ccefb0e900c2050d8fefa5581fd485fcf25e408",
+        "45e729119b9b71b453b4b33270564c035ba916d6f47dc786a5eb7b882d72f504",
         "ed3a831b26a34bf6baf2e5f497ad6818097753a6621652b03349f13487ea1e1a",
     ),
     "sz-f32-rans": (
@@ -454,7 +454,7 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "902a23f1d54f9630821813ea217ce012d1189ad84b20f1e03451d291962993f0",
     ),
     "sz-f32-rans-fallback": (
-        "7cf7197d93f4893cf79f1cb072d340b93e7173b2ff1a42655c47321e2b6f55d2",
+        "394cace5eb7cae563c27a0fc147b5d758e4e2414540535665731893702cde031",
         "bbcc5d3c3e920a92c17d2d2e037191c184864073d21975ea19899c4851333332",
     ),
     "sz-f32-rans-r3": (
@@ -462,11 +462,11 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "ed3a831b26a34bf6baf2e5f497ad6818097753a6621652b03349f13487ea1e1a",
     ),
     "sz-f64-3d": (
-        "493b78b9dc5c33c005de95c34d4997b114e8d20cda26d8a0a0476f360a70d155",
+        "aa6ce633c49054065ae9399b4a250bad1c8f37d0cd2f54cdaaed8c20eb8ee124",
         "600f49ff3b39c06a0391b61382bbb85a3b7a440f0a80f548b76c897e9494338a",
     ),
     "sz-f64-fill": (
-        "6e67ae69538fda4e4345373e4e1a5bd9b0b6fd2cce67476f15c3af46ec33266e",
+        "08fa44636e522fa48bc73a7b6515325b16e6d7a7b450d081d354bb0912bed875",
         "5a5a8fe5d04ae6c18f8eb8ad5f58486ba64acc55bf8550feeb9c50ce93823fae",
     ),
     "sz-f64-fill-constant": (
@@ -478,11 +478,11 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "fffd53f8f28dc4be3ca2802c57a75402c693199c273ceb58cafbf4725ac19ad9",
     ),
     "sz-f64-lorenzo1d": (
-        "49a84f0482b0880335caea974b15d3a942ec68c04ddba241acac2fa32d34a933",
+        "43bf97f2f2b8b789a9623b20f451f45063ca00f53c15edabc18658997ab4e0a9",
         "fffd53f8f28dc4be3ca2802c57a75402c693199c273ceb58cafbf4725ac19ad9",
     ),
     "sz-f64-nanfill": (
-        "9aa3b2be7d9774750e36764ca43ca7e3f06ebe80d915671f54c5e7b5678e967c",
+        "b26f8ab0a8609f10f0c7ab394bd99440c4fa32ac94eb1ecab456e04e5b39d0a8",
         "ab6e28f83c3655b78b8e7b082de862a662d807b6458b1c0ab97c655b5c67157a",
     ),
     "sz-f64-nanfill-constant": (
@@ -494,7 +494,7 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "fffd53f8f28dc4be3ca2802c57a75402c693199c273ceb58cafbf4725ac19ad9",
     ),
     "sz-f64-pw_rel": (
-        "757757f4cff90ba9eafa970a40c2294070b1139ec1ae80db9f8b67eb53d0a2f8",
+        "b8fa81774e5b927987db4fd2e427ee23dd9b331540387c19a2c35f236005ffab",
         "33dd841d0e4e68cb37025670cd8960cc86c6726992005d6449f92f47f8e95196",
     ),
     "sz-f64-pw_rel-constant": (
@@ -510,7 +510,7 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "ed7192c250c194b53dcc2f5d40c99af0c7f552a3cd4558e30d05319dd8c36c59",
     ),
     "sz-f64-r3-smooth": (
-        "f9e6432cf11a18dbd1ce669d9d7b513ad528909a9d60629e78987b2e2c1e4d5c",
+        "5ab5214395464b97b8b95f631a86412b2698d1440faee6226b01b5003baa0023",
         "fffd53f8f28dc4be3ca2802c57a75402c693199c273ceb58cafbf4725ac19ad9",
     ),
     "sz-f64-r32767-constant": (
@@ -518,7 +518,7 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "ed7192c250c194b53dcc2f5d40c99af0c7f552a3cd4558e30d05319dd8c36c59",
     ),
     "sz-f64-r32767-smooth": (
-        "95a534b066f4bf4ed1a9136e83049a27ea7e22805614e4da7c36ff92c0b8479a",
+        "123629979cdd6ed96befb23b9c2c27e0ffa33dd67529888eb6c182a818f000a4",
         "fffd53f8f28dc4be3ca2802c57a75402c693199c273ceb58cafbf4725ac19ad9",
     ),
     "sz-f64-rans": (
@@ -526,7 +526,7 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "89da049692f31fbc8c581ef2798f2bec9b7e264382561a3e7066a965249b380d",
     ),
     "sz-f64-rans-fallback": (
-        "0b8e1baa3b0deaea983b5444b147febe2f6012713ce2e345a0723fb891829faa",
+        "15308c0ab1ba6e47ade12e91dbcd0b84d2f004fabac230bfcbbe6af56fc246ac",
         "44ec5d6fced48afdcd79c56a2b06c7bcafa1c70c054661b4609a1f88cc9359ce",
     ),
     "sz-f64-rans-r3": (
@@ -534,11 +534,11 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "fffd53f8f28dc4be3ca2802c57a75402c693199c273ceb58cafbf4725ac19ad9",
     ),
     "temporal-f32-order2-keyframes": (
-        "cca49570891bcb6ea91d3beccc40a89293f0551547f8679fa514163153fcd6cb",
+        "567ce8b0bbb81162dd445f735282aa77c76edf9b35d3b8dc7f1a77db5215da0f",
         "6ecdff962889f6f5f433e5b97ba4657887b6edea2e2bb3b597cfbd83f4a77ea9",
     ),
     "temporal-f32-psnr-keyframes": (
-        "d38f11a8dbc135254c450a898e2ff657097991611b4874c9a491809d12e94fe9",
+        "3aaa17668a867a6ad7d69741cb76405764331ddec31534641b48213fa1c685b5",
         "dbdc4699e2f9fa6a67faeaaaa86101f468696d793292c7e4bf26853fd5600a2f",
     ),
     "temporal-f32-r3-constant": (
@@ -546,7 +546,7 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "16cedf49e7aaa20e5c8ed09c3481a2cf289de6df1bdb54b534be460ce9789083",
     ),
     "temporal-f32-r3-smooth": (
-        "216abc23528db0d8420c52b5a23b59b578090462fbe7c0b1f5fad6a4e87b9876",
+        "92a773b37ad871643ba24bdf6a14d00efb808dd7ebabf60dc42d0ac0a89f039b",
         "7e28bf920886dcbd8888c5b5bfd51f202d353dab1bcaac3a78b4947c04bcfb05",
     ),
     "temporal-f32-r32767-constant": (
@@ -554,15 +554,15 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "16cedf49e7aaa20e5c8ed09c3481a2cf289de6df1bdb54b534be460ce9789083",
     ),
     "temporal-f32-r32767-smooth": (
-        "b1448e04b18eef2256efaf5d98bfd2e927bacf164b7c4813559823286ebccfce",
+        "5f193fbd6fdc6208fcee14f0c2433ade1d44838ba3746f675a9b616d42b2f213",
         "7e28bf920886dcbd8888c5b5bfd51f202d353dab1bcaac3a78b4947c04bcfb05",
     ),
     "temporal-f64-order2-keyframes": (
-        "78f67ba58e58f97463e45ab9c62a1f882c1c8fdf622bd4c469feb6ff7dff6610",
+        "c2657a9f887a35ebb4268eec69874d66345f49bcb1917fffe4df4621f066a6c0",
         "9034ecca211202b2849905814cb8d17f020bbe73d6f276b319be4b892d8de585",
     ),
     "temporal-f64-psnr-keyframes": (
-        "1cd2bf2fdcd7eaab4d3ae801bab1ddbdcccad50d621b203c7325b487cbdc6bca",
+        "bb2565d82c7b3e0e8209f9346970bcc824e2070d0e8104dca7d933faffd9635b",
         "66eaef695550fe9e21bec9087cff9430fe47d0c3fc189e72823fbaed65d7d36e",
     ),
     "temporal-f64-r3-constant": (
@@ -570,7 +570,7 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "90d234dcd648ba47e449fc66e0927968d8d47c7295d01f30ece81e2e6472a3a4",
     ),
     "temporal-f64-r3-smooth": (
-        "b5120f7d412c735de88fbffbf58526f73b10aa06d88c2cf711a461167b2dd7e8",
+        "0da6e5cacc42a9410366bb2fc2999fb548bce453da63f314889927e559c55a41",
         "9fbbde5093afa03c3179a3480b0fb065b2d2645cd7d80f51c2e326c8a08a63f8",
     ),
     "temporal-f64-r32767-constant": (
@@ -578,11 +578,11 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "90d234dcd648ba47e449fc66e0927968d8d47c7295d01f30ece81e2e6472a3a4",
     ),
     "temporal-f64-r32767-smooth": (
-        "af90017fb0e7ee1e751c87ec96cc0dbaf8bbd4d2376c26525bc81e86eb7adb1f",
+        "b41c3c632d8900fcecd85533811f78d2ed09edad7cee0640b7fa8c4a57d0adb2",
         "9fbbde5093afa03c3179a3480b0fb065b2d2645cd7d80f51c2e326c8a08a63f8",
     ),
     "transform-f32-3d": (
-        "b0055dec3ad6b7ac83cc7d9a4980fef6450a0aa85d64c9187f64d3fef94e9d5f",
+        "7a3b393af64c5b68702753b6426dfb6fc34820aee95cb1f6a99f6aa4ca2e9e88",
         "7ca9858bd9c79e8e6cfaf62c973b86310b4bfec78808ffea3c58762928ad7379",
     ),
     "transform-f32-r3-constant": (
@@ -598,11 +598,11 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "442225f1879a6ad94db0797b3aa3b6edfedf2fc77a0d348bae5fb731aaa62a69",
     ),
     "transform-f32-r32767-smooth": (
-        "ff366648421f5e3c0c00cf74800625fe9acf0834e81487b7bf8360c73eaf150b",
+        "aa144054adfae55fcdc32ac3542c8967f8000947b515ab6840e8b695a95d8a1c",
         "5c6da59a238a6cac44ba2cba860bb49e6a9a8ddf1813b59b72e2c580f0de9df6",
     ),
     "transform-f64-3d": (
-        "7a18b59c051837d017fa0a5100d575c5a8d12b5c1a05c9075d45ab350e823ef1",
+        "fcdb68b13a5aae79d85df3a3a574d290948de203411f2f07115980f0b26afc52",
         "281308e4ff4c8d5b62265ed0f7c51e859763bc8700e8fe6eb2d731f091e26cd0",
     ),
     "transform-f64-r3-constant": (
@@ -618,7 +618,7 @@ DIGESTS: Dict[str, Tuple[str, str]] = {
         "ed7192c250c194b53dcc2f5d40c99af0c7f552a3cd4558e30d05319dd8c36c59",
     ),
     "transform-f64-r32767-smooth": (
-        "dbdbfc473fc5cbd16082706fc617cab64527aa5b9fb4c5b688d28bb78a2ad22e",
+        "afeba189c79d29c17bbe3827ec2f5a499c003ccccb1d496b9d7ebb82fd98a238",
         "ac9f51ea1038c8cde8db37b59b3f9519446fae941b9e2ca86fe3193a6ce7b372",
     ),
 }

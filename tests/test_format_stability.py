@@ -5,8 +5,14 @@ decoding.
 format version 1, together with the original field.  If any of these
 tests fails after a change, the on-disk format broke -- either fix the
 regression or bump the container VERSION and keep a legacy reader.
+
+``tests/golden/zlib6/`` keeps the fixtures whose bytes an earlier
+encoder wrote differently: the ones written before high-rate Huffman
+payloads were deflated with zlib's run-length strategy, when every
+stream was deflated at level 6.  They are decode-only.
 """
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -17,6 +23,20 @@ from repro.metrics.distortion import max_abs_error, psnr
 from repro.sz.compressor import decompress
 
 GOLDEN = Path(__file__).parent / "golden"
+LEGACY = GOLDEN / "zlib6"
+
+#: SHA-256 of each legacy fixture's decoded array (dtype, shape and
+#: bytes), as the build that wrote the fixture decoded it.
+LEGACY_DECODED = {
+    "chunked": "3a0714548399fb4a636aa2a042e5b57eacd3b4a5a59c91107826ee243838c038",
+    "hybrid": "07ca630be5e1aed300c11c75d8a8beb8899797a9f6314c51430c13adbc910299",
+    "interp": "75f710ab54c33d75a1d04e06253a87341131ed73661c0983d03eba06467a9153",
+    "legacy": "07ca630be5e1aed300c11c75d8a8beb8899797a9f6314c51430c13adbc910299",
+    "regression": "2e46cb8aa3c34772ce7f6b6902b1845683f7bee773602518d1db3714fac41504",
+    "sz_abs": "07ca630be5e1aed300c11c75d8a8beb8899797a9f6314c51430c13adbc910299",
+    "sz_pw_rel": "39c3d3958f490befc57d924d046233a17ac86771c355df66f2c814f290a7670e",
+    "transform": "00b2771a5db1bd054d71e6bb710c21c5e970e4e4c79371b30be5863b6b547f06",
+}
 
 
 def _load_regen():
@@ -87,3 +107,25 @@ class TestGoldenContainers:
         golden settings (catches accidental nondeterminism and any
         change to the bytes a codec writes)."""
         assert REGEN.FIXTURES[name](original) == _blob(name)
+
+
+class TestLegacyContainers:
+    def test_legacy_fixtures_exist(self):
+        assert {p.stem for p in LEGACY.glob("*.fpz")} == set(LEGACY_DECODED)
+
+    @pytest.mark.parametrize("name", sorted(LEGACY_DECODED))
+    def test_decodes_as_before_and_as_today(self, name):
+        """A fixture written at zlib level 6 throughout decodes to the
+        array it decoded to when it was written, which is also what
+        today's fixture of the same settings decodes to."""
+        blob = (LEGACY / f"{name}.fpz").read_bytes()
+        assert blob != _blob(name)
+        recon = decompress(blob)
+        digest = hashlib.sha256(
+            f"{recon.dtype}{recon.shape}".encode()
+            + np.ascontiguousarray(recon).tobytes()
+        ).hexdigest()
+        assert digest == LEGACY_DECODED[name]
+        today = decompress(_blob(name))
+        assert today.dtype == recon.dtype
+        assert np.array_equal(today, recon)
