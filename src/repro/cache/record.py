@@ -193,6 +193,8 @@ def compress_psnr(
     :class:`repro.core.fixed_psnr.FixedPSNRCompressor`, its achieved
     PSNR is measured on :func:`repro.sz.compressor.reconstruction`
     (no decode for sz), and the blob is stored when there is a store.
+    The new blob is parsed once, for its ``bound`` and the
+    reconstruction both.
     """
     from repro.core.fixed_psnr import FixedPSNRCompressor
     from repro.io.container import Container
@@ -210,8 +212,9 @@ def compress_psnr(
     blob = FixedPSNRCompressor(target, refine=refine, codec=codec).compress(
         data
     )
-    eb_rel = float(Container.from_bytes(blob).meta["bound"])
-    achieved = float(psnr(data, reconstruction(data, blob)))
+    container = Container.from_bytes(blob)
+    eb_rel = float(container.meta["bound"])
+    achieved = float(psnr(data, reconstruction(data, container)))
     if store is not None:
         store.put(
             key,

@@ -35,7 +35,7 @@ streams in the order it appended them, then ``escapes``.  Metadata:
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -68,8 +68,10 @@ __all__ = [
     "array_dtype",
     "array_shape",
     "check_count",
+    "check_stream",
     "decode_codes",
     "encode_codes",
+    "one_of",
     "pack",
     "pack_constant",
     "read_header",
@@ -134,6 +136,33 @@ def check_count(name: str, declared: int, implied: int) -> None:
     anything is inflated."""
     if declared != implied:
         raise _bad_meta(f"{name} {declared}, the shape implies {implied}")
+
+
+def check_stream(container: Container, name: str, expected: bool) -> None:
+    """Raise :class:`FormatError` with code ``BAD_META`` unless
+    ``container`` has the stream ``name`` exactly when the header says
+    it should (``expected``)."""
+    if container.has_stream(name) != expected:
+        raise _bad_meta(
+            f"{'no' if expected else 'a'} {name} stream, which the header "
+            f"{'requires' if expected else 'rules out'}"
+        )
+
+
+def one_of(values: Iterable) -> Callable:
+    """Parser of a header key that selects a decode path: its value must
+    be one that compression writes, from the writer's own table (an id
+    of ``INTERPOLATORS``, a mode of ``MODES``, ...).  Any other value
+    would send the decoder down some path to wrong data."""
+    allowed = tuple(values)
+
+    def parse(value):
+        # bool is an int to Python, and True == 1, but not to JSON
+        if type(value) not in (int, str) or value not in allowed:
+            raise ValueError(f"not one of {allowed}")
+        return value
+
+    return parse
 
 
 def read_keys(meta: dict, **parsers) -> List:

@@ -47,8 +47,10 @@ from repro.encoding.codes import (
     DEFAULT_RADIUS,
     ENTROPY_CODERS,
     ErrorBoundedCodec,
+    check_stream,
     decode_codes,
     encode_codes,
+    one_of,
     pack,
     pack_constant,
     read_header,
@@ -264,10 +266,9 @@ class SZCompressor(ErrorBoundedCodec):
         bytes, or the parsed container)."""
         head = read_header(blob, CODEC_SZ, "SZ")
         container, shape, lossless = head.container, head.shape, head.lossless
-        meta = container.meta
         n = int(np.prod(shape))
         signs = None
-        if meta.get("mode") == "pw_rel":
+        if _pointwise(head):
             sign_blob = lossless_decompress(
                 container.stream("signs"), lossless, max_length=n
             )
@@ -332,6 +333,15 @@ def _split_fill(data, fill_value: Optional[float]):
     x = x.copy()
     x[mask] = replacement
     return arr, x, mask
+
+
+def _pointwise(head) -> bool:
+    """Whether an sz container is pointwise relative: its ``mode`` must
+    be one of :attr:`SZCompressor.MODES`, and it must hold a ``signs``
+    stream exactly when the mode is ``pw_rel``."""
+    (mode,) = head.keys(mode=one_of(SZCompressor.MODES))
+    check_stream(head.container, "signs", mode == "pw_rel")
+    return mode == "pw_rel"
 
 
 def _value_range(x: np.ndarray) -> float:
@@ -415,10 +425,11 @@ def decompress(
     return getattr(importlib.import_module(module), name).decompress(container)
 
 
-def reconstruction(data, blob: bytes) -> np.ndarray:
+def reconstruction(data, blob: Union[bytes, Container]) -> np.ndarray:
     """Return exactly what ``decompress(blob)`` returns -- the same
     values, dtype and shape -- for a ``blob`` just compressed from
-    ``data``, which is how achieved PSNR is measured right after
+    ``data`` (its bytes, or the parsed container, which is then not
+    parsed again), which is how achieved PSNR is measured right after
     compressing.
 
     For an sz container nothing is decoded.  The paper's Theorem 1 puts
@@ -436,7 +447,9 @@ def reconstruction(data, blob: bytes) -> np.ndarray:
     stored anchor, or fill points where the header has none (or none
     where it has some) raise :class:`~repro.errors.ParameterError`.
     """
-    container = Container.from_bytes(blob)
+    container = (
+        blob if isinstance(blob, Container) else Container.from_bytes(blob)
+    )
     if container.codec != CODEC_SZ or container.meta.get("temporal"):
         return decompress(container)
     head = read_header(container, CODEC_SZ, "SZ")
@@ -457,7 +470,7 @@ def reconstruction(data, blob: bytes) -> np.ndarray:
 
     _, y, fill_mask = _split_fill(arr, fill_value)
     signs = None
-    if container.meta.get("mode") == "pw_rel":
+    if _pointwise(head):
         signs, y = forward_log_transform(y)
     has_fill = fill_mask is not None
     if float(y.flat[0]) != anchor or has_fill != (fill_value is not None):

@@ -31,6 +31,7 @@ from repro.encoding.codes import (
     ErrorBoundedCodec,
     Header,
     decode_codes,
+    one_of,
 )
 from repro.errors import CompressionError, DecompressionError, ParameterError
 from repro.io.container import CODEC_INTERP, pack_exact_float, unpack_exact_float
@@ -193,10 +194,13 @@ class InterpolationCompressor(ErrorBoundedCodec):
 
     @staticmethod
     def _decode(head: Header, delta: float) -> np.ndarray:
+        table = InterpolationCompressor.INTERPOLATORS
         anchor, interpolator, n_codes = head.keys(
-            anchor=unpack_exact_float, interpolator=int, n_codes=int
+            anchor=unpack_exact_float,
+            interpolator=one_of(table.values()),
+            n_codes=int,
         )
-        cubic = interpolator == 1
+        cubic = interpolator == table["cubic"]
         shape = head.shape
         n = int(np.prod(shape))
         if n_codes != n:

@@ -25,6 +25,7 @@ from repro.encoding.codes import (
     Header,
     decode_codes,
     encode_codes,
+    one_of,
     pack,
     pack_constant,
     validate_input,
@@ -161,7 +162,7 @@ class TransformCompressor(ErrorBoundedCodec):
             center=unpack_exact_float,
             block_size=int,
             n_codes=int,
-            transform=(int, 0),
+            transform=(one_of(TransformCompressor.TRANSFORMS.values()), 0),
         )
         q = decode_codes(head.container, head.lossless, n_codes)
 

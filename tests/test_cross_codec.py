@@ -134,3 +134,24 @@ def test_decompress_parses_each_container_once(codec, parses, smooth2d,
     monkeypatch.setattr(Container, "from_bytes", classmethod(counted))
     FixedPSNRCompressor.decompress(blob)
     assert len(calls) == parses
+
+
+@pytest.mark.parametrize("codec", ["sz", "transform", "hybrid"])
+def test_fixed_psnr_step_parses_its_blob_once(codec, smooth2d, monkeypatch):
+    """The cache-through fixed-PSNR step (sweep tasks, served jobs)
+    reads the new blob's ``bound`` and measures its reconstruction from
+    one parse (it used to parse twice)."""
+    from repro.cache import compress_psnr
+    from repro.io.container import Container
+
+    parse = Container.from_bytes.__func__
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(1)
+        return parse(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Container, "from_bytes", classmethod(counted))
+    rec = compress_psnr(smooth2d, 60.0, codec=codec)
+    assert len(calls) == 1
+    assert rec.eb_rel == float(parse(Container, rec.blob).meta["bound"])

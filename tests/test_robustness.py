@@ -165,7 +165,7 @@ _TAIL = "n_escapes escape_symbol total_bits"
 #: keys a container must have, then the keys it may lack (older
 #: containers, constant fields, fields without fill points).
 _READ_KEYS = {
-    "sz": (f"lossless eb_abs anchor predictor {_TAIL}",
+    "sz": (f"lossless mode eb_abs anchor predictor {_TAIL}",
            "entropy constant fill_value"),
     "transform": (f"lossless eb_abs center block_size n_codes {_TAIL}",
                   "transform constant"),
@@ -232,15 +232,39 @@ def test_every_header_key_fault_is_bad_meta(codec, key, fault):
 @pytest.mark.parametrize(
     "codec, key, value",
     [("sz", "predictor", 99), ("sz", "lossless", 99), ("sz", "entropy", 9),
-     ("temporal", "order", 5)],
+     ("temporal", "order", 5), ("interp", "interpolator", 7),
+     ("transform", "transform", 7)],
 )
 def test_unknown_id_is_bad_meta(codec, key, value):
     """An id no compression writes is a header-key fault too (an unknown
-    predictor id used to raise ParameterError, the others no code)."""
+    predictor id used to raise ParameterError, the others no code; an
+    unknown interpolator decoded as linear, an unknown transform as
+    DCT)."""
     c = _keyed_container(codec, key)
     blob = Container(c.codec, {**c.meta, key: value}, c.streams).to_bytes()
     with pytest.raises(FormatError) as info:
         _header_codecs()[codec][1](blob)
+    assert info.value.code == ErrorCode.BAD_META
+
+
+@pytest.mark.parametrize(
+    "written, mode",
+    [("pw_rel", None), ("pw_rel", "abs"), ("abs", "pw_rel")],
+    ids=["pw_rel-mode-removed", "pw_rel-as-abs", "abs-as-pw_rel"],
+)
+def test_mode_must_agree_with_the_signs_stream(written, mode):
+    """An sz container has a ``signs`` stream exactly when its mode is
+    ``pw_rel``; a pointwise-relative container whose mode was removed
+    or rewritten used to decode without its signs, to wrong values."""
+    x = np.cumsum(np.random.default_rng(4).normal(size=(16, 16)), axis=0)
+    bound = 1e-2 if written == "pw_rel" else 1e-3
+    c = Container.from_bytes(compress(x, bound, mode=written))
+    meta = {k: v for k, v in c.meta.items() if k != "mode"}
+    if mode is not None:
+        meta["mode"] = mode
+    blob = Container(c.codec, meta, c.streams).to_bytes()
+    with pytest.raises(FormatError) as info:
+        decompress(blob)
     assert info.value.code == ErrorCode.BAD_META
 
 
