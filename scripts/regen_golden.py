@@ -4,8 +4,17 @@
 The fixtures pin the on-disk container format: one ``.fpz`` per
 codec/mode, all produced from the same seeded field, all at container
 VERSION 1.  Run this script **only** when the format version is bumped
-deliberately -- regenerating to paper over a failing
+deliberately, or when the bytes the encoder writes change on purpose
+(as when high-rate Huffman payloads began to be deflated with zlib's
+run-length strategy) -- regenerating to paper over a failing
 ``tests/test_format_stability.py`` defeats the tests' purpose.
+
+When the encoder's bytes change, keep the fixtures it no longer writes:
+move each one whose bytes change into a subdirectory named for the
+encoder that wrote it (``tests/golden/zlib6/`` holds those written when
+every stream was deflated at level 6) before running the script, and
+record in ``tests/test_format_stability.py`` the digest of the array
+each decodes to, so they stay decode-only fixtures.
 
 Usage::
 

@@ -8,7 +8,11 @@ SZ pipeline (paper Section II-A) ends the same way:
    bounded (SZ 1.4's "unpredictable data" path);
 2. **entropy-code** the rest with canonical Huffman (the paper's
    choice) or interleaved rANS (:mod:`repro.encoding.rans`);
-3. **GZIP** (zlib) the code table and the coded payload.
+3. **GZIP** (zlib) the code table and the coded payload: the table at
+   the codec's ``lossless_level``, the payload too below
+   :data:`RLE_BITS_PER_SYMBOL` bits per symbol, and with zlib's
+   run-length strategy at or above it, where the LZ77 search took two
+   to three times as long and changed the blob by less than 1.5%.
 
 This module holds that tail once, as SZ3 composes a compressor from
 separate predictor, quantizer, encoder and lossless modules: the seven
@@ -143,10 +147,8 @@ def check_stream(container: Container, name: str, expected: bool) -> None:
     ``container`` has the stream ``name`` exactly when the header says
     it should (``expected``)."""
     if container.has_stream(name) != expected:
-        raise _bad_meta(
-            f"{'no' if expected else 'a'} {name} stream, which the header "
-            f"{'requires' if expected else 'rules out'}"
-        )
+        state = "missing" if expected else "present"
+        raise _bad_meta(f"{name} stream {state}, against the header")
 
 
 def one_of(values: Iterable) -> Callable:
