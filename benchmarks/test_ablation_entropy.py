@@ -1,24 +1,18 @@
-"""Experiment X9 -- entropy-stage ablation: Huffman vs rANS vs GZIP-only.
+"""Experiment X9 -- entropy-stage ablation: Huffman + GZIP vs GZIP-only.
 
-The paper's SZ pipeline uses customized Huffman + GZIP (stage 3);
-later SZ generations moved to ANS-family coders.  This ablation feeds
-all three stage-3 choices the *same* quantization codes from real
-fields and compares size and speed:
+The paper's SZ pipeline uses customized Huffman + GZIP (stage 3).  This
+ablation feeds both stage-3 choices the *same* quantization codes from
+real fields and compares size and speed:
 
-* ``huffman``  -- canonical Huffman + DEFLATE (the paper's setup);
-* ``rans``     -- interleaved range-ANS (fractional-bit coding);
-* ``none``     -- DEFLATE directly on raw int16 codes (what you would
+* ``huffman``   -- canonical Huffman + DEFLATE (the paper's setup);
+* ``gzip-only`` -- DEFLATE directly on raw int16 codes (what you would
   get by skipping the entropy stage, the paper's implicit baseline for
   why Huffman is there at all).
 
-Expected shape: at high targets (wide code alphabets) both real
-entropy coders beat DEFLATE-only and land close to each other.  At low
-targets the code stream degenerates to long runs of code 0; there the
-trailing DEFLATE behind Huffman exploits the *run structure* (a
-higher-order correlation a 0-order rANS cannot see), so Huffman+GZIP
-wins -- which is precisely why the paper's SZ keeps the GZIP stage.
-Reconstructions are bit-identical across entropy stages (stage 3 is
-lossless).
+Expected shape: Huffman + GZIP writes fewer bits per value than
+DEFLATE-only at every target.  An interleaved rANS arm was measured
+here too and went with the rANS encoder; its recorded numbers are in
+EXPERIMENTS.md (X9) and ``benchmarks/results/ablation_entropy.*``.
 """
 
 import time
@@ -29,7 +23,7 @@ from benchmarks.conftest import bench_scale, render_table
 from repro.core.fixed_psnr import psnr_to_relative_bound
 from repro.datasets.registry import get_dataset
 from repro.encoding.lossless import lossless_compress
-from repro.sz.compressor import SZCompressor, decompress
+from repro.sz.compressor import SZCompressor
 from repro.sz.predictors import lorenzo_difference
 from repro.sz.quantizer import LatticeQuantizer
 
@@ -48,16 +42,10 @@ def test_entropy_stage_ablation(benchmark, save_result):
         vr = float(field.max() - field.min())
         eb = psnr_to_relative_bound(target) * vr
 
-        sizes = {}
-        recons = {}
-        times = {}
-        for entropy in ("huffman", "rans"):
-            comp = SZCompressor(eb, mode="abs", entropy=entropy)
-            t0 = time.perf_counter()
-            blob = comp.compress(field)
-            times[entropy] = time.perf_counter() - t0
-            sizes[entropy] = len(blob)
-            recons[entropy] = decompress(blob)
+        t0 = time.perf_counter()
+        blob = SZCompressor(eb, mode="abs").compress(field)
+        times = {"huffman": time.perf_counter() - t0}
+        sizes = {"huffman": len(blob)}
 
         # DEFLATE-only baseline on the same codes (int16 fits: radius
         # keeps |q| <= 32768; escaped codes are rare on these fields).
@@ -68,16 +56,13 @@ def test_entropy_stage_ablation(benchmark, save_result):
         times["gzip-only"] = time.perf_counter() - t0
         sizes["gzip-only"] = len(gzip_only)
 
-        # stage 3 is lossless: identical reconstructions
-        assert np.array_equal(recons["huffman"], recons["rans"])
-
         key = f"{fname}@{target:.0f}"
         payload[key] = {
             "sizes": sizes,
             "times_s": times,
             "bit_rates": {k: 8.0 * v / field.size for k, v in sizes.items()},
         }
-        for entropy in ("huffman", "rans", "gzip-only"):
+        for entropy in ("huffman", "gzip-only"):
             rows.append(
                 (
                     key,
@@ -99,14 +84,7 @@ def test_entropy_stage_ablation(benchmark, save_result):
         s = rec["sizes"]
         # Huffman+GZIP (the paper's stage 3) always beats DEFLATE-only
         assert s["huffman"] < s["gzip-only"], key
-        # rANS stays within ~30% of Huffman everywhere ...
-        assert s["rans"] / s["huffman"] < 1.3, key
-        if key.endswith("@80"):
-            # ... and at high targets (entropy-dominated codes) it is
-            # competitive and beats DEFLATE-only too
-            assert s["rans"] < s["gzip-only"], key
-            assert 0.8 < s["rans"] / s["huffman"] < 1.25, key
 
     field = ds.field("TS")
-    comp = SZCompressor(1e-4, mode="rel", entropy="rans")
+    comp = SZCompressor(1e-4, mode="rel")
     benchmark(comp.compress, field)

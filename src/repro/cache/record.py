@@ -71,12 +71,7 @@ def psnr_key(
     from repro.cache.store import blob_key
 
     return blob_key(
-        digest,
-        codec=codec,
-        mode="psnr",
-        target=target,
-        refine=refine,
-        entropy="huffman",
+        digest, codec=codec, mode="psnr", target=target, refine=refine
     )
 
 

@@ -146,9 +146,13 @@ def blob_key(
     the control mode (``psnr``/``nrmse``/``mse``/``ratio``/``abs``/
     ``rel``/``pw_rel``); ``target`` or ``bound`` is the requested value
     in that unit.  ``options`` carries anything else that changes the
-    output bytes (``refine``, ``entropy``, ``chunks`` ...); ``None``
-    values are dropped so absent and default-omitted options agree.
+    output bytes (``refine``, ``chunks`` ...); ``None`` values are
+    dropped so absent and default-omitted options agree.  Every key
+    also names the entropy stage, ``huffman``, as keys did when a
+    second coder could be chosen, so that the entries stored then
+    still hit.
     """
+    options["entropy"] = "huffman"
     doc = {
         "kind": "blob",
         "schema": CACHE_SCHEMA_VERSION,

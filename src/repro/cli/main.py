@@ -250,13 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="chunk_workers",
         help="worker processes for --chunks slabs (default 0 = sequential)",
     )
-    p_c.add_argument(
-        "--entropy",
-        choices=("huffman", "rans"),
-        default="huffman",
-        help="entropy stage for the sz codec's --abs/--rel/--pw-rel "
-        "bounds and --chunks slabs (every other mode uses Huffman)",
-    )
     _add_observed_flags(p_c)
     _add_export_flags(p_c)
     _add_cache_flags(p_c)
@@ -733,9 +726,6 @@ def _control(args):
 
     Combinations no codec takes are a
     :class:`~repro.errors.ParameterError` before any cache lookup.
-    ``--entropy`` reaches the coder only for sz error bounds and
-    ``--chunks`` slabs; every other mode writes Huffman, so a non-default
-    ``--entropy`` there is refused rather than ignored.
     """
     from repro.errors import ParameterError
 
@@ -770,13 +760,6 @@ def _control(args):
         raise ParameterError("--bit-rate requires --codec embedded")
     if mode == "pw_rel" and codec != "sz":
         raise ParameterError("--pw-rel requires --codec sz")
-    if args.entropy != "huffman" and (
-        codec != "sz" or (mode in _MEASURED and not chunked)
-    ):
-        raise ParameterError(
-            f"--entropy {args.entropy} requires --codec sz with --abs, "
-            "--rel, --pw-rel or --chunks"
-        )
     return mode, value
 
 
@@ -800,7 +783,6 @@ def _compress_blob(args, data, mode, value, store):
             mode=mode,
             n_chunks=args.chunks,
             n_workers=args.chunk_workers,
-            entropy=args.entropy,
         )
     if args.codec == "embedded":
         from repro.transform.embedded import EmbeddedTransformCompressor
@@ -833,10 +815,7 @@ def _compress_blob(args, data, mode, value, store):
         return result.blob
     from repro.core.codecs import make_compressor
 
-    options = {"entropy": args.entropy} if args.codec == "sz" else {}
-    return make_compressor(args.codec, value, mode=mode, **options).compress(
-        data
-    )
+    return make_compressor(args.codec, value, mode=mode).compress(data)
 
 
 def _compress_through(args, data, mode, value, store):
@@ -854,7 +833,6 @@ def _compress_through(args, data, mode, value, store):
             mode=mode,
             tol=args.tol if mode == "ratio" else None,
             refine="histogram" if args.refine else None,
-            entropy=args.entropy,
             chunks=args.chunks or None,
             **{("bound" if mode in _BOUNDS else "target"): value},
         )

@@ -44,8 +44,8 @@ def make_compressor(
         Forwarded to the compressor (``mode`` is ``"abs"``/``"rel"``,
         plus ``"pw_rel"`` for the sz codec).
     **options:
-        Codec-specific keyword options (entropy stage, block size,
-        fill value, ...).
+        Codec-specific keyword options (predictor, block size, fill
+        value, ...).
 
     Imports are local so instantiating one codec never pays for the
     others (the CLI and worker processes rely on that).

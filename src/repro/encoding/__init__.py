@@ -9,8 +9,8 @@ implements the last two stages from scratch:
   package-merge length limiting, a fully vectorized encoder, and a
   segment-parallel decoder whose lock-step walks rely on Huffman
   codes resynchronising after a few symbols.
-* :mod:`repro.encoding.rans` -- interleaved range-ANS, the sz codec's
-  alternative entropy coder.
+* :mod:`repro.encoding.rans` -- the interleaved range-ANS decoder, which
+  reads the sz containers that earlier builds wrote with rANS.
 * :mod:`repro.encoding.lossless` -- the trailing lossless stage (zlib /
   DEFLATE, i.e. what GZIP uses, per the paper).
 * :mod:`repro.encoding.codes` -- the stage every quantization codec

@@ -7,7 +7,8 @@ SZ pipeline (paper Section II-A) ends the same way:
    radius into a side stream, so the entropy coder's alphabet stays
    bounded (SZ 1.4's "unpredictable data" path);
 2. **entropy-code** the rest with canonical Huffman (the paper's
-   choice) or interleaved rANS (:mod:`repro.encoding.rans`);
+   choice; containers that earlier builds wrote with interleaved rANS,
+   entropy id 1, are still read through :mod:`repro.encoding.rans`);
 3. **GZIP** (zlib) the code table and the coded payload: the table at
    the codec's ``lossless_level``, the payload too below
    :data:`RLE_BITS_PER_SYMBOL` bits per symbol, and with zlib's
@@ -90,7 +91,8 @@ DEFAULT_RADIUS = 32767
 #: Supported input dtypes (the paper evaluates single-precision data).
 SUPPORTED_DTYPES = (np.float32, np.float64)
 
-#: Entropy-coder ids stored in the container.
+#: Entropy-coder ids a container may hold.  Compression writes Huffman;
+#: rANS containers, which earlier builds could write, are only read.
 ENTROPY_CODERS = {"huffman": 0, "rans": 1}
 _HUFFMAN = ENTROPY_CODERS["huffman"]
 
@@ -412,16 +414,13 @@ def encode_codes(
     radius: int,
     lossless: str,
     level: int,
-    entropy: str = "huffman",
-) -> Tuple[int, Optional[int], int]:
-    """Escape, entropy-code and lossless-compress the integer codes ``q``.
+) -> Tuple[int, int]:
+    """Escape, Huffman-code and lossless-compress the integer codes ``q``.
 
     Appends the ``escapes`` stream to ``streams`` (when there are any),
     puts ``table`` and ``payload`` first, and writes ``n_escapes``,
-    ``escape_symbol`` and ``total_bits`` to ``meta``.  rANS falls back
-    to Huffman on alphabets its model cannot hold.  Returns
-    ``(n_escapes, total_bits, coder id used)``; ``total_bits`` is None
-    for rANS.
+    ``escape_symbol`` and ``total_bits`` to ``meta``.  Returns
+    ``(n_escapes, total_bits)``.
     """
     trace = observe.current_trace()
     escape_symbol = radius + 1
@@ -447,28 +446,10 @@ def encode_codes(
     meta["n_escapes"] = n_escapes
     meta["escape_symbol"] = escape_symbol
 
-    coder_id = ENTROPY_CODERS[entropy]
     with trace.span("entropy") as sp:
         if trace.enabled:
             sp.count("n_symbols", int(q.size))
-            sp.set("coder_id", coder_id)
-        if entropy == "rans":
-            try:
-                coder = RansCoder.from_data(q)
-            except ParameterError:
-                coder_id = _HUFFMAN
-                if trace.enabled:
-                    sp.set("coder_id", coder_id)
-            else:
-                # rANS output is already near-incompressible; only the
-                # model table goes through the lossless stage.
-                streams.insert(0, ("payload", coder.encode(q)))
-                streams.insert(
-                    0,
-                    ("table", lossless_compress(coder.table_bytes(), lossless, level)),
-                )
-                return n_escapes, None, coder_id
-
+            sp.set("coder_id", _HUFFMAN)
         # Codes shifted to start at 0 serve both the histogram and the
         # encoder's lookup, which would each subtract the minimum from
         # every code; the table is written with the codes' own values.
@@ -486,7 +467,7 @@ def encode_codes(
             0, ("payload", lossless_compress(payload, lossless, level, rle=rle))
         )
         streams.insert(0, ("table", lossless_compress(table, lossless, level)))
-    return n_escapes, total_bits, coder_id
+    return n_escapes, total_bits
 
 
 def _inflate_exact(
@@ -552,9 +533,7 @@ def decode_codes(
             q = code.decode(payload, n, total_bits)
         else:
             coder = RansCoder.from_table_bytes(table_blob)
-            q = coder.decode(container.stream("payload"))
-            if q.size != n:
-                raise DecompressionError("rANS symbol count mismatch")
+            q = coder.decode(container.stream("payload"), n)
 
         if n_escapes:
             esc_mask = q == escape_symbol

@@ -1,36 +1,39 @@
-"""Interleaved range-ANS (rANS) entropy coder, vectorized across lanes.
+"""Interleaved range-ANS (rANS) decoder: the reader of sz containers
+whose entropy id is 1.
 
-Huffman coding (the paper's stage 3) loses up to half a bit per symbol
-to integer code lengths; ANS-family coders reach the entropy to within
-a rounding error and are what later SZ generations adopted.  This is a
-static-model rANS with **N interleaved states**: lane *i* codes symbols
-``i, i+N, i+2N, ...``, so each coding step advances all lanes at once
-with whole-array NumPy operations.  The per-symbol recurrences are the
-textbook ones:
+Earlier builds could write the sz codec's codes with a static-model
+rANS coder in place of Huffman.  On the paper's fields it wrote more
+bytes than Huffman + GZIP and ran several times slower, so nothing
+writes it any more; this module keeps the decoder so that those
+containers stay readable (``tests/golden/rans/``).
 
-encode (processed in reverse):
-    ``x = (x // f) << SCALE_BITS | (x % f) + c``      (f: freq, c: cum)
-decode:
+The coder has **N interleaved states**: lane *i* holds symbols ``i,
+i+N, i+2N, ...``, so each decoding step advances all lanes at once with
+whole-array NumPy operations, and the Python-level loop runs ``ceil(n /
+N)`` times (at most N = 256 lanes), not ``n`` times.  Each step is the
+textbook recurrence
+
     ``s = table[x & MASK]; x = f * (x >> SCALE_BITS) + (x & MASK) - c``
 
-with byte renormalisation keeping ``x`` in ``[L, 256*L)``.
+(f: the symbol's frequency, c: their cumulative sum), with byte
+renormalisation keeping ``x`` in ``[L, 256*L)``.
 
-The Python-level loop runs ``ceil(n / N)`` times (N = 256 lanes by
-default), not ``n`` times -- the same "vectorize the inner dimension"
-move the HPC guides prescribe.
+A payload is ``RANS``, the symbol count (uint64) and the lane count
+(uint32), then each lane's final state and each lane's byte length
+(uint32 apiece), then each lane's bytes in the order they are read.  A
+model table is the alphabet size (int64), the symbols (int64) and
+their frequencies (uint16), which sum to ``2**SCALE_BITS``.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Tuple
 
 import numpy as np
 
-import repro.observe as observe
 from repro.errors import DecompressionError, ParameterError
 
-__all__ = ["RansCoder", "rans_encode", "rans_decode"]
+__all__ = ["RansCoder"]
 
 #: Probability resolution: frequencies sum to 2**SCALE_BITS.
 SCALE_BITS = 14
@@ -38,50 +41,14 @@ TOTAL = 1 << SCALE_BITS
 MASK = TOTAL - 1
 #: Lower bound of the state interval [L, 256L).
 L = np.uint64(1 << 23)
-#: Interleaved lanes (the vectorized dimension).
+#: The most interleaved lanes a payload holds.
 N_LANES = 256
 
 _MAGIC = b"RANS"
 
 
-def _normalize_freqs(counts: np.ndarray) -> np.ndarray:
-    """Scale counts to frequencies summing to TOTAL, all >= 1.
-
-    Largest-remainder rounding; steals from the most frequent symbols
-    when the +1 floors overshoot.
-    """
-    counts = np.asarray(counts, dtype=np.float64)
-    n = counts.size
-    if n == 0:
-        raise ParameterError("empty alphabet")
-    if n > TOTAL:
-        raise ParameterError(f"alphabet too large for rANS ({n} > {TOTAL})")
-    if (counts <= 0).any():
-        raise ParameterError("all counts must be positive")
-    ideal = counts * (TOTAL / counts.sum())
-    freqs = np.maximum(1, np.floor(ideal)).astype(np.int64)
-    deficit = TOTAL - int(freqs.sum())
-    if deficit > 0:
-        # hand out the remaining mass by largest fractional part
-        order = np.argsort(-(ideal - np.floor(ideal)))
-        for idx in order[:deficit]:
-            freqs[idx] += 1
-    elif deficit < 0:
-        # take back from the largest frequencies (never below 1)
-        order = np.argsort(-freqs)
-        i = 0
-        while deficit < 0:
-            idx = order[i % n]
-            if freqs[idx] > 1:
-                freqs[idx] -= 1
-                deficit += 1
-            i += 1
-    assert int(freqs.sum()) == TOTAL
-    return freqs
-
-
 class RansCoder:
-    """A static-model rANS coder over an int64 alphabet."""
+    """A static-model rANS decoder over an int64 alphabet."""
 
     def __init__(self, symbols: np.ndarray, freqs: np.ndarray) -> None:
         symbols = np.asarray(symbols, dtype=np.int64)
@@ -100,146 +67,44 @@ class RansCoder:
             np.arange(symbols.size, dtype=np.int64), freqs
         )
 
-    @classmethod
-    def from_data(cls, data: np.ndarray) -> "RansCoder":
-        """Build the model from the data to be encoded."""
-        trace = observe.current_trace()
-        with trace.span("rans.build") as sp:
-            flat = np.asarray(data, dtype=np.int64).ravel()
-            if flat.size == 0:
-                raise ParameterError("cannot model empty data")
-            symbols, counts = np.unique(flat, return_counts=True)
-            if trace.enabled:
-                sp.set("alphabet_size", int(symbols.size))
-            return cls(symbols, _normalize_freqs(counts))
-
-    # -- encoding ------------------------------------------------------
-
-    def encode(self, data: np.ndarray) -> bytes:
-        """Encode ``data``; returns a self-contained payload (the model
-        itself is serialized separately via :meth:`table_bytes`)."""
-        trace = observe.current_trace()
-        with trace.span("rans.encode") as sp:
-            out = self._encode_impl(data)
-            n = int(np.asarray(data).size)
-            if n:
-                from repro.telemetry.registry import (
-                    BITS_BUCKETS,
-                    metrics as _metrics,
-                )
-
-                _metrics().histogram(
-                    "encoding.rans.bits_per_symbol", BITS_BUCKETS
-                ).observe(8.0 * len(out) / n)
-            if trace.enabled:
-                sp.count("n_symbols", n)
-                sp.count("bytes_out", len(out))
-        return out
-
-    def _encode_impl(self, data: np.ndarray) -> bytes:
-        flat = np.asarray(data, dtype=np.int64).ravel()
-        n = flat.size
-        if n == 0:
-            return struct.pack("<4sQI", _MAGIC, 0, 0)
-        idx = np.searchsorted(self.symbols, flat)
-        if (idx >= self.symbols.size).any() or (
-            self.symbols[np.minimum(idx, self.symbols.size - 1)] != flat
-        ).any():
-            raise ParameterError("data contains symbols outside the alphabet")
-        sym_freq = self.freqs[idx]
-        sym_cum = self.cums[idx]
-
-        # Each lane carries 8 bytes of fixed overhead (state + length),
-        # so lane count scales with input size: >= 512 symbols per lane
-        # keeps the overhead below ~0.13 bits/value.
-        lanes = int(min(N_LANES, max(1, n // 512)))
-        steps = -(-n // lanes)
-        # lane l owns positions l, l+lanes, ... ; pad the tail with -1.
-        padded = lanes * steps
-        freq_grid = np.ones((steps, lanes), dtype=np.uint64)
-        cum_grid = np.zeros((steps, lanes), dtype=np.uint64)
-        valid = np.zeros((steps, lanes), dtype=bool)
-        flat_pos = np.arange(padded)
-        take = flat_pos < n
-        freq_grid.ravel()[take] = sym_freq
-        cum_grid.ravel()[take] = sym_cum
-        valid.ravel()[take] = True
-
-        # Per-lane output buffers (bytes are emitted most 2 per symbol).
-        cap = 2 * steps + 8
-        buf = np.zeros((lanes, cap), dtype=np.uint8)
-        ptr = np.zeros(lanes, dtype=np.int64)
-        x = np.full(lanes, L, dtype=np.uint64)
-
-        eight = np.uint64(8)
-        sb = np.uint64(SCALE_BITS)
-        # encode in REVERSE symbol order (rANS is a stack)
-        for step in range(steps - 1, -1, -1):
-            f = freq_grid[step]
-            c = cum_grid[step]
-            v = valid[step]
-            # renormalise: emit low bytes while x >= x_max
-            x_max = (f << np.uint64(23 + 8 - SCALE_BITS))
-            while True:
-                need = v & (x >= x_max)
-                if not need.any():
-                    break
-                lanes_idx = np.nonzero(need)[0]
-                buf[lanes_idx, ptr[lanes_idx]] = (
-                    x[lanes_idx] & np.uint64(0xFF)
-                ).astype(np.uint8)
-                ptr[lanes_idx] += 1
-                x[lanes_idx] >>= eight
-            # state update
-            q, r = np.divmod(x[v], f[v])
-            x[v] = (q << sb) + r + c[v]
-
-        # serialize: header, final states (uint32 -- x < 2**31 by the
-        # renormalisation invariant), per-lane lengths (uint32), buffers
-        # (each lane's bytes reversed so decode reads forward).
-        parts = [struct.pack("<4sQI", _MAGIC, n, lanes)]
-        parts.append(x.astype("<u4").tobytes())
-        parts.append(ptr.astype("<u4").tobytes())
-        for lane in range(lanes):
-            parts.append(buf[lane, : ptr[lane]][::-1].tobytes())
-        return b"".join(parts)
-
-    # -- decoding ------------------------------------------------------
-
-    def decode(self, payload: bytes) -> np.ndarray:
-        """Decode a payload produced by :meth:`encode`."""
+    def decode(self, payload: bytes, n: int) -> np.ndarray:
+        """The ``n`` symbols of ``payload``, where ``n`` is the count
+        its container declares.  A payload that holds another count, a
+        lane count outside ``1..min(N_LANES, n)``, or lane lengths that
+        add up to more than its remaining bytes raises
+        :class:`DecompressionError` before anything is allocated."""
         if len(payload) < 16 or payload[:4] != _MAGIC:
             raise DecompressionError("not a rANS payload")
-        n, lanes = struct.unpack_from("<QI", payload, 4)
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        if lanes < 1 or lanes > N_LANES:
-            raise DecompressionError("bad lane count")
-        pos = 16
-        if len(payload) < pos + 8 * lanes:
+        count, lanes = struct.unpack_from("<QI", payload, 4)
+        if count != n:
+            raise DecompressionError(
+                f"rANS payload holds {count} symbols, the container {n}"
+            )
+        if not 1 <= lanes <= min(N_LANES, n):
+            raise DecompressionError(f"bad rANS lane count {lanes}")
+        pos = 16 + 8 * lanes
+        if len(payload) < pos:
             raise DecompressionError("rANS payload truncated")
-        x = np.frombuffer(payload, dtype="<u4", count=lanes, offset=pos).astype(
+        x = np.frombuffer(payload, dtype="<u4", count=lanes, offset=16).astype(
             np.uint64
         )
-        pos += 4 * lanes
         lengths = np.frombuffer(
-            payload, dtype="<u4", count=lanes, offset=pos
+            payload, dtype="<u4", count=lanes, offset=16 + 4 * lanes
         ).astype(np.int64)
-        pos += 4 * lanes
-        bufs = np.zeros((lanes, int(lengths.max()) + 1), dtype=np.uint64)
-        for lane in range(lanes):
-            ln = int(lengths[lane])
-            chunk = payload[pos : pos + ln]
-            if len(chunk) != ln:
-                raise DecompressionError("rANS payload truncated")
-            bufs[lane, :ln] = np.frombuffer(chunk, dtype=np.uint8)
-            pos += ln
-        rptr = np.zeros(lanes, dtype=np.int64)
+        total = int(lengths.sum())
+        if total > len(payload) - pos:
+            raise DecompressionError("rANS payload truncated")
+        data = np.frombuffer(
+            payload, dtype=np.uint8, count=total, offset=pos
+        ).astype(np.uint64)
+        # Each lane reads its own run of ``data``: from ``rptr`` to ``end``.
+        end = np.cumsum(lengths)
+        rptr = end - lengths
 
         steps = -(-n // lanes)
         out = np.zeros((steps, lanes), dtype=np.int64)
         valid = np.zeros((steps, lanes), dtype=bool)
-        valid.ravel()[np.arange(lanes * steps) < n] = True
+        valid.ravel()[:n] = True
 
         eight = np.uint64(8)
         sb = np.uint64(SCALE_BITS)
@@ -260,28 +125,15 @@ class RansCoder:
                 if not need_bytes.any():
                     break
                 li = lane_ids[need_bytes]
-                if (rptr[li] >= lengths[li]).any():
+                if (rptr[li] >= end[li]).any():
                     raise DecompressionError("rANS stream exhausted")
-                x[li] = (x[li] << eight) | bufs[li, rptr[li]]
+                x[li] = (x[li] << eight) | data[rptr[li]]
                 rptr[li] += 1
-        return out.ravel()[: lanes * steps][
-            np.arange(lanes * steps) < n
-        ]
-
-    # -- model serialization --------------------------------------------
-
-    def table_bytes(self) -> bytes:
-        """Serialize the model as (n, symbols[int64], freqs[uint16])."""
-        n = np.array([self.symbols.size], dtype=np.int64)
-        return (
-            n.tobytes()
-            + self.symbols.tobytes()
-            + self.freqs.astype(np.uint16).tobytes()
-        )
+        return out.ravel()[:n]
 
     @classmethod
     def from_table_bytes(cls, blob: bytes) -> "RansCoder":
-        """Inverse of :meth:`table_bytes`."""
+        """The model of a serialized table."""
         if len(blob) < 8:
             raise DecompressionError("rANS table truncated")
         n = int(np.frombuffer(blob[:8], dtype=np.int64)[0])
@@ -293,14 +145,3 @@ class RansCoder:
             np.int64
         )
         return cls(symbols, freqs)
-
-
-def rans_encode(data: np.ndarray) -> Tuple[bytes, "RansCoder"]:
-    """One-shot helper: model from data, then encode."""
-    coder = RansCoder.from_data(data)
-    return coder.encode(data), coder
-
-
-def rans_decode(payload: bytes, coder: "RansCoder") -> np.ndarray:
-    """One-shot helper mirroring :func:`rans_encode`."""
-    return coder.decode(payload)

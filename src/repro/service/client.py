@@ -163,14 +163,16 @@ class ServiceClient:
         payload: Dict,
         headers: Optional[Dict[str, str]] = None,
     ) -> str:
-        """Submit one job; returns its id.
+        """Submit one job; returns the id the server's job routes
+        resolve: a coordinator's own ``coordinator_id`` (its ``id`` is
+        the member's), else ``id``.
 
         A 429 (admission control) is retried honoring the server's
         ``Retry-After`` hint -- capped, seeded-jitter backoff, at most
         ``retry_429`` extra attempts -- then raised as
         :class:`ServiceError` (with ``retry_after`` set)."""
         doc = self.submit_doc(kind, payload, headers=headers)
-        return str(doc["id"])
+        return str(doc.get("coordinator_id", doc["id"]))
 
     def submit_doc(
         self,

@@ -108,11 +108,6 @@ class SZCompressor(ErrorBoundedCodec):
         zlib effort level, 1..9.
     quantization_radius:
         Codes with ``|q| > radius`` take the escape path.
-    entropy:
-        Third-stage entropy coder: ``"huffman"`` (the paper's SZ 1.4)
-        or ``"rans"`` (interleaved range-ANS; see
-        :mod:`repro.encoding.rans`), which falls back to Huffman on
-        pathological alphabets.
     fill_value:
         Sentinel marking missing points (production climate data uses
         values like 1e20/1e35 over land; ``np.nan`` is accepted too).
@@ -135,7 +130,6 @@ class SZCompressor(ErrorBoundedCodec):
         lossless: str = "zlib",
         lossless_level: int = 6,
         quantization_radius: int = DEFAULT_RADIUS,
-        entropy: str = "huffman",
         fill_value: Optional[float] = None,
     ) -> None:
         super().__init__(
@@ -145,12 +139,6 @@ class SZCompressor(ErrorBoundedCodec):
             raise ParameterError("pointwise relative bound must be < 1")
         self.predictor = predictor
         self.predictor_id, self._difference, _ = predictor_by_name(predictor)
-        if entropy not in ENTROPY_CODERS:
-            raise ParameterError(
-                f"unknown entropy coder {entropy!r}; "
-                f"choose from {sorted(ENTROPY_CODERS)}"
-            )
-        self.entropy = entropy
         if fill_value is not None and np.isinf(fill_value):
             raise ParameterError("fill_value must be finite or NaN")
         self.fill_value = None if fill_value is None else float(fill_value)
@@ -192,16 +180,10 @@ class SZCompressor(ErrorBoundedCodec):
                 sp.count("n_points", int(q.size))
                 sp.set("bin_size", 2.0 * eb_abs)
 
-        n_escapes, total_bits, coder_id = encode_codes(
-            q,
-            meta,
-            streams,
-            self.radius,
-            self.lossless,
-            self.lossless_level,
-            self.entropy,
+        n_escapes, total_bits = encode_codes(
+            q, meta, streams, self.radius, self.lossless, self.lossless_level
         )
-        meta["entropy"] = coder_id
+        meta["entropy"] = ENTROPY_CODERS["huffman"]
         reg = _metrics()
         reg.histogram("sz.quantization.hit_ratio", RATIO_BUCKETS).observe(
             1.0 - n_escapes / q.size
@@ -209,10 +191,9 @@ class SZCompressor(ErrorBoundedCodec):
         reg.histogram("sz.quantization.outlier_rate", RATIO_BUCKETS).observe(
             n_escapes / q.size
         )
-        if total_bits is not None:
-            reg.histogram("sz.entropy.bits_per_symbol", BITS_BUCKETS).observe(
-                total_bits / q.size
-            )
+        reg.histogram("sz.entropy.bits_per_symbol", BITS_BUCKETS).observe(
+            total_bits / q.size
+        )
 
     def compress(self, data) -> bytes:
         """Compress ``data`` and return the serialized container."""

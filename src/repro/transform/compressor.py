@@ -148,7 +148,7 @@ class TransformCompressor(ErrorBoundedCodec):
 
             streams = []
             meta["n_codes"] = int(q.size)
-            n_escapes, _, _ = encode_codes(
+            n_escapes, _ = encode_codes(
                 q, meta, streams, self.radius, self.lossless, self.lossless_level
             )
             _metrics().histogram(

@@ -8,6 +8,8 @@ written with the older ``fpzc compress`` metadata (no ``bit_rate`` or
 ``eb_rel``) are hits, and that every path builds the same key.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -122,8 +124,7 @@ class TestSharedEntries:
         blob = FixedPSNRCompressor(TARGET).compress(field)
         achieved = float(psnr(field, FixedPSNRCompressor.decompress(blob)))
         key = blob_key(
-            data_digest(field), codec="sz", mode="psnr",
-            target=TARGET, entropy="huffman",
+            data_digest(field), codec="sz", mode="psnr", target=TARGET
         )
         store.put(key, blob, {
             "kind": "blob", "dataset": "field.npy", "codec": "sz",
@@ -223,6 +224,24 @@ class TestOneKey:
         )
         keys.append(router.route_key("compress", payload))
         assert keys == [expected] * 5
+
+    def test_keys_are_the_ones_stores_already_hold(self, tmp_path, capsys):
+        """Keys recorded from an earlier build, whose keys named an
+        entropy option: a change to what a key hashes would only show as
+        misses in users' stores."""
+        golden = Path(__file__).parent / "golden" / "field.npy"
+        assert psnr_key(data_digest(np.load(golden)), 60.0) == (
+            "c779c0537936a2ee04ed14bcd9dd5f3783b60967b805d38227f277252c5e3271"
+        )
+        assert main([
+            "compress", str(golden), "-o", str(tmp_path / "f.fpz"),
+            "--abs", "1e-3", "--cache", "--cache-dir", str(tmp_path / "c"),
+            "--no-ledger",
+        ]) == 0
+        capsys.readouterr()
+        assert _only_key(tmp_path / "c") == (
+            "9f48f0d810e391ecd117d9c6bad37e4773a450332899cfd42778d216114589a8"
+        )
 
 
 class TestFieldDigest:

@@ -157,8 +157,9 @@ class TestNewCodecs:
 
 
 class TestEntropyFlag:
-    """``--entropy rans`` is refused wherever it cannot reach the coder
-    (it used to be dropped silently, writing Huffman under a rans key)."""
+    """``--entropy`` is gone with the rANS encoder: every compress mode,
+    the two that once reached rANS included, refuses it before writing
+    a blob or opening the cache."""
 
     @pytest.mark.parametrize(
         "mode",
@@ -171,28 +172,22 @@ class TestEntropyFlag:
             ["--rel", "1e-3", "--codec", "hybrid"],
             ["--bit-rate", "4", "--codec", "embedded"],
             ["--psnr", "60", "--codec", "embedded"],
+            ["--rel", "1e-3"],
+            ["--chunks", "2", "--psnr", "60"],
         ],
     )
     def test_rejected(self, demo_npy, tmp_path, capsys, mode):
         out = tmp_path / "f.fpz"
         cache = tmp_path / "cache"
-        code = main([
-            "compress", str(demo_npy), "-o", str(out), *mode,
-            "--entropy", "rans", "--cache", "--cache-dir", str(cache),
-        ])
-        assert code == 2
-        assert "--entropy rans requires --codec sz" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "compress", str(demo_npy), "-o", str(out), *mode,
+                "--entropy", "rans", "--cache", "--cache-dir", str(cache),
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --entropy rans" in err
         assert not out.exists() and not cache.exists()
-
-    @pytest.mark.parametrize(
-        "mode", [["--rel", "1e-3"], ["--chunks", "2", "--psnr", "60"]]
-    )
-    def test_reaches_the_coder(self, demo_npy, tmp_path, mode):
-        rans, huffman = tmp_path / "r.fpz", tmp_path / "h.fpz"
-        argv = ["compress", str(demo_npy), *mode]
-        assert main([*argv, "-o", str(rans), "--entropy", "rans"]) == 0
-        assert main([*argv, "-o", str(huffman)]) == 0
-        assert rans.read_bytes() != huffman.read_bytes()
 
 
 class TestArchive:
@@ -279,21 +274,6 @@ class TestGenVerify:
         blob[30] ^= 0xFF
         out.write_bytes(bytes(blob))
         assert main(["verify", str(out)]) == 2
-
-    def test_entropy_flag(self, demo_npy, tmp_path):
-        out = tmp_path / "f.fpz"
-        rec = tmp_path / "r.npy"
-        assert (
-            main(
-                [
-                    "compress", str(demo_npy), "-o", str(out),
-                    "--rel", "1e-4", "--entropy", "rans",
-                ]
-            )
-            == 0
-        )
-        assert main(["decompress", str(out), "-o", str(rec)]) == 0
-        assert psnr(np.load(demo_npy), np.load(rec)) > 70.0
 
 
 class TestSweep:

@@ -32,14 +32,12 @@ _OBSERVED = [
 _CACHE = ["--cache", "--cache-dir", "c", "--cache-max-bytes", "1024"]
 
 ARGV = [
-    # compress: every control mode, codec and entropy choice
+    # compress: every control mode and codec
     ["compress", "f.npy", "-o", "f.fpz", "--psnr", "60"],
     ["compress", "f.npy", "--output", "f.fpz", "--abs", "1e-3",
      "--codec", "transform"],
-    ["compress", "f.npy", "-o", "f.fpz", "--rel", "1e-3",
-     "--entropy", "rans", "--codec", "sz"],
-    ["compress", "f.npy", "-o", "f.fpz", "--pw-rel", "1e-2",
-     "--entropy", "huffman"],
+    ["compress", "f.npy", "-o", "f.fpz", "--rel", "1e-3", "--codec", "sz"],
+    ["compress", "f.npy", "-o", "f.fpz", "--pw-rel", "1e-2"],
     ["compress", "f.npy", "-o", "f.fpz", "--bit-rate", "4",
      "--codec", "embedded"],
     ["compress", "f.npy", "-o", "f.fpz", "--nrmse", "1e-4",

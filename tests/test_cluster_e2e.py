@@ -189,6 +189,30 @@ class TestRoutedCompress:
             doc["result"]["achieved_psnr"]
         )
 
+    def test_cli_job_commands_through_the_coordinator(self, cluster, capsys):
+        """``fpzc submit``, ``status`` and ``fetch`` against a
+        coordinator use the id its own job routes resolve (``submit``
+        used to wait on the member's id and exit 2 with the
+        coordinator's 404)."""
+        from repro.cli.main import main
+
+        url = ["--url", cluster["co"].url]
+        out = cluster["tmp"] / "cli.fpz"
+        assert main([
+            "submit", DATASET, FIELD, "--psnr", str(TARGET),
+            "--out", str(out), *url,
+        ]) == 0
+        job = capsys.readouterr().out.split(":")[0]
+        assert job.startswith("c")
+        assert main(["status", job, *url]) == 0
+        assert json.loads(capsys.readouterr().out)["state"] == "done"
+        fetched = cluster["tmp"] / "fetched.fpz"
+        assert main(["fetch", job, "--out", str(fetched), *url]) == 0
+        serial = FixedPSNRCompressor(target_psnr=TARGET).compress(
+            get_dataset(DATASET).field(FIELD)
+        )
+        assert out.read_bytes() == fetched.read_bytes() == serial
+
     def test_member_ledger_carries_forwarding_provenance(self, cluster):
         entries = read_ledger(
             cluster["tmp"] / "a-ledger.jsonl"

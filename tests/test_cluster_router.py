@@ -125,7 +125,6 @@ class TestRouteKey:
             mode="psnr",
             target=60.0,
             refine=None,
-            entropy="huffman",
         )
 
     def test_key_is_stable_and_target_sensitive(self, clients):

@@ -22,7 +22,6 @@ from repro.sz.regression import RegressionCompressor
 CODEC_MAKERS = {
     "sz-lorenzo": lambda eb, mode: SZCompressor(eb, mode=mode),
     "sz-lorenzo2": lambda eb, mode: SZCompressor(eb, mode=mode, predictor="lorenzo2"),
-    "sz-rans": lambda eb, mode: SZCompressor(eb, mode=mode, entropy="rans"),
     "regression": lambda eb, mode: RegressionCompressor(eb, mode=mode, block_size=4),
     "hybrid": lambda eb, mode: HybridCompressor(eb, mode=mode, block_size=4),
     "sz1.1": lambda eb, mode: Sz11Compressor(eb, mode=mode),

@@ -1,171 +1,140 @@
-"""Unit and property tests for the interleaved rANS coder."""
+"""The rANS reader on what earlier builds wrote with its encoder.
+
+Nothing writes rANS (container entropy id 1) any more, so every payload
+and model table here was frozen in ``tests/golden/rans/``: containers
+with one lane (``sz_rel_rans``), 8 lanes (``sz_rel_lanes8``) and 256
+lanes (``sz_rel_lanes256``), whose decoded arrays
+``tests/test_format_stability.py`` pins, and in ``streams.npz`` the
+payloads and tables of five symbol streams.  The streams must decode
+back to themselves; the containers are damaged one way at a time and
+must end in a typed error.
+"""
+
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.encoding.rans import (
-    SCALE_BITS,
-    TOTAL,
-    RansCoder,
-    _normalize_freqs,
-    rans_decode,
-    rans_encode,
-)
-from repro.errors import DecompressionError, ParameterError
+from repro.encoding.lossless import lossless_decompress
+from repro.encoding.rans import N_LANES, TOTAL, RansCoder
+from repro.errors import DecompressionError, FormatError, ParameterError
+from repro.io.container import Container
+from repro.sz.compressor import decompress
+
+RANS = Path(__file__).parent / "golden" / "rans"
+
+#: The streams ``streams.npz`` holds, each drawn from a fresh
+#: ``default_rng(20180713)``.
+STREAMS = {
+    "geometric": lambda rng: rng.geometric(0.3, size=50000),
+    "uniform": lambda rng: rng.integers(-100, 100, size=777),
+    "constant": lambda rng: np.full(300, -5),
+    "tiny-binary": lambda rng: rng.integers(0, 2, size=10),
+    "single": lambda rng: np.array([7]),
+}
 
 
-class TestNormalize:
-    def test_sums_to_total(self, rng):
-        counts = rng.integers(1, 10000, size=500)
-        freqs = _normalize_freqs(counts)
-        assert int(freqs.sum()) == TOTAL
-        assert freqs.min() >= 1
-
-    def test_rare_symbols_keep_mass(self):
-        counts = np.array([10**9, 1, 1, 1])
-        freqs = _normalize_freqs(counts)
-        assert freqs[1:].min() >= 1
-        assert freqs[0] > TOTAL // 2
-
-    def test_single_symbol(self):
-        assert _normalize_freqs(np.array([42])).tolist() == [TOTAL]
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            _normalize_freqs(np.zeros(0))
-        with pytest.raises(ParameterError):
-            _normalize_freqs(np.array([1, 0]))
-        with pytest.raises(ParameterError):
-            _normalize_freqs(np.ones(TOTAL + 1))
+def _parts(name):
+    """``(model table bytes, payload, n)`` of a frozen container."""
+    c = Container.from_bytes((RANS / f"{name}.fpz").read_bytes())
+    table = lossless_decompress(c.stream("table"), "zlib")
+    return table, c.stream("payload"), int(np.prod(c.meta["shape"]))
 
 
 class TestRoundtrip:
-    @pytest.mark.parametrize(
-        "maker",
-        [
-            lambda rng: rng.geometric(0.3, size=50000),
-            lambda rng: rng.integers(-100, 100, size=777),
-            lambda rng: np.full(300, -5),
-            lambda rng: rng.integers(0, 2, size=10),
-            lambda rng: np.array([7]),
-        ],
-        ids=["geometric", "uniform", "constant", "tiny-binary", "single"],
-    )
-    def test_roundtrip(self, maker, rng):
-        data = maker(rng)
-        payload, coder = rans_encode(data)
-        assert np.array_equal(rans_decode(payload, coder), data)
-
-    def test_empty(self, rng):
-        data = rng.integers(0, 5, size=10)
-        _, coder = rans_encode(data)
-        payload = coder.encode(np.zeros(0, np.int64))
-        assert coder.decode(payload).size == 0
-
-    def test_rate_near_entropy(self, rng):
-        """On a large skewed stream, rANS lands within ~5 % of the
-        zeroth-order entropy (plus fixed lane/state overhead)."""
-        data = rng.geometric(0.2, size=300000)
-        payload, coder = rans_encode(data)
-        _, counts = np.unique(data, return_counts=True)
-        p = counts / data.size
-        entropy = float(-(p * np.log2(p)).sum())
-        rate = 8.0 * (len(payload) - 5000) / data.size  # subtract overhead
-        assert rate < entropy * 1.05 + 0.05
-
-    def test_beats_or_matches_huffman_on_skewed(self, rng):
-        """Fractional-bit coding: rANS should not lose to Huffman by
-        more than the lane overhead on a skewed alphabet."""
-        from repro.encoding.huffman import huffman_encode
-
-        data = (rng.random(size=200000) < 0.95).astype(np.int64)
-        rans_payload, _ = rans_encode(data)
-        huff_payload, _, _ = huffman_encode(data)
-        # huffman is stuck at 1 bit/symbol = 25000 B; rANS reaches the
-        # ~0.29 bit entropy
-        assert len(rans_payload) < len(huff_payload) // 2
+    @pytest.mark.parametrize("name", list(STREAMS))
+    def test_roundtrip(self, name):
+        """A payload the encoder wrote decodes to its stream: 97 lanes
+        whose last step is partial (geometric), a one-symbol model
+        (constant) and a single symbol among them."""
+        data = STREAMS[name](np.random.default_rng(20180713))
+        with np.load(RANS / "streams.npz") as frozen:
+            table = frozen[f"{name}.table"].tobytes()
+            payload = frozen[f"{name}.payload"].tobytes()
+        q = RansCoder.from_table_bytes(table).decode(payload, data.size)
+        assert np.array_equal(q, data)
 
 
 class TestErrors:
-    def test_out_of_alphabet_raises(self, rng):
-        _, coder = rans_encode(rng.integers(0, 5, size=100))
-        with pytest.raises(ParameterError):
-            coder.encode(np.array([99]))
+    def test_truncated_payload_raises(self):
+        table, payload, n = _parts("sz_rel_lanes8")
+        coder = RansCoder.from_table_bytes(table)
+        for cut in (8, 20, len(payload) // 2, len(payload) - 1):
+            with pytest.raises(DecompressionError):
+                coder.decode(payload[:cut], n)
 
-    def test_truncated_payload_raises(self, rng):
-        data = rng.integers(0, 50, size=5000)
-        payload, coder = rans_encode(data)
-        with pytest.raises(DecompressionError):
-            coder.decode(payload[: len(payload) // 2])
-
-    def test_garbage_rejected(self, rng):
-        _, coder = rans_encode(rng.integers(0, 5, size=10))
-        with pytest.raises(DecompressionError):
-            coder.decode(b"definitely not rans")
+    def test_garbage_rejected(self):
+        table, payload, n = _parts("sz_rel_lanes8")
+        coder = RansCoder.from_table_bytes(table)
+        for bad in (b"definitely not rans", b"SNAR" + payload[4:]):
+            with pytest.raises(DecompressionError, match="not a rANS payload"):
+                coder.decode(bad, n)
 
     def test_bad_model_rejected(self):
         with pytest.raises(ParameterError):
             RansCoder(np.array([1, 2]), np.array([100, 100]))  # sum != TOTAL
         with pytest.raises(ParameterError):
             RansCoder(np.array([2, 1]), np.array([TOTAL - 1, 1]))  # unsorted
+        table, _, _ = _parts("sz_rel_rans")
+        (size,) = struct.unpack_from("<q", table)
+        freqs = bytearray(table)
+        freqs[8 + 8 * size : 10 + 8 * size] = b"\x00\x00"  # one frequency 0
+        with pytest.raises(ParameterError):
+            RansCoder.from_table_bytes(bytes(freqs))
 
-    def test_table_roundtrip(self, rng):
-        data = rng.integers(-30, 30, size=4000)
-        payload, coder = rans_encode(data)
-        revived = RansCoder.from_table_bytes(coder.table_bytes())
-        assert np.array_equal(revived.decode(payload), data)
+    def test_table_roundtrip(self):
+        """The model read from a table writes back to the same bytes:
+        the alphabet size, the symbols and their uint16 frequencies."""
+        for name in ("sz_rel_rans", "sz_rel_lanes8", "sz_rel_lanes256"):
+            table, _, _ = _parts(name)
+            coder = RansCoder.from_table_bytes(table)
+            assert int(coder.freqs.sum()) == TOTAL
+            assert (
+                np.int64(coder.symbols.size).tobytes()
+                + coder.symbols.tobytes()
+                + coder.freqs.astype("<u2").tobytes()
+            ) == table
 
-    def test_table_truncation_rejected(self, rng):
-        _, coder = rans_encode(rng.integers(0, 5, size=10))
-        with pytest.raises(DecompressionError):
-            RansCoder.from_table_bytes(coder.table_bytes()[:-1])
+    def test_table_truncation_rejected(self):
+        table, _, _ = _parts("sz_rel_rans")
+        for cut in (0, 7, len(table) - 1):
+            with pytest.raises(DecompressionError):
+                RansCoder.from_table_bytes(table[:cut])
+
+
+@pytest.mark.parametrize("lanes", [0, N_LANES + 1, 9])
+def test_lane_count_out_of_range(lanes):
+    """A lane count outside ``1..min(N_LANES, n)`` is refused: 0, more
+    than any payload holds, or more lanes than symbols (the count and
+    ``n`` are rewritten to 8 for the last case)."""
+    table, payload, n = _parts("sz_rel_lanes8")
+    if lanes == 9:
+        n = 8
+    bad = payload[:4] + struct.pack("<QI", n, lanes) + payload[16:]
+    with pytest.raises(DecompressionError, match="lane count"):
+        RansCoder.from_table_bytes(table).decode(bad, n)
+
+
+@pytest.mark.parametrize("name", ["sz_rel_lanes8", "sz_rel_lanes256"])
+def test_short_lane_is_exhausted(name):
+    """Each lane of a multi-lane payload reads exactly the bytes its
+    length declares: with one byte fewer, the last lane runs dry."""
+    table, payload, n = _parts(name)
+    lanes = struct.unpack_from("<I", payload, 12)[0]
+    pos = 16 + 4 * lanes + 4 * (lanes - 1)
+    short = bytearray(payload)
+    (length,) = struct.unpack_from("<I", payload, pos)
+    struct.pack_into("<I", short, pos, length - 1)
+    with pytest.raises(DecompressionError, match="exhausted"):
+        RansCoder.from_table_bytes(table).decode(bytes(short), n)
 
 
 class TestSZIntegration:
-    def test_sz_with_rans_roundtrip(self, smooth2d):
-        from repro.metrics.distortion import max_abs_error
-        from repro.sz.compressor import SZCompressor, decompress
-
-        eb = 1e-3
-        blob = SZCompressor(eb, entropy="rans").compress(smooth2d)
-        recon = decompress(blob)
-        assert max_abs_error(smooth2d, recon) <= eb * (1 + 1e-9)
-
-    def test_sizes_comparable(self, smooth2d):
-        from repro.sz.compressor import SZCompressor
-
-        huff = len(SZCompressor(1e-4, entropy="huffman").compress(smooth2d))
-        rans = len(SZCompressor(1e-4, entropy="rans").compress(smooth2d))
-        assert rans < huff * 1.5
-
-    def test_unknown_entropy_rejected(self):
-        from repro.sz.compressor import SZCompressor
-
-        with pytest.raises(ParameterError):
-            SZCompressor(1e-3, entropy="arithmetic")
-
-    def test_removed_rle_coder_is_gone(self, smooth2d):
-        """The RLE+rANS coder (container entropy id 2) was removed: the
-        option is rejected and a container naming id 2 is a
-        FormatError."""
-        from repro.errors import FormatError
-        from repro.io.container import Container
-        from repro.sz.compressor import SZCompressor, decompress
-
-        with pytest.raises(ParameterError):
-            SZCompressor(1e-3, entropy="rans_rle")
-        c = Container.from_bytes(SZCompressor(1e-3).compress(smooth2d))
-        blob = Container(c.codec, {**c.meta, "entropy": 2}, c.streams).to_bytes()
+    def test_removed_rle_coder_is_gone(self):
+        """The RLE+rANS coder (container entropy id 2) was removed: a
+        container naming id 2 is a FormatError."""
+        c = Container.from_bytes((RANS / "sz_rel_rans.fpz").read_bytes())
+        meta = {**c.meta, "entropy": 2}
         with pytest.raises(FormatError):
-            decompress(blob)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(-500, 500), min_size=1, max_size=3000))
-def test_rans_roundtrip_property(values):
-    """Any int64 stream round-trips bit-exactly."""
-    data = np.asarray(values, dtype=np.int64)
-    payload, coder = rans_encode(data)
-    assert np.array_equal(coder.decode(payload), data)
+            decompress(Container(c.codec, meta, c.streams).to_bytes())

@@ -10,6 +10,13 @@ regression or bump the container VERSION and keep a legacy reader.
 encoder wrote differently: the ones written before high-rate Huffman
 payloads were deflated with zlib's run-length strategy, when every
 stream was deflated at level 6.  They are decode-only.
+
+``tests/golden/rans/`` keeps sz containers written with the rANS
+entropy coder, which nothing writes any more: the golden field's
+(``sz_rel_rans``), the digest table's four ``sz-*-rans*`` cases, and an
+8-lane and a 256-lane payload (64x64 at rel 1e-4 and 256x512 at rel
+1e-2, fields from the digest table's ``_smooth``).  They are
+decode-only too.
 """
 
 import hashlib
@@ -19,11 +26,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.io.container import Container
 from repro.metrics.distortion import max_abs_error, psnr
 from repro.sz.compressor import decompress
 
 GOLDEN = Path(__file__).parent / "golden"
 LEGACY = GOLDEN / "zlib6"
+RANS = GOLDEN / "rans"
 
 #: SHA-256 of each legacy fixture's decoded array (dtype, shape and
 #: bytes), as the build that wrote the fixture decoded it.
@@ -37,6 +46,24 @@ LEGACY_DECODED = {
     "sz_pw_rel": "39c3d3958f490befc57d924d046233a17ac86771c355df66f2c814f290a7670e",
     "transform": "00b2771a5db1bd054d71e6bb710c21c5e970e4e4c79371b30be5863b6b547f06",
 }
+
+#: SHA-256 of each rANS fixture's decoded array, as the build that
+#: wrote the fixture decoded it.
+RANS_DECODED = {
+    "sz-f32-rans": "902a23f1d54f9630821813ea217ce012d1189ad84b20f1e03451d291962993f0",
+    "sz-f32-rans-r3": "ed3a831b26a34bf6baf2e5f497ad6818097753a6621652b03349f13487ea1e1a",
+    "sz-f64-rans": "89da049692f31fbc8c581ef2798f2bec9b7e264382561a3e7066a965249b380d",
+    "sz-f64-rans-r3": "fffd53f8f28dc4be3ca2802c57a75402c693199c273ceb58cafbf4725ac19ad9",
+    "sz_rel_lanes256": "0071bec671d1ababab3340a39d9c3d73404a7f9aa8fc18322bfcff4d57c34160",
+    "sz_rel_lanes8": "1217b3927543367e64218c2983c56b64032fcd66ba796c0ed69b5a833fe08cfe",
+    "sz_rel_rans": "65a3e1c8f27ad6b73ede02a86d5d6ecbccb01b8af94a501d317d8bd9adcfd14e",
+}
+
+
+def _array_digest(arr: np.ndarray) -> str:
+    return hashlib.sha256(
+        f"{arr.dtype}{arr.shape}".encode() + np.ascontiguousarray(arr).tobytes()
+    ).hexdigest()
 
 
 def _load_regen():
@@ -73,7 +100,7 @@ class TestGoldenContainers:
         ) <= 1e-3 * (1 + 1e-5) + 1e-6
 
     def test_sz_rel_rans(self, original):
-        recon = decompress(_blob("sz_rel_rans"))
+        recon = decompress((RANS / "sz_rel_rans.fpz").read_bytes())
         vr = float(original.max() - original.min())
         assert max_abs_error(
             original.astype(np.float64), recon.astype(np.float64)
@@ -121,11 +148,20 @@ class TestLegacyContainers:
         blob = (LEGACY / f"{name}.fpz").read_bytes()
         assert blob != _blob(name)
         recon = decompress(blob)
-        digest = hashlib.sha256(
-            f"{recon.dtype}{recon.shape}".encode()
-            + np.ascontiguousarray(recon).tobytes()
-        ).hexdigest()
-        assert digest == LEGACY_DECODED[name]
+        assert _array_digest(recon) == LEGACY_DECODED[name]
         today = decompress(_blob(name))
         assert today.dtype == recon.dtype
         assert np.array_equal(today, recon)
+
+
+class TestRansContainers:
+    def test_rans_fixtures_exist(self):
+        assert {p.stem for p in RANS.glob("*.fpz")} == set(RANS_DECODED)
+
+    @pytest.mark.parametrize("name", sorted(RANS_DECODED))
+    def test_decodes_as_before(self, name):
+        """A container written with rANS (entropy id 1) decodes to the
+        array it decoded to when it was written."""
+        blob = (RANS / f"{name}.fpz").read_bytes()
+        assert Container.from_bytes(blob).meta["entropy"] == 1
+        assert _array_digest(decompress(blob)) == RANS_DECODED[name]

@@ -7,8 +7,10 @@ well-formed containers whose metadata declares hostile sizes, shapes
 or dtypes.
 """
 
+import struct
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,6 +429,56 @@ def test_bomb_behind_a_hostile_count_is_bounded(zlib_bomb, count, stream):
         for name, payload in c.streams
     ]
     blob = Container(c.codec, {**c.meta, **hostile}, streams).to_bytes()
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecompressionError):
+            decompress(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def _rans_payload(name, count=None, lengths=None):
+    """A frozen rANS container (``tests/golden/rans/``) whose payload
+    declares another symbol count or other lane lengths."""
+    path = Path(__file__).parent / "golden" / "rans" / f"{name}.fpz"
+    c = Container.from_bytes(path.read_bytes())
+    payload = bytearray(c.stream("payload"))
+    lanes = struct.unpack_from("<I", payload, 12)[0]
+    if count is not None:
+        struct.pack_into("<Q", payload, 4, count)
+    if lengths is not None:
+        old = list(struct.unpack_from(f"<{lanes}I", payload, 16 + 4 * lanes))
+        struct.pack_into(f"<{lanes}I", payload, 16 + 4 * lanes, *lengths(old))
+    streams = [
+        (key, bytes(payload) if key == "payload" else value)
+        for key, value in c.streams
+    ]
+    return Container(c.codec, c.meta, streams).to_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, hostile",
+    [
+        ("sz_rel_rans", dict(count=20_000_000)),
+        ("sz_rel_rans", dict(lengths=lambda old: [10_000_000])),
+        (
+            "sz_rel_lanes256",
+            dict(lengths=lambda old: [sum(old)] + [0] * (len(old) - 1)),
+        ),
+    ],
+    ids=["symbol-count", "lane-length", "one-lane-holds-all"],
+)
+def test_rans_payload_its_container_contradicts_is_bounded(name, hostile):
+    """The rANS reader takes the symbol count from the container and
+    checks the payload against it before allocating: a payload declaring
+    2*10**7 symbols for 768 points, a lane 10**7 bytes long in a
+    1.8 KB payload, or every byte dealt to one of 256 lanes ends in
+    DecompressionError within 16 MiB (they reached 343.5, 76.4 and
+    41.7 MiB when the decoder sized its buffers from the payload's own
+    counts)."""
+    blob = _rans_payload(name, **hostile)
     tracemalloc.start()
     try:
         with pytest.raises(DecompressionError):
